@@ -7,8 +7,6 @@ from .problems import (
     QuadraticSmooth,
     StepsizePolicy,
     backtrack_stepsize,
-    f_value,
-    grad,
     lqr_closed_form,
     max_constant_stepsize,
     problem_from_json,
@@ -20,7 +18,6 @@ from .errors import (
     GradientErrorSpec,
     ProxErrorSpec,
     approx_prox,
-    quantize,
     quantized_gradient,
     sample_truncated_gaussian,
 )
@@ -44,8 +41,6 @@ __all__ = [
     "QuadraticSmooth",
     "StepsizePolicy",
     "backtrack_stepsize",
-    "f_value",
-    "grad",
     "lqr_closed_form",
     "max_constant_stepsize",
     "problem_from_json",
@@ -55,7 +50,6 @@ __all__ = [
     "GradientErrorSpec",
     "ProxErrorSpec",
     "approx_prox",
-    "quantize",
     "quantized_gradient",
     "sample_truncated_gaussian",
     "RunTrace",

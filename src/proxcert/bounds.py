@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solvers import alpha_series
+from .solvers import alpha_sequence
 
 SERIES_NAMES = (
     "thm_basic_det",
@@ -81,8 +81,7 @@ class BoundParams:
             m_grad = 1.0
         else:
             pts = trace.xs if trace.ys is None else np.vstack([trace.xs, trace.ys])
-            sup = max(float(np.abs(problem.grad(p_)).max()) for p_ in pts)
-            m_grad = 1.05 * sup
+            m_grad = 1.05 * float(np.abs(problem.smooth.grads(pts)).max())
         changes = trace.x_change()
         rho = float(changes[-1]) if len(changes) else 0.0
         params = cls(
@@ -213,30 +212,29 @@ def bound_basic_det_corollary(trace, params, k, x_star=None, variant="full"):
 
 
 def bound_basic_random(params, k, eps2_partial_sum, variant="stated"):
-    """Probabilistic ergodic bound for random errors.
+    """Probabilistic ergodic bound for random errors, at k or an array of k.
 
     ``eps2_partial_sum`` is the sum of the first k proximal errors (realized,
-    or ``k * E[eps2]`` a-priori).  Variants: "stated" (theorem form),
-    "approx" (large-n form dropping the prox term), "sharp" (per-iteration
-    eps2 inside the martingale radius; pass the eps2 sequence instead of the
-    partial sum).  Returns ``(value, probability)``.
+    or ``k * E[eps2]`` a-priori; one sum per k).  Variants: "stated" (theorem
+    form), "approx" (large-n form dropping the prox term), "sharp"
+    (per-iteration eps2 inside the martingale radius; pass the eps2 sequence
+    instead of the partial sums).  Returns ``(value, probability)``.
     """
-    if k < 1:
+    k = np.asarray(k)
+    if np.any(k < 1):
         raise ValueError("bound defined for k >= 1")
     if params.m_grad is None:
         raise ValueError("m_grad is required")
     g, s, d = params.gamma, params.s, params.dist0
     base_term = math.sqrt(params.n) * params.m_grad * abs(params.delta)
-    if variant == "stated":
-        eps_sum = float(eps2_partial_sum)
-        mid = (g / math.sqrt(k)) * (base_term + math.sqrt(2.0 * params.eps0 / s)) * d
-    elif variant == "approx":
-        eps_sum = float(eps2_partial_sum)
-        mid = (g / math.sqrt(k)) * base_term * d
+    if variant in ("stated", "approx"):
+        eps_sum = np.asarray(eps2_partial_sum, dtype=float)
+        prox_term = math.sqrt(2.0 * params.eps0 / s) if variant == "stated" else 0.0
+        mid = (g / np.sqrt(k)) * (base_term + prox_term) * d
     elif variant == "sharp":
-        eps_seq = np.asarray(eps2_partial_sum, dtype=float)[:k]
-        eps_sum = float(eps_seq.sum())
-        radius = math.sqrt(float(((base_term + np.sqrt(2.0 * eps_seq / s)) ** 2).sum()))
+        eps_seq = np.asarray(eps2_partial_sum, dtype=float)
+        eps_sum = np.cumsum(eps_seq)[k - 1]
+        radius = np.sqrt(np.cumsum((base_term + np.sqrt(2.0 * eps_seq / s)) ** 2)[k - 1])
         mid = g * d * radius / k
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -247,19 +245,20 @@ def bound_basic_random(params, k, eps2_partial_sum, variant="stated"):
 
 def bound_basic_random_series(trace, params, variant="stated"):
     """(values, probabilities) arrays over k = 0..T-1 (k = 0 is NaN)."""
-    t = trace.num_steps
-    values = np.full(t, np.nan)
-    probs = np.full(t, np.nan)
-    csum = np.concatenate([[0.0], np.cumsum(trace.eps2)])
-    for k in range(1, t):
-        arg = trace.eps2 if variant == "sharp" else csum[k]
-        values[k], probs[k] = bound_basic_random(params, k, arg, variant)
+    values = np.full(trace.num_steps, np.nan)
+    probs = np.full(trace.num_steps, np.nan)
+    arg = trace.eps2 if variant == "sharp" else np.cumsum(trace.eps2)[:-1]
+    values[1:], probs[1:] = bound_basic_random(
+        params, np.arange(1, trace.num_steps), arg, variant
+    )
     return values, probs
 
 
 def bound_basic_stationary(params, k):
-    """Stationary-mean bound: constant floor E[eps2] plus O(1/sqrt(k)) + O(1/k)."""
-    if k < 1:
+    """Stationary-mean bound: constant floor E[eps2] plus O(1/sqrt(k)) + O(1/k),
+    at k or an array of k."""
+    k = np.asarray(k)
+    if np.any(k < 1):
         raise ValueError("bound defined for k >= 1")
     if params.eps2_mean is None:
         raise ValueError("eps2_mean is required")
@@ -268,7 +267,7 @@ def bound_basic_stationary(params, k):
     g, s, d = params.gamma, params.s, params.dist0
     value = (
         params.eps2_mean
-        + (g / math.sqrt(k))
+        + (g / np.sqrt(k))
         * (params.eps0 / 2.0 + math.sqrt(params.n) * params.m_grad * abs(params.delta) * d)
         + d * d / (2.0 * s * k)
     )
@@ -277,11 +276,9 @@ def bound_basic_stationary(params, k):
 
 
 def bound_basic_stationary_series(trace, params):
-    t = trace.num_steps
-    values = np.full(t, np.nan)
-    probs = np.full(t, np.nan)
-    for k in range(1, t):
-        values[k], probs[k] = bound_basic_stationary(params, k)
+    values = np.full(trace.num_steps, np.nan)
+    probs = np.full(trace.num_steps, np.nan)
+    values[1:], probs[1:] = bound_basic_stationary(params, np.arange(1, trace.num_steps))
     return values, probs
 
 
@@ -290,41 +287,31 @@ def bound_basic_stationary_series(trace, params):
 # ---------------------------------------------------------------------------
 
 
-def bound_acc_det_series(trace, params, x_star):
-    """Accelerated deterministic theorem: error-weighted momentum residuals."""
-    s = params.s
-    useq = u_sequence(trace, x_star)  # U[i] = u^{i+1}
-    nu = trace.eps1 - trace.res / s
-    cross = trace.alphas * np.einsum("ij,ij->i", nu, useq)
+def _acc_det(trace, params, cross):
+    """Accelerated deterministic form for a given per-step cross term."""
     weighted_eps2 = trace.alphas**2 * trace.eps2
-    total = np.cumsum(weighted_eps2) + np.cumsum(cross) + params.dist0**2 / (2.0 * s)
+    total = np.cumsum(weighted_eps2) + np.cumsum(cross) + params.dist0**2 / (2.0 * params.s)
     return total / trace.alphas**2
 
 
-def bound_acc_det(trace, params, x_star, k):
-    return float(bound_acc_det_series(trace, params, x_star)[k])
+def bound_acc_det_series(trace, params, x_star):
+    """Accelerated deterministic theorem: error-weighted momentum residuals."""
+    useq = u_sequence(trace, x_star)  # U[i] = u^{i+1}
+    nu = trace.eps1 - trace.res / params.s
+    return _acc_det(trace, params, trace.alphas * np.einsum("ij,ij->i", nu, useq))
 
 
 def bound_acc_det_corollary_series(trace, params, x_star=None, variant="full"):
     """Cauchy-Schwarz form; "approx" replaces ||u^{i+1}|| by dist0."""
     if variant not in ("full", "approx"):
         raise ValueError(f"unknown corollary variant {variant!r}")
-    s = params.s
-    w = _w_terms(trace, s)
-    if variant == "full":
-        if x_star is None:
-            raise ValueError("full corollary variant needs x_star")
-        u_norms = np.linalg.norm(u_sequence(trace, x_star), axis=1)
-        cross = trace.alphas * u_norms * w
-    else:
-        cross = trace.alphas * params.dist0 * w
-    weighted_eps2 = trace.alphas**2 * trace.eps2
-    total = np.cumsum(weighted_eps2) + np.cumsum(cross) + params.dist0**2 / (2.0 * s)
-    return total / trace.alphas**2
-
-
-def bound_acc_det_corollary(trace, params, k, x_star=None, variant="full"):
-    return float(bound_acc_det_corollary_series(trace, params, x_star, variant)[k])
+    w = _w_terms(trace, params.s)
+    if variant == "approx":
+        return _acc_det(trace, params, trace.alphas * params.dist0 * w)
+    if x_star is None:
+        raise ValueError("full corollary variant needs x_star")
+    u_norms = np.linalg.norm(u_sequence(trace, x_star), axis=1)
+    return _acc_det(trace, params, trace.alphas * u_norms * w)
 
 
 def bound_acc_random_series(trace, params, x_star):
@@ -387,18 +374,10 @@ def bound_acc_random_closed(params, k):
         g * abs(params.delta) * params.m_u * params.m_grad * d * math.sqrt(params.n * p2)
     )
     s_r = g * params.m_u * d * math.sqrt(2.0 * s * params.eps0 * p2)
-    alpha_k = alpha_series(params.alpha_rule, k)[-1]
+    alpha_k = alpha_sequence(params.alpha_rule, k)
     value = (s_eps2 + s_eps1 + s_r + d * d / (2.0 * s)) / alpha_k**2
     prob = 1.0 - 6.0 * math.exp(-(g * g) / 2.0)
     return value, prob
-
-
-def bound_acc_random(trace_or_params, params_or_k, k=None, x_star=None):
-    """Running mode: (trace, params, k, x_star).  Closed mode: (params, k)."""
-    if k is None:
-        return bound_acc_random_closed(trace_or_params, params_or_k)
-    values, prob = bound_acc_random_series(trace_or_params, params_or_k, x_star)
-    return float(values[k]), float(prob[k])
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +390,15 @@ def bound_schmidt_basic_series(trace, params):
     L = params.lipschitz
     t = trace.num_steps
     w = trace.eps1_norms() / L + np.sqrt(2.0 * trace.eps2 / L)
-    w[0] = 0.0  # sums run i = 1..k
     b = trace.eps2 / L
-    b_from_1 = b.copy()
-    b_from_1[0] = 0.0
+    w[0] = b[0] = 0.0  # sums run i = 1..k
     a_k = np.cumsum(w)
-    b_k = np.cumsum(b_from_1)
+    b_k = np.cumsum(b)
     ks = np.arange(t).astype(float)
     with np.errstate(divide="ignore"):
         values = (L / (2.0 * ks)) * (params.dist0 + 2.0 * a_k + np.sqrt(2.0 * b_k)) ** 2
     values[0] = np.nan
     return values
-
-
-def bound_schmidt_basic(trace, params, k):
-    return float(bound_schmidt_basic_series(trace, params)[k])
 
 
 def bound_schmidt_acc_series(trace, params):
@@ -438,10 +411,6 @@ def bound_schmidt_acc_series(trace, params):
     a_k = np.cumsum(w)
     b_k = np.cumsum(b)
     return (2.0 * L / (idx + 1.0) ** 2) * (params.dist0 + 2.0 * a_k + np.sqrt(2.0 * b_k)) ** 2
-
-
-def bound_schmidt_acc(trace, params, k):
-    return float(bound_schmidt_acc_series(trace, params)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +455,7 @@ class ObservedGaps:
     @classmethod
     def from_trace(cls, problem, trace, f_star):
         t = trace.num_steps
-        means_incl = trace.ergodic_averages()  # mean x^1..x^{k+1}
-        erg_incl = np.array([problem.f_value(m) for m in means_incl]) - f_star
+        erg_incl = problem.f_values(trace.ergodic_averages()) - f_star  # mean x^1..x^{k+1}
         erg = np.full(t, np.nan)
         erg[1:] = erg_incl[:-1]  # mean x^1..x^k at index k
         iterate_next = trace.fvals[1:] - f_star
@@ -497,7 +465,7 @@ class ObservedGaps:
     def for_target(self, target):
         if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
-        return getattr(self, target if target != "ergodic_incl" else "ergodic_incl")
+        return getattr(self, target)
 
 
 @dataclass

@@ -176,6 +176,15 @@ def _get_bool(cfg, sec, key):
     raise ConfigError(f"[{sec}] {key} must be a boolean, got {raw!r}")
 
 
+def _get_floats(cfg, sec, key):
+    """Comma-separated numbers; empty items are skipped."""
+    raw = cfg[sec][key]
+    try:
+        return [float(t) for t in raw.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"[{sec}] {key} must be a list of numbers, got {raw.strip()!r}") from exc
+
+
 def _build_error_specs(cfg):
     grad_model = cfg["errors"]["grad_model"].strip()
     if grad_model not in ("absolute", "relative"):
@@ -209,7 +218,8 @@ def _build_error_specs(cfg):
     return grad_spec, prox_spec, grad_model, delta, eps0
 
 
-def _build_solver_config(cfg, problem, grad_spec, prox_spec, grad_model, delta, default_iters):
+def _build_solver_config(cfg, problem, default_iters):
+    grad_spec, prox_spec, grad_model, delta, _ = _build_error_specs(cfg)
     variant = cfg["solver"]["variant"].strip()
     if variant not in ("basic", "accelerated"):
         raise ConfigError(f"unknown solver variant {variant!r}")
@@ -244,7 +254,8 @@ def _build_solver_config(cfg, problem, grad_spec, prox_spec, grad_model, delta, 
         raise ConfigError(str(exc)) from exc
 
 
-def _bound_params(cfg, problem, trace, x_star, grad_spec, grad_model, delta, eps0, prox_spec):
+def _bound_params(cfg, problem, trace, x_star):
+    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
     if isinstance(grad_spec, FixedPointFormat):
         # quantization errors are componentwise bounded: absolute-model
         # flavour with the realized machine precision (x1.05 safety)
@@ -268,23 +279,82 @@ def _bound_params(cfg, problem, trace, x_star, grad_spec, grad_model, delta, eps
     return BoundParams.from_trace(problem, trace, x_star, model=grad_model, **overrides)
 
 
-def _emit_run_artifacts(out, cfg, problem, trace, x_star, f_star, params, comparison_baseline):
-    """Write the full artifact set; returns (summary dict, gated violations)."""
+def problem_from_cfg(cfg):
+    """The problem a run command solves: ``(problem, mpc_spec)``.
+
+    ``mpc`` condenses the spacecraft regulator of ``[mpc]`` (and records the
+    resolved horizons in ``cfg``, so the config echo shows them); ``solve``
+    reads ``[problem] file`` when set; otherwise, and always for ``lasso``,
+    the instance is generated from ``[lasso]``.  ``mpc_spec`` is None for
+    non-MPC problems.
+    """
+    command = cfg["run"]["command"].strip()
+    pfile = cfg["problem"]["file"].strip()
+    if command == "mpc":
+        # reference setup: basic runs at horizon 10, the time-critical
+        # accelerated variant at horizon 2
+        accelerated = cfg["solver"]["variant"].strip() == "accelerated"
+        n_p = _get_int(cfg, "mpc", "n_p", 2 if accelerated else 10)
+        n_c = _get_int(cfg, "mpc", "n_c", n_p)
+        cfg["mpc"]["n_p"], cfg["mpc"]["n_c"] = str(n_p), str(n_c)
+        lam = _get_float(cfg, "mpc", "lam", 16.79)
+        x0 = _get_floats(cfg, "mpc", "x0") or 0.5 * np.ones(7)
+        build = lambda: mpc_to_lasso(spacecraft_mpc(n_p=n_p, n_c=n_c, lam=lam, x0=x0))
+        source = "[mpc]"
+    elif pfile and command != "lasso":
+        try:
+            with open(pfile) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read problem file {pfile}: {exc.strerror}") from exc
+        build = lambda: problem_from_json(text)
+        source = f"problem file {pfile}"
+    else:
+        kwargs = dict(
+            n=_get_int(cfg, "lasso", "n", 100),
+            m=_get_int(cfg, "lasso", "m", 500),
+            sparsity=_get_int(cfg, "lasso", "sparsity"),
+            noise=_get_float(cfg, "lasso", "noise", 0.01),
+            lam=_get_float(cfg, "lasso", "lam"),
+            seed=_get_int(cfg, "lasso", "seed", 0),
+        )
+        build = lambda: lasso_problem(gen_lasso(**kwargs))
+        source = "[lasso]"
+    try:
+        problem = build()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"invalid {source}: {exc}") from exc
+    return problem, problem.meta.get("spec")
+
+
+def certify(cfg, problem, trace, spec=None, extra=None):
+    """Check a trace against every bound series and write the run artifacts.
+
+    Computes the reference solution and the bound parameters, writes
+    ``trace.csv``, ``bounds.csv``, ``comparison.csv`` (``lasso``/``mpc``),
+    ``iterates.bin``, ``trace.npz`` and ``summary.json`` (plus the MPC fields
+    when ``spec`` is given and any ``extra`` keys), and returns the exit code:
+    a violation of a gated deterministic series fails only under --strict.
+    """
+    out = cfg["run"]["out"]
+    accelerated = trace.ys is not None
+    x_star, f_star = reference_solution(problem)
+    params = _bound_params(cfg, problem, trace, x_star)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
-    series = evaluate_all_series(
-        trace, params, x_star, "accelerated" if trace.ys is not None else "basic"
-    )
-    native_gap = observed.iterate_next if trace.ys is not None else observed.ergodic_incl
+    series = evaluate_all_series(trace, params, x_star, "accelerated" if accelerated else "basic")
+    native_gap = observed.iterate_next if accelerated else observed.ergodic_incl
     artifacts.write_trace_csv(os.path.join(out, "trace.csv"), trace, f_star)
     artifacts.write_bounds_csv(os.path.join(out, "bounds.csv"), series, native_gap)
-    if comparison_baseline:
+    if cfg["run"]["command"].strip() in ("lasso", "mpc"):
+        baseline = "schmidt_acc" if accelerated else "schmidt_basic"
         artifacts.write_comparison_csv(
-            os.path.join(out, "comparison.csv"), series, native_gap, comparison_baseline
+            os.path.join(out, "comparison.csv"), series, native_gap, baseline
         )
     artifacts.save_iterates_bin(os.path.join(out, "iterates.bin"), trace)
     artifacts.save_trace_npz(os.path.join(out, "trace.npz"), trace)
     reports = [check_bound_validity(s, observed) for s in series]
     gated = sum(r.violations for r, s in zip(reports, series) if s.gate and s.deterministic)
+    strict = _get_bool(cfg, "run", "strict")
     summary = {
         "iterations": trace.num_steps,
         "status": trace.status,
@@ -297,47 +367,36 @@ def _emit_run_artifacts(out, cfg, problem, trace, x_star, f_star, params, compar
         "violations": {r.name: r.violations for r in reports},
         "gated_violations": gated,
         "series_checked": {r.name: r.checked for r in reports},
+        "strict": strict,
     }
-    return summary, gated
+    if spec is not None:
+        summary.update(
+            n_p=spec.n_p,
+            n_c=spec.n_c,
+            condensed_lipschitz=problem.lipschitz,
+            # the reference diagonal lists cover a 2-step window; they are
+            # tiled per step to the configured horizon
+            weights_tiling="per-step blocks tiled to horizon",
+        )
+    summary.update(extra or {})
+    artifacts.write_summary(os.path.join(out, "summary.json"), summary)
+    return EXIT_VIOLATION if strict and gated > 0 else EXIT_OK
 
 
-def _finish_run(cfg, out, summary, gated, extra=None):
-    strict = _get_bool(cfg, "run", "strict")
-    payload = dict(summary)
-    if extra:
-        payload.update(extra)
-    payload["strict"] = strict
-    artifacts.write_summary(os.path.join(out, "summary.json"), payload)
-    if strict and gated > 0:
-        return EXIT_VIOLATION
-    return EXIT_OK
+def cmd_run(cfg, command):
+    """``solve``, ``lasso`` and ``mpc``: build, run, certify.
 
-
-def cmd_solve(cfg):
+    Default iteration counts: ``solve`` 100, ``lasso`` 300, ``mpc`` 300
+    (basic) or 20 (accelerated).
+    """
+    cfg["run"]["command"] = command
+    problem, spec = problem_from_cfg(cfg)
     out = cfg["run"]["out"]
-    cfg["run"]["command"] = "solve"
     os.makedirs(out, exist_ok=True)
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    pfile = cfg["problem"]["file"].strip()
-    if pfile:
-        try:
-            with open(pfile) as fh:
-                problem = problem_from_json(fh.read())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"problem file not found: {pfile}") from exc
-    else:
-        problem = lasso_problem(
-            gen_lasso(
-                n=_get_int(cfg, "lasso", "n", 100),
-                m=_get_int(cfg, "lasso", "m", 500),
-                sparsity=_get_int(cfg, "lasso", "sparsity"),
-                noise=_get_float(cfg, "lasso", "noise", 0.01),
-                lam=_get_float(cfg, "lasso", "lam"),
-                seed=_get_int(cfg, "lasso", "seed", 0),
-            )
-        )
-    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
-    config = _build_solver_config(cfg, problem, grad_spec, prox_spec, grad_model, delta, 100)
+    accelerated = cfg["solver"]["variant"].strip() == "accelerated"
+    default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
+    config = _build_solver_config(cfg, problem, default_iters)
     trace = run_solver(problem, config, np.zeros(problem.n))
     if trace.status == "non-finite-iterate":
         artifacts.write_summary(
@@ -345,57 +404,8 @@ def cmd_solve(cfg):
             {"status": trace.status, "iterations": trace.num_steps},
         )
         return EXIT_SOLVER
-    x_star, f_star = reference_solution(problem)
-    params = _bound_params(cfg, problem, trace, x_star, grad_spec, grad_model, delta, eps0, prox_spec)
-    summary, gated = _emit_run_artifacts(out, cfg, problem, trace, x_star, f_star, params, None)
-    return _finish_run(cfg, out, summary, gated)
-
-
-def cmd_mpc(cfg):
-    out = cfg["run"]["out"]
-    cfg["run"]["command"] = "mpc"
-    variant = cfg["solver"]["variant"].strip()
-    # reference setup: basic runs 300 iterations at horizon 10, the
-    # time-critical accelerated variant 20 iterations at horizon 2
-    n_p = _get_int(cfg, "mpc", "n_p", 2 if variant == "accelerated" else 10)
-    n_c = _get_int(cfg, "mpc", "n_c", n_p)
-    cfg["mpc"]["n_p"], cfg["mpc"]["n_c"] = str(n_p), str(n_c)
-    os.makedirs(out, exist_ok=True)
-    echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    default_iters = 20 if variant == "accelerated" else 300
-    x0_raw = cfg["mpc"]["x0"].strip()
-    if x0_raw:
-        x_state = np.array([float(t) for t in x0_raw.split(",")])
-    else:
-        x_state = 0.5 * np.ones(7)
-    spec = spacecraft_mpc(n_p=n_p, n_c=n_c, lam=_get_float(cfg, "mpc", "lam", 16.79), x0=x_state)
-    problem = mpc_to_lasso(spec)
-    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
-    config = _build_solver_config(
-        cfg, problem, grad_spec, prox_spec, grad_model, delta, default_iters
-    )
-    trace = run_solver(problem, config, np.zeros(problem.n))
-    if trace.status == "non-finite-iterate":
-        artifacts.write_summary(
-            os.path.join(out, "summary.json"),
-            {"status": trace.status, "iterations": trace.num_steps},
-        )
-        return EXIT_SOLVER
-    x_star, f_star = reference_solution(problem)
-    params = _bound_params(cfg, problem, trace, x_star, grad_spec, grad_model, delta, eps0, prox_spec)
-    baseline = "schmidt_acc" if variant == "accelerated" else "schmidt_basic"
-    summary, gated = _emit_run_artifacts(
-        out, cfg, problem, trace, x_star, f_star, params, baseline
-    )
-    extra = {
-        "n_p": n_p,
-        "n_c": n_c,
-        "condensed_lipschitz": problem.lipschitz,
-        # the reference diagonal lists cover a 2-step window; they are tiled
-        # per step to the configured horizon
-        "weights_tiling": "per-step blocks tiled to horizon",
-    }
-    steps = _get_int(cfg, "mpc", "closed_loop_steps")
+    extra = {}
+    steps = _get_int(cfg, "mpc", "closed_loop_steps") if spec is not None else None
     if steps:
         report = mpc_closed_loop(spec, config, steps)
         lines = ["step,state_norm"] + [
@@ -403,40 +413,7 @@ def cmd_mpc(cfg):
         ]
         artifacts.atomic_write_text(os.path.join(out, "closed_loop.csv"), "\n".join(lines) + "\n")
         extra["closed_loop_status"] = report.status
-    return _finish_run(cfg, out, summary, gated, extra)
-
-
-def cmd_lasso(cfg):
-    out = cfg["run"]["out"]
-    cfg["run"]["command"] = "lasso"
-    os.makedirs(out, exist_ok=True)
-    echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    problem = lasso_problem(
-        gen_lasso(
-            n=_get_int(cfg, "lasso", "n", 100),
-            m=_get_int(cfg, "lasso", "m", 500),
-            sparsity=_get_int(cfg, "lasso", "sparsity"),
-            noise=_get_float(cfg, "lasso", "noise", 0.01),
-            lam=_get_float(cfg, "lasso", "lam"),
-            seed=_get_int(cfg, "lasso", "seed", 0),
-        )
-    )
-    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
-    config = _build_solver_config(cfg, problem, grad_spec, prox_spec, grad_model, delta, 300)
-    trace = run_solver(problem, config, np.zeros(problem.n))
-    if trace.status == "non-finite-iterate":
-        artifacts.write_summary(
-            os.path.join(out, "summary.json"),
-            {"status": trace.status, "iterations": trace.num_steps},
-        )
-        return EXIT_SOLVER
-    x_star, f_star = reference_solution(problem)
-    params = _bound_params(cfg, problem, trace, x_star, grad_spec, grad_model, delta, eps0, prox_spec)
-    baseline = "schmidt_acc" if config.variant == "accelerated" else "schmidt_basic"
-    summary, gated = _emit_run_artifacts(
-        out, cfg, problem, trace, x_star, f_star, params, baseline
-    )
-    return _finish_run(cfg, out, summary, gated)
+    return certify(cfg, problem, trace, spec, extra)
 
 
 def cmd_bounds(file_cfg, overrides, from_dir):
@@ -444,7 +421,8 @@ def cmd_bounds(file_cfg, overrides, from_dir):
 
     The stored config echo is the base layer; a new config file and CLI
     flags override it (so e.g. --gamma re-evaluates the probabilistic
-    bounds without re-running the solver).
+    bounds without re-running the solver).  The artifacts are those of the
+    command that made the run, except the closed loop, which is not rerun.
     """
     trace_path = os.path.join(from_dir, "trace.npz")
     echo_path = os.path.join(from_dir, "config_echo.ini")
@@ -453,46 +431,12 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     base = load_config(echo_path)
     for sec, vals in (file_cfg or {}).items():
         base.setdefault(sec, {}).update(vals)
-    stored = resolve_config(base, overrides)
-    cfg = stored
+    cfg = resolve_config(base, overrides)
+    problem, spec = problem_from_cfg(cfg)
     out = cfg["run"]["out"]
     os.makedirs(out, exist_ok=True)
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    trace = artifacts.load_trace_npz(trace_path)
-    pfile = stored["problem"]["file"].strip()
-    source = stored["run"]["command"].strip()
-    if pfile:
-        with open(pfile) as fh:
-            problem = problem_from_json(fh.read())
-    elif source == "mpc":
-        x0_raw = stored["mpc"]["x0"].strip()
-        x_state = (
-            np.array([float(t) for t in x0_raw.split(",")]) if x0_raw else 0.5 * np.ones(7)
-        )
-        problem = mpc_to_lasso(
-            spacecraft_mpc(
-                n_p=_get_int(stored, "mpc", "n_p", 10),
-                n_c=_get_int(stored, "mpc", "n_c", 10),
-                lam=_get_float(stored, "mpc", "lam", 16.79),
-                x0=x_state,
-            )
-        )
-    else:
-        problem = lasso_problem(
-            gen_lasso(
-                n=_get_int(stored, "lasso", "n", 100),
-                m=_get_int(stored, "lasso", "m", 500),
-                sparsity=_get_int(stored, "lasso", "sparsity"),
-                noise=_get_float(stored, "lasso", "noise", 0.01),
-                lam=_get_float(stored, "lasso", "lam"),
-                seed=_get_int(stored, "lasso", "seed", 0),
-            )
-        )
-    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(stored)
-    x_star, f_star = reference_solution(problem)
-    params = _bound_params(stored, problem, trace, x_star, grad_spec, grad_model, delta, eps0, prox_spec)
-    summary, gated = _emit_run_artifacts(out, cfg, problem, trace, x_star, f_star, params, None)
-    return _finish_run(cfg, out, summary, gated)
+    return certify(cfg, problem, artifacts.load_trace_npz(trace_path), spec)
 
 
 def cmd_verify(cfg):
@@ -502,7 +446,7 @@ def cmd_verify(cfg):
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
     trials = _get_int(cfg, "verify", "trials", 200)
     k_max = _get_int(cfg, "verify", "k_max", 25)
-    gammas = [float(t) for t in cfg["verify"]["gammas"].split(",") if t.strip()]
+    gammas = _get_floats(cfg, "verify", "gammas")
     seed = _get_int(cfg, "run", "seed", 0)
     problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
     x_star, _ = reference_solution(problem)
@@ -560,7 +504,7 @@ def cmd_quantize(cfg):
     print(f"format        {fmt}")
     print(f"dynamic range [{lo:.10g}, {hi:.10g}]")
     print(f"ulp           {fmt.ulp:.10g}")
-    values = [float(t) for t in cfg["quantize"]["values"].split(",") if t.strip()]
+    values = _get_floats(cfg, "quantize", "values")
     print(f"{'input':>18}  {'quantized':>18}")
     for v in values:
         print(f"{v:>18.10g}  {fmt.quantize(v):>18.10g}")
@@ -629,12 +573,8 @@ def main(argv=None):
         file_cfg = load_config(args.config) if args.config else {}
         cfg = resolve_config(file_cfg, _overrides_from_args(args))
         t0 = time.perf_counter()
-        if args.command == "solve":
-            code = cmd_solve(cfg)
-        elif args.command == "mpc":
-            code = cmd_mpc(cfg)
-        elif args.command == "lasso":
-            code = cmd_lasso(cfg)
+        if args.command in ("solve", "mpc", "lasso"):
+            code = cmd_run(cfg, args.command)
         elif args.command == "bounds":
             code = cmd_bounds(file_cfg, _overrides_from_args(args), args.from_dir)
         elif args.command == "verify":

@@ -324,14 +324,6 @@ class FixedPointFormat:
         return float(q) if scalar else q
 
 
-def quantize(fmt, x):
-    return fmt.quantize(x)
-
-
-def quantize_vector(fmt, x):
-    return fmt.quantize(np.asarray(x, dtype=float))
-
-
 def quantized_gradient(fmt, quad, x):
     """Gradient of a quadratic smooth term with inputs and output quantized.
 

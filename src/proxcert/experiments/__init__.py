@@ -2,7 +2,6 @@ from .mpc import (
     MpcSpec,
     StateSpaceModel,
     build_prediction_matrices,
-    condensed_lipschitz,
     mpc_closed_loop,
     mpc_to_lasso,
     rollout_objective,
@@ -21,7 +20,6 @@ __all__ = [
     "MpcSpec",
     "StateSpaceModel",
     "build_prediction_matrices",
-    "condensed_lipschitz",
     "mpc_closed_loop",
     "mpc_to_lasso",
     "rollout_objective",

@@ -242,11 +242,6 @@ def mpc_to_lasso(spec):
     return problem
 
 
-def condensed_lipschitz(spec):
-    """Gradient Lipschitz constant of the condensed quadratic term."""
-    return mpc_to_lasso(spec).lipschitz
-
-
 @dataclass
 class ClosedLoopReport:
     states: np.ndarray

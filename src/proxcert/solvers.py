@@ -29,44 +29,41 @@ from .problems import StepsizePolicy, as_vector, backtrack_stepsize
 MOMENTUM_RULES = ("fista", "linear", "none")
 
 
-def alpha_sequence(rule, k):
-    """Momentum parameter alpha_k.
+def _next_alpha(rule, k, alpha_prev):
+    """Momentum parameter alpha_k (k >= 1) from alpha_{k-1}.
 
-    "fista": alpha_0 = 1, alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2, which
-    satisfies alpha_k^2 - alpha_k = alpha_{k-1}^2 exactly.
+    "fista": alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2, which satisfies
+    alpha_k^2 - alpha_k = alpha_{k-1}^2 exactly.
     "linear": alpha_k = (k+2)/2 (the recursion holds only approximately,
     off by 1/4).
     "none": alpha_k = 1, forcing beta_k = 0 (recovers the basic scheme).
+    Every rule starts from alpha_0 = 1.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if rule == "fista":
+        return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
     if rule == "linear":
         return (k + 2) / 2.0
     if rule == "none":
         return 1.0
-    if rule != "fista":
-        raise ValueError(f"unknown momentum rule {rule!r}")
-    a = 1.0
-    for _ in range(k):
-        a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
-    return a
+    raise ValueError(f"unknown momentum rule {rule!r}")
 
 
 def alpha_series(rule, kmax):
     """alpha_0 .. alpha_kmax as an array."""
-    if rule == "linear":
-        return (np.arange(kmax + 1) + 2) / 2.0
-    if rule == "none":
-        return np.ones(kmax + 1)
-    if rule != "fista":
+    if rule not in MOMENTUM_RULES:
         raise ValueError(f"unknown momentum rule {rule!r}")
     out = np.empty(kmax + 1)
-    a = 1.0
-    out[0] = a
+    out[0] = 1.0
     for k in range(1, kmax + 1):
-        a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
-        out[k] = a
+        out[k] = _next_alpha(rule, k, out[k - 1])
     return out
+
+
+def alpha_sequence(rule, k):
+    """Momentum parameter alpha_k (see :func:`_next_alpha` for the rules)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return float(alpha_series(rule, k)[-1])
 
 
 @dataclass(frozen=True)
@@ -131,9 +128,6 @@ class RunTrace:
     def res_norms(self):
         return np.linalg.norm(self.res, axis=1)
 
-    def f_gaps(self, f_star):
-        return self.fvals - f_star
-
     def ergodic_averages(self):
         """Running means of x^1..x^{k+1} for k = 0..T-1."""
         csum = np.cumsum(self.xs[1:], axis=0)
@@ -170,11 +164,10 @@ def _run(problem, config, x0, accelerated):
     x0 = as_vector(x0, problem.n, "x0")
     gspec, grad_sampler, prox_sampler = _make_samplers(config)
     policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
-    alphas_all = alpha_series(config.momentum, config.max_iters)
 
     xs = [x0]
     ys = []
-    steps, betas, eps2s = [], [], []
+    steps, betas, alphas, eps2s = [], [], [], []
     eps1s, ress = [], []
     fvals = [problem.f_value(x0)]
     status = "iteration-cap"
@@ -182,14 +175,14 @@ def _run(problem, config, x0, accelerated):
     s = policy.s0
     x_prev = x0
     x = x0
+    alpha_k = 1.0
     for k in range(config.max_iters):
-        alpha_k = alphas_all[k]
-        if accelerated and k > 0:
-            beta_k = (alphas_all[k - 1] - 1.0) / alpha_k
-            y = x + beta_k * (x - x_prev)
-        else:
-            beta_k = 0.0
-            y = x
+        beta_k, y = 0.0, x
+        if k > 0:
+            alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
+            if accelerated:
+                beta_k = (alpha_prev - 1.0) / alpha_k
+                y = x + beta_k * (x - x_prev)
         g = problem.grad(y)
         if grad_sampler is not None:
             noisy, eps1 = grad_sampler.inject(g, k)
@@ -207,6 +200,7 @@ def _run(problem, config, x0, accelerated):
         ys.append(y)
         steps.append(s)
         betas.append(beta_k)
+        alphas.append(alpha_k)
         eps1s.append(eps1)
         eps2s.append(gap)
         ress.append(r)
@@ -223,13 +217,12 @@ def _run(problem, config, x0, accelerated):
             status = "converged"
             break
 
-    t = len(steps)
     return RunTrace(
         xs=np.asarray(xs),
         ys=np.asarray(ys) if accelerated else None,
         steps=np.asarray(steps),
         betas=np.asarray(betas),
-        alphas=alphas_all[:t],
+        alphas=np.asarray(alphas),
         fvals=np.asarray(fvals),
         eps1=np.asarray(eps1s),
         eps2=np.asarray(eps2s),

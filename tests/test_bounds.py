@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from proxcert.bounds import (
     bound_basic_random,
     bound_basic_random_series,
     bound_basic_stationary,
+    bound_basic_stationary_series,
     bound_schmidt_acc_series,
     bound_schmidt_basic_series,
     sum_i2,
     sum_i4,
     u_sequence,
 )
-from proxcert.solvers import RunTrace, alpha_series
+from proxcert.solvers import RunTrace, alpha_series, ergodic_average
 
 
 def make_params(**kw):
@@ -445,3 +447,68 @@ class TestValidity:
         report = check_bound_validity(series, ObservedGaps.from_trace(prob, bas, f_star))
         assert report.checked == bas.num_steps - 1
         assert report.violations >= 0
+
+
+def random_bound_per_k(params, k, eps2, variant):
+    """Basic random theorem at one k from the first k prox errors (loop form)."""
+    g, s, d = params.gamma, params.s, params.dist0
+    base = math.sqrt(params.n) * params.m_grad * abs(params.delta)
+    eps_seq = eps2[:k]
+    if variant == "sharp":
+        mid = g * d * math.sqrt(float(((base + np.sqrt(2.0 * eps_seq / s)) ** 2).sum())) / k
+    else:
+        prox = math.sqrt(2.0 * params.eps0 / s) if variant == "stated" else 0.0
+        mid = (g / math.sqrt(k)) * (base + prox) * d
+    return float(eps_seq.sum()) / k + mid + d * d / (2.0 * s * k)
+
+
+class TestVectorizedAgainstPerK:
+    """Series evaluated over all k at once against one evaluation per k."""
+
+    def test_observed_gaps_match_f_value_of_each_mean(self, noisy_runs):
+        prob, _, f_star, bas, _, _, _ = noisy_runs
+        obs = ObservedGaps.from_trace(prob, bas, f_star)
+        f_means = np.array([prob.f_value(ergodic_average(bas, k)) for k in range(bas.num_steps)])
+        tol = 1e-12 * np.abs(f_means)
+        assert np.all(np.abs(obs.ergodic_incl - (f_means - f_star)) <= tol)
+        assert np.isnan(obs.ergodic[0])
+        assert np.array_equal(obs.ergodic[1:], obs.ergodic_incl[:-1])
+
+    @pytest.mark.parametrize("variant", ["stated", "approx", "sharp"])
+    def test_random_series_matches_per_k_calls(self, noisy_runs, variant):
+        _, _, _, bas, _, params, _ = noisy_runs
+        values, probs = bound_basic_random_series(bas, params, variant)
+        assert np.isnan(values[0]) and np.isnan(probs[0])
+        for k in range(1, bas.num_steps):
+            arg = bas.eps2 if variant == "sharp" else bas.eps2[:k].sum()
+            value, prob = bound_basic_random(params, k, arg, variant)
+            expected = random_bound_per_k(params, k, bas.eps2, variant)
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert values[k] == pytest.approx(expected, rel=1e-12)
+            assert probs[k] == prob == pytest.approx(1 - 2 * math.exp(-params.gamma**2 / 2))
+
+    def test_stationary_series_matches_per_k_calls(self, noisy_runs):
+        _, _, _, bas, _, params, _ = noisy_runs
+        params = replace(params, eps2_mean=4e-6)
+        values, probs = bound_basic_stationary_series(bas, params)
+        assert np.isnan(values[0]) and np.isnan(probs[0])
+        g, s, d = params.gamma, params.s, params.dist0
+        for k in range(1, bas.num_steps):
+            expected = (
+                params.eps2_mean
+                + (g / math.sqrt(k))
+                * (params.eps0 / 2 + math.sqrt(params.n) * params.m_grad * params.delta * d)
+                + d * d / (2 * s * k)
+            )
+            value, prob = bound_basic_stationary(params, k)
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert values[k] == pytest.approx(expected, rel=1e-12)
+            assert probs[k] == prob
+
+    def test_relative_m_grad_is_sup_of_per_point_gradients(self, noisy_runs):
+        prob, x_star, _, bas, acc, _, _ = noisy_runs
+        for trace in (bas, acc):
+            params = BoundParams.from_trace(prob, trace, x_star, model="relative")
+            points = list(trace.xs) + ([] if trace.ys is None else list(trace.ys))
+            sup = max(float(np.abs(prob.grad(p)).max()) for p in points)
+            assert params.m_grad == pytest.approx(1.05 * sup, rel=1e-12)

@@ -100,6 +100,29 @@ class TestConfigErrors:
         cfg.write_text("[run]\niters = three\n")
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, ini, problem_json",
+        [
+            ("solve", "", '{"n": 3, "M": [1, 0, 0, 0, 1'),  # truncated file
+            ("solve", "", '{"n": 3, "M": [1, 2, 3, 4, 5], "v": [1, 2]}'),  # M not n x len(v)
+            ("solve", "", '{"M": [1], "v": [1]}'),  # no n
+            ("mpc", "[mpc]\nx0 = 1,2,abc\n", None),
+            ("mpc", "[mpc]\nx0 = 1,2,3\n", None),  # the model has 7 states
+            ("verify", "[verify]\ngammas = 1,x\n", None),
+        ],
+        ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
+             "x0_wrong_dimension", "gammas_not_numbers"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
+        if problem_json is not None:
+            pfile = tmp_path / "problem.json"
+            pfile.write_text(problem_json)
+            ini = f"[problem]\nfile = {pfile}\n"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestQuantizeCommand:
     def test_unsigned_format_table(self, capsys):
@@ -175,12 +198,24 @@ class TestLassoCommand:
 
 class TestBoundsCommand:
     def test_recompute_from_stored_run(self, tmp_path, toy_config):
-        src = tmp_path / "src"
-        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
-        dst = tmp_path / "recomputed"
-        code = run_cli(["bounds", "--from", str(src), "--out", str(dst)])
-        assert code == 0
-        assert (dst / "bounds.csv").read_bytes() == (src / "bounds.csv").read_bytes()
+        runs = {
+            "solve": ["solve", "--config", str(toy_config)],
+            "mpc": ["mpc", "--iters", "40", "--delta", "1e-3", "--eps0", "1e-4"],
+        }
+        for command, args in runs.items():
+            src, dst = tmp_path / f"{command}-src", tmp_path / f"{command}-recomputed"
+            assert run_cli(args + ["--out", str(src)]) == 0
+            assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 0
+            # the source command's artifact set; only mpc/lasso write comparison.csv
+            names = sorted(os.listdir(src))
+            assert names == sorted(os.listdir(dst))
+            assert ("comparison.csv" in names) == (command == "mpc")
+            for name in set(names) - {"config_echo.ini", "summary.json"}:
+                assert (dst / name).read_bytes() == (src / name).read_bytes(), name
+            stored, recomputed = read_summary(src), read_summary(dst)
+            assert recomputed.pop("status") == "loaded"
+            stored.pop("status")
+            assert recomputed == stored
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2
