@@ -18,6 +18,7 @@ from .errors import (
     GradientErrorSpec,
     ProxErrorSpec,
     approx_prox,
+    draw_tape,
     quantized_gradient,
     sample_truncated_gaussian,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "GradientErrorSpec",
     "ProxErrorSpec",
     "approx_prox",
+    "draw_tape",
     "quantized_gradient",
     "sample_truncated_gaussian",
     "RunTrace",

@@ -284,12 +284,14 @@ def problem_from_cfg(cfg):
 
     ``mpc`` condenses the spacecraft regulator of ``[mpc]`` (and records the
     resolved horizons in ``cfg``, so the config echo shows them); ``solve``
-    reads ``[problem] file`` when set; otherwise, and always for ``lasso``,
-    the instance is generated from ``[lasso]``.  ``mpc_spec`` is None for
-    non-MPC problems.
+    reads ``[problem] file`` when set, otherwise it generates the instance
+    from ``[lasso]`` as ``lasso`` always does.  ``lasso`` and ``mpc`` reject
+    ``[problem] file``.  ``mpc_spec`` is None for non-MPC problems.
     """
     command = cfg["run"]["command"].strip()
     pfile = cfg["problem"]["file"].strip()
+    if pfile and command in ("lasso", "mpc"):
+        raise ConfigError(f"{command} builds its own problem; [problem] file is only for solve")
     if command == "mpc":
         # reference setup: basic runs at horizon 10, the time-critical
         # accelerated variant at horizon 2
@@ -301,7 +303,7 @@ def problem_from_cfg(cfg):
         x0 = _get_floats(cfg, "mpc", "x0") or 0.5 * np.ones(7)
         build = lambda: mpc_to_lasso(spacecraft_mpc(n_p=n_p, n_c=n_c, lam=lam, x0=x0))
         source = "[mpc]"
-    elif pfile and command != "lasso":
+    elif pfile:
         try:
             with open(pfile) as fh:
                 text = fh.read()

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .problems import OracleError, as_vector
+from .problems import OracleError, QuadraticSmooth, as_vector
 
 
 def sample_truncated_gaussian(lo, hi, shape, rng):
@@ -45,7 +45,7 @@ class GradientErrorSpec:
 
     model: "absolute" (fixed-point flavour) or "relative" (floating-point
         flavour, noise scaled by |grad|).
-    mode: "random" draws truncated-Gaussian multipliers each call;
+    mode: "random" draws truncated-Gaussian multipliers for every step;
         "deterministic" walks a preset schedule of vectors or magnitudes.
     delta: machine precision (componentwise bound).
     lo/hi: optional truncation override for the random mode; defaults to the
@@ -59,7 +59,6 @@ class GradientErrorSpec:
     schedule: Optional[Sequence] = None
     lo: Optional[float] = None
     hi: Optional[float] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.model not in ("absolute", "relative"):
@@ -72,42 +71,6 @@ class GradientErrorSpec:
             raise ValueError("deterministic mode needs a schedule")
 
 
-class GradientErrorSampler:
-    """Stateful injector; equal seeds produce identical error streams."""
-
-    def __init__(self, spec, rng):
-        self.spec = spec
-        self.rng = rng
-
-    def inject(self, true_grad, k):
-        """Return (noisy_grad, eps1) for iteration k."""
-        spec = self.spec
-        true_grad = np.asarray(true_grad, dtype=float)
-        if spec.mode == "deterministic":
-            if k >= len(spec.schedule):
-                raise ValueError(f"deterministic error schedule exhausted at k={k}")
-            entry = spec.schedule[k]
-            if np.ndim(entry) == 0:
-                mag = float(entry)
-                if spec.model == "absolute":
-                    eps1 = np.full_like(true_grad, mag)
-                else:
-                    eps1 = mag * true_grad
-            else:
-                eps1 = as_vector(entry, true_grad.shape[0], "scheduled eps1")
-                if spec.model == "relative":
-                    eps1 = eps1 * true_grad
-        else:
-            lo = -spec.delta if spec.lo is None else spec.lo
-            hi = spec.delta if spec.hi is None else spec.hi
-            if lo == hi:
-                eps1 = np.zeros_like(true_grad)
-            else:
-                kappa = sample_truncated_gaussian(lo, hi, true_grad.shape, self.rng)
-                eps1 = kappa if spec.model == "absolute" else kappa * true_grad
-        return true_grad + eps1, eps1
-
-
 @dataclass(frozen=True)
 class ProxErrorSpec:
     """Description of the proximal-error injector.
@@ -115,18 +78,16 @@ class ProxErrorSpec:
     mode "exact": no error.  "target_gap": construct a point whose prox
     subproblem suboptimality hits a target gap (scheduled, or drawn from a
     truncated Gaussian on [0, eps0]); the residual direction is either a
-    fresh sign-symmetrized random unit vector or a fixed one.  "inner_solver":
-    run a deliberately small-stepped ISTA on the prox subproblem and stop
-    once the measured gap falls below eps0, emulating early termination of an
-    inner solver.
+    sign-symmetrized random unit vector per step or a fixed one.
+    "inner_solver": run a deliberately small-stepped ISTA on the prox
+    subproblem and stop once the measured gap falls below eps0, emulating
+    early termination of an inner solver.
     """
 
     mode: str = "exact"
     eps0: float = 0.0
     schedule: Optional[Sequence[float]] = None
     direction: str = "random_symmetric"
-    max_inner: int = 2000
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "target_gap", "inner_solver"):
@@ -135,6 +96,72 @@ class ProxErrorSpec:
             raise ValueError(f"unknown residual direction policy {self.direction!r}")
         if self.eps0 < 0:
             raise ValueError("eps0 must be nonnegative")
+
+
+class ErrorTape(NamedTuple):
+    """The random and scheduled errors of one run; row k serves step k.
+
+    ``kappa[T, n]``: gradient multipliers (the absolute model adds row k to
+    the gradient, the relative model multiplies the gradient by it).
+    ``targets[T]``: prox-gap targets; ``directions[T, n]``: signed unit
+    residual directions.  A kind the run does not have is None.
+    """
+
+    kappa: Optional[np.ndarray]
+    targets: Optional[np.ndarray]
+    directions: Optional[np.ndarray]
+
+
+def _schedule(schedule, steps, what):
+    if len(schedule) < steps:
+        raise ValueError(f"{what} schedule has {len(schedule)} entries, the run needs {steps}")
+    return schedule[:steps]
+
+
+def _gradient_multipliers(spec, n, steps, seed_seq):
+    if spec.mode == "deterministic":
+        rows = _schedule(spec.schedule, steps, "gradient error")
+        as_row = lambda e: as_vector(np.full(n, e) if np.ndim(e) == 0 else e, n, "scheduled eps1")
+        return np.array([as_row(e) for e in rows])
+    lo = -spec.delta if spec.lo is None else spec.lo
+    hi = spec.delta if spec.hi is None else spec.hi
+    if lo == hi:
+        return None
+    # one (T, n) draw consumes the stream exactly as T draws of n would
+    return sample_truncated_gaussian(lo, hi, (steps, n), np.random.default_rng(seed_seq))
+
+
+def _prox_targets_and_directions(spec, n, steps, seed_seq):
+    rng = np.random.default_rng(seed_seq)
+    if spec.schedule is not None:
+        targets = np.array(_schedule(spec.schedule, steps, "prox error"), dtype=float)
+    elif spec.eps0 > 0:
+        targets = sample_truncated_gaussian(0.0, spec.eps0, steps, rng)
+    else:
+        return None, None
+    if spec.direction == "fixed":
+        return targets, np.broadcast_to(np.ones(n) / np.sqrt(n), (steps, n))
+    directions = rng.standard_normal((steps, n))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    directions[rng.random(steps) < 0.5] *= -1.0  # exact sign symmetry
+    return targets, directions
+
+
+def draw_tape(grad_spec, prox_spec, n, steps, seed):
+    """The :class:`ErrorTape` of a ``steps``-step run, drawn before its first step.
+
+    ``SeedSequence(seed)`` spawns two streams: the first feeds the gradient
+    multipliers, the second the prox-gap targets and then the directions.
+    Quantized gradients and inner-solver proxes depend on the iterate, so
+    they stay off the tape.  A schedule shorter than ``steps`` is rejected.
+    """
+    grad_seq, prox_seq = np.random.SeedSequence(seed).spawn(2)
+    kappa = targets = directions = None
+    if isinstance(grad_spec, GradientErrorSpec):
+        kappa = _gradient_multipliers(grad_spec, n, steps, grad_seq)
+    if prox_spec is not None and prox_spec.mode == "target_gap":
+        targets, directions = _prox_targets_and_directions(prox_spec, n, steps, prox_seq)
+    return ErrorTape(kappa, targets, directions)
 
 
 def _gap_along(h, s, w, x_exact, direction, t):
@@ -153,13 +180,13 @@ def _gap_along(h, s, w, x_exact, direction, t):
     return dh + quad
 
 
-def approx_prox(h, s, w, target_eps2, rng=None, direction="random_symmetric", max_bisect=200):
+def approx_prox(h, s, w, target_eps2, direction):
     """A point in the eps2-suboptimal prox set of ``s*h`` at ``w``.
 
     Returns ``(x, realized_gap, residual)``.  The point is found by moving
-    away from the exact prox along a unit direction and bisecting the exactly
-    evaluated gap until it lands in ``[0.9, 1.0] * target_eps2`` (the gap is
-    monotone along the ray by strong convexity of the subproblem).
+    away from the exact prox along the unit vector ``direction`` and bisecting
+    the exactly evaluated gap until it lands in ``[0.9, 1.0] * target_eps2``
+    (the gap is monotone along the ray by strong convexity of the subproblem).
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -169,29 +196,16 @@ def approx_prox(h, s, w, target_eps2, rng=None, direction="random_symmetric", ma
     x_exact = h.prox(s, w)
     if target_eps2 == 0.0:
         return x_exact, 0.0, np.zeros_like(w)
-    if direction == "fixed":
-        d = np.ones_like(w) / np.sqrt(w.shape[0])
-    else:
-        if rng is None:
-            raise ValueError("random_symmetric direction needs an rng")
-        d = rng.standard_normal(w.shape)
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            d = np.ones_like(w)
-            norm = np.linalg.norm(d)
-        d = d / norm
-        if rng.random() < 0.5:  # exact sign symmetry
-            d = -d
     # strong convexity (modulus 1/s) guarantees gap(t_hi) >= target
     lo, hi = 0.0, np.sqrt(2.0 * s * target_eps2) * (1.0 + 1e-9)
-    gap_hi = _gap_along(h, s, w, x_exact, d, hi)
+    gap_hi = _gap_along(h, s, w, x_exact, direction, hi)
     if 0.9 * target_eps2 <= gap_hi <= target_eps2:
         t, gap = hi, gap_hi
     else:
         t = gap = None
-        for _ in range(max_bisect):
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
-            gap_mid = _gap_along(h, s, w, x_exact, d, mid)
+            gap_mid = _gap_along(h, s, w, x_exact, direction, mid)
             if gap_mid > target_eps2:
                 hi = mid
             elif gap_mid < 0.9 * target_eps2:
@@ -201,17 +215,18 @@ def approx_prox(h, s, w, target_eps2, rng=None, direction="random_symmetric", ma
                 break
         if t is None:
             raise OracleError("approx_prox bisection failed to land in the gap window")
-    residual = t * d
+    residual = t * direction
     return x_exact + residual, gap, residual
 
 
-def inner_solver_prox(h, s, w, tol, max_inner=2000):
+def inner_solver_prox(h, s, w, tol):
     """Early-terminated ISTA on the prox subproblem.
 
     The subproblem smooth part is ``||z - w||^2 / (2s)`` (gradient Lipschitz
     constant 1/s); a half stepsize ``s/2`` is used on purpose so termination
-    at tolerance ``tol`` leaves a genuine residual rather than landing on the
-    exact prox in one step.  Returns ``(z, realized_gap, residual)``.
+    at tolerance ``tol`` (or after 2000 steps) leaves a genuine residual
+    rather than landing on the exact prox in one step.  Returns
+    ``(z, realized_gap, residual)``.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -221,38 +236,13 @@ def inner_solver_prox(h, s, w, tol, max_inner=2000):
     step = 0.5 * s
     z = w.copy()
     gap = h.value(z) + 0.0 - g_min
-    for _ in range(max_inner):
+    for _ in range(2000):
         if gap <= tol:
             break
         z = h.prox(step, z - step * (z - w) / s)
         gap = h.value(z) + float((z - w) @ (z - w)) / (2.0 * s) - g_min
     gap = max(gap, 0.0)
     return z, gap, z - x_exact
-
-
-class ProxErrorSampler:
-    """Stateful wrapper applying a ProxErrorSpec per iteration."""
-
-    def __init__(self, spec, rng):
-        self.spec = spec
-        self.rng = rng
-
-    def apply(self, h, s, w, k):
-        spec = self.spec
-        if spec.mode == "exact":
-            x = h.prox(s, w)
-            return x, 0.0, np.zeros_like(np.asarray(w, dtype=float))
-        if spec.mode == "inner_solver":
-            return inner_solver_prox(h, s, w, spec.eps0, spec.max_inner)
-        if spec.schedule is not None:
-            if k >= len(spec.schedule):
-                raise ValueError(f"prox error schedule exhausted at k={k}")
-            target = float(spec.schedule[k])
-        elif spec.eps0 > 0:
-            target = float(sample_truncated_gaussian(0.0, spec.eps0, (), self.rng))
-        else:
-            target = 0.0
-        return approx_prox(h, s, w, target, rng=self.rng, direction=spec.direction)
 
 
 _FMT_RE = re.compile(r"^([su])(\d+)\.(\d+)$")
@@ -324,20 +314,19 @@ class FixedPointFormat:
         return float(q) if scalar else q
 
 
-def quantized_gradient(fmt, quad, x):
+def quantize_quadratic(fmt, quad):
+    """``quad`` with its matrix and offset stored in ``fmt``, once per run."""
+    return QuadraticSmooth(fmt.quantize(quad.mat), fmt.quantize(quad.vec), half=quad.half)
+
+
+def quantized_gradient(fmt, quad_q, x, exact):
     """Gradient of a quadratic smooth term with inputs and output quantized.
 
-    Emulates a reduced-precision gradient evaluation: the matrix, offset and
-    point are stored in ``fmt`` and the computed gradient is written back in
-    ``fmt``.  Returns ``(noisy_grad, eps1)`` with ``eps1`` measured against
-    the exact gradient at the unquantized point.
+    Emulates a reduced-precision gradient evaluation: ``quad_q`` comes from
+    :func:`quantize_quadratic`, the point is stored in ``fmt`` and the
+    computed gradient is written back in ``fmt``.  Returns
+    ``(noisy_grad, eps1)`` with ``eps1`` measured against ``exact``, the
+    exact gradient at the unquantized point.
     """
-    exact = quad.grad(np.asarray(x, dtype=float))
-    mat_q = fmt.quantize(quad.mat)
-    vec_q = fmt.quantize(quad.vec)
-    x_q = fmt.quantize(np.asarray(x, dtype=float))
-    g = mat_q.T @ (mat_q @ x_q - vec_q)
-    if not quad.half:
-        g = 2.0 * g
-    g_q = fmt.quantize(g)
+    g_q = fmt.quantize(quad_q.grad(fmt.quantize(x)))
     return g_q, g_q - exact

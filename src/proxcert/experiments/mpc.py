@@ -234,12 +234,12 @@ def mpc_to_lasso(spec):
     vec = inv_root @ rhs
     quad = QuadraticSmooth(root, vec, half=False)
     offset = float(target @ (q_full @ target)) - float(vec @ vec)
-    problem = CompositeProblem.from_quadratic(
+    return CompositeProblem.from_quadratic(
         quad,
         spec.lam,
         meta={"offset": offset, "psi": psi, "phi": phi, "normal": normal, "spec": spec},
+        lipschitz=2.0 * float(eigs[-1]),  # g has Hessian 2H
     )
-    return problem
 
 
 @dataclass

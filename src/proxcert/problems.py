@@ -193,17 +193,17 @@ class CompositeProblem:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_quadratic(cls, quad, lam, x_star=None, f_star=None, meta=None):
-        prob = cls(
+    def from_quadratic(cls, quad, lam, x_star=None, f_star=None, meta=None, lipschitz=None):
+        """``quad + lam ||.||_1``; L is ``quad.lipschitz()`` unless already known."""
+        return cls(
             n=quad.n,
             smooth=quad,
             reg=L1Term(lam),
-            lipschitz=quad.lipschitz(),
+            lipschitz=quad.lipschitz() if lipschitz is None else lipschitz,
             x_star=None if x_star is None else np.asarray(x_star, dtype=float),
             f_star=f_star,
             meta=meta or {},
         )
-        return prob
 
     def grad(self, x):
         x = as_vector(x, self.n)
@@ -325,7 +325,5 @@ def problem_from_json(text):
         raise ValueError("scale must be 0.5 or 1.0")
     quad = QuadraticSmooth(mat, v, half=scale == 0.5)
     lam = float(doc.get("lambda", 0.0))
-    prob = CompositeProblem.from_quadratic(quad, lam)
-    if "L" in doc and doc["L"] is not None:
-        prob.lipschitz = float(doc["L"])
-    return prob
+    lipschitz = None if doc.get("L") is None else float(doc["L"])
+    return CompositeProblem.from_quadratic(quad, lam, lipschitz=lipschitz)

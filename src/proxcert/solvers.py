@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import (
     FixedPointFormat,
-    GradientErrorSampler,
     GradientErrorSpec,
-    ProxErrorSampler,
     ProxErrorSpec,
+    approx_prox,
+    draw_tape,
+    inner_solver_prox,
+    quantize_quadratic,
     quantized_gradient,
 )
 from .problems import StepsizePolicy, as_vector, backtrack_stepsize
@@ -144,25 +146,16 @@ def ergodic_average(trace, k):
     return trace.xs[1 : k + 2].mean(axis=0)
 
 
-def _make_samplers(config):
-    ss = np.random.SeedSequence(config.seed)
-    child_grad, child_prox = ss.spawn(2)
-    gspec = config.grad_error
-    pspec = config.prox_error if config.prox_error is not None else ProxErrorSpec()
-    grad_rng = np.random.default_rng(
-        gspec.seed if isinstance(gspec, GradientErrorSpec) and gspec.seed is not None else child_grad
-    )
-    prox_rng = np.random.default_rng(pspec.seed if pspec.seed is not None else child_prox)
-    grad_sampler = (
-        GradientErrorSampler(gspec, grad_rng) if isinstance(gspec, GradientErrorSpec) else None
-    )
-    return gspec, grad_sampler, ProxErrorSampler(pspec, prox_rng)
-
-
 def _run(problem, config, x0, accelerated):
     t_start = time.perf_counter()
     x0 = as_vector(x0, problem.n, "x0")
-    gspec, grad_sampler, prox_sampler = _make_samplers(config)
+    gspec, pspec = config.grad_error, config.prox_error
+    tape = draw_tape(gspec, pspec, problem.n, config.max_iters, config.seed)
+    relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
+    quad_q = None
+    if isinstance(gspec, FixedPointFormat):
+        quad_q = quantize_quadratic(gspec, problem.smooth)
+    inner = pspec is not None and pspec.mode == "inner_solver"
     policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
 
     xs = [x0]
@@ -184,10 +177,11 @@ def _run(problem, config, x0, accelerated):
                 beta_k = (alpha_prev - 1.0) / alpha_k
                 y = x + beta_k * (x - x_prev)
         g = problem.grad(y)
-        if grad_sampler is not None:
-            noisy, eps1 = grad_sampler.inject(g, k)
-        elif isinstance(gspec, FixedPointFormat):
-            noisy, eps1 = quantized_gradient(gspec, problem.smooth, y)
+        if tape.kappa is not None:
+            eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
+            noisy = g + eps1
+        elif quad_q is not None:
+            noisy, eps1 = quantized_gradient(gspec, quad_q, y, g)
         else:
             noisy, eps1 = g, np.zeros_like(g)
         if policy.mode == "backtracking":
@@ -195,7 +189,12 @@ def _run(problem, config, x0, accelerated):
         # overflow during divergence is an expected, reported outcome
         with np.errstate(over="ignore", invalid="ignore"):
             w = y - s * noisy
-            x_next, gap, r = prox_sampler.apply(problem.reg, s, w, k)
+            if tape.targets is not None:
+                x_next, gap, r = approx_prox(problem.reg, s, w, tape.targets[k], tape.directions[k])
+            elif inner:
+                x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
+            else:
+                x_next, gap, r = problem.prox(s, w), 0.0, np.zeros_like(w)
 
         ys.append(y)
         steps.append(s)

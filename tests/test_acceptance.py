@@ -177,7 +177,8 @@ class TestCriterion4:
             s = float(rng.uniform(0.01, 2.0))
             eps2 = float(rng.uniform(0.0, 1e-3))
             w = rng.standard_normal(6)
-            _, gap, r = approx_prox(h, s, w, eps2, rng=rng)
+            d = rng.standard_normal(6)
+            _, gap, r = approx_prox(h, s, w, eps2, d / np.linalg.norm(d))
             worst = max(worst, float(np.linalg.norm(r)) - np.sqrt(2 * s * gap))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-10 and elapsed < 10.0

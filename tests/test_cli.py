@@ -109,9 +109,12 @@ class TestConfigErrors:
             ("mpc", "[mpc]\nx0 = 1,2,abc\n", None),
             ("mpc", "[mpc]\nx0 = 1,2,3\n", None),  # the model has 7 states
             ("verify", "[verify]\ngammas = 1,x\n", None),
+            ("lasso", "", '{"n": 1, "M": [1], "v": [1]}'),  # lasso builds its own problem
+            ("mpc", "", '{"n": 1, "M": [1], "v": [1]}'),  # so does mpc
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
-             "x0_wrong_dimension", "gammas_not_numbers"],
+             "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
+             "mpc_problem_file"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:

@@ -3,16 +3,19 @@ import pytest
 from scipy.integrate import quad as quadrature
 
 from proxcert import (
+    CompositeProblem,
     FixedPointFormat,
     GradientErrorSpec,
     L1Term,
     ProxErrorSpec,
     QuadraticSmooth,
+    SolverConfig,
     approx_prox,
     quantized_gradient,
+    run_basic,
     sample_truncated_gaussian,
 )
-from proxcert.errors import GradientErrorSampler, ProxErrorSampler, inner_solver_prox
+from proxcert.errors import draw_tape, inner_solver_prox, quantize_quadratic
 
 
 class TestTruncatedGaussian:
@@ -40,54 +43,60 @@ class TestTruncatedGaussian:
             sample_truncated_gaussian(1.0, 1.0, 3, rng)
 
 
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
 class TestGradientInjection:
-    def test_zero_delta_is_exact(self, rng):
-        sampler = GradientErrorSampler(GradientErrorSpec(delta=0.0), rng)
-        g = rng.standard_normal(4)
-        noisy, eps1 = sampler.inject(g, 0)
-        assert np.array_equal(noisy, g) and np.all(eps1 == 0)
+    def test_zero_delta_is_exact(self):
+        tape = draw_tape(GradientErrorSpec(delta=0.0), None, 4, 10, 0)
+        assert tape == (None, None, None)
 
-    def test_relative_model_zero_gradient(self, rng):
+    def test_relative_model_zero_gradient(self):
+        # x = 0 is a stationary point with zero gradient: the relative model
+        # multiplies the gradient, so it injects nothing there
+        problem = CompositeProblem.from_quadratic(QuadraticSmooth(np.eye(3), np.zeros(3)), 0.0)
         spec = GradientErrorSpec(model="relative", mode="random", delta=0.5)
-        noisy, eps1 = GradientErrorSampler(spec, rng).inject(np.zeros(3), 0)
-        assert np.all(eps1 == 0) and np.all(noisy == 0)
+        trace = run_basic(problem, SolverConfig(max_iters=5, grad_error=spec), np.zeros(3))
+        assert np.all(trace.eps1 == 0) and np.all(trace.xs == 0)
 
-    def test_absolute_bound_over_many_draws(self, rng):
+    def test_absolute_bound_over_many_draws(self):
         spec = GradientErrorSpec(model="absolute", mode="random", delta=0.1)
-        sampler = GradientErrorSampler(spec, rng)
-        g = rng.standard_normal(3)
-        for k in range(10_000):
-            _, eps1 = sampler.inject(g, k)
-            assert np.abs(eps1).max() <= 0.1
+        kappa = draw_tape(spec, None, 3, 10_000, 12345).kappa
+        assert kappa.shape == (10_000, 3) and np.abs(kappa).max() <= 0.1
 
     def test_relative_bound(self, rng):
         spec = GradientErrorSpec(model="relative", mode="random", delta=0.2)
-        sampler = GradientErrorSampler(spec, rng)
         g = rng.standard_normal(6)
-        for k in range(1000):
-            _, eps1 = sampler.inject(g, k)
-            assert np.all(np.abs(eps1) <= 0.2 * np.abs(g) + 1e-15)
+        eps1 = draw_tape(spec, None, 6, 1000, 12345).kappa * g
+        assert np.all(np.abs(eps1) <= 0.2 * np.abs(g) + 1e-15)
 
-    def test_random_mode_mean_goes_to_zero(self, rng):
+    def test_random_mode_mean_goes_to_zero(self):
         spec = GradientErrorSpec(model="absolute", mode="random", delta=0.05)
-        sampler = GradientErrorSampler(spec, rng)
-        g = np.ones(4)
-        eps = np.array([sampler.inject(g, k)[1] for k in range(20_000)])
+        eps = draw_tape(spec, None, 4, 20_000, 12345).kappa
         se = eps.std() / np.sqrt(eps.shape[0])
         assert np.all(np.abs(eps.mean(axis=0)) <= 4 * se)
 
-    def test_deterministic_schedule_and_exhaustion(self, rng):
+    def test_deterministic_schedule_and_exhaustion(self, small_lasso):
         spec = GradientErrorSpec(
             model="absolute", mode="deterministic", schedule=(0.01, np.array([1.0, -1.0]))
         )
-        sampler = GradientErrorSampler(spec, rng)
-        g = np.array([2.0, 3.0])
-        _, e0 = sampler.inject(g, 0)
-        assert np.allclose(e0, [0.01, 0.01])
-        _, e1 = sampler.inject(g, 1)
-        assert np.allclose(e1, [1.0, -1.0])
-        with pytest.raises(ValueError):
-            sampler.inject(g, 2)
+        assert np.array_equal(draw_tape(spec, None, 2, 2, 0).kappa, [[0.01, 0.01], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="schedule"):
+            draw_tape(spec, None, 2, 3, 0)
+        # a run longer than its schedule is refused before the first step
+        spec = GradientErrorSpec(model="absolute", mode="deterministic", schedule=(0.01,) * 5)
+        with pytest.raises(ValueError, match="schedule"):
+            run_basic(small_lasso, SolverConfig(max_iters=6, grad_error=spec), np.zeros(20))
+
+    def test_multipliers_equal_per_step_draws(self):
+        # one (T, n) draw from the run's first spawned stream reproduces the
+        # step-by-step draws bit for bit, so gradient-only runs keep their bytes
+        for spec_lo, lo in ((None, -1e-3), (0.0, 0.0)):  # symmetric and biased
+            spec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3, lo=spec_lo)
+            stream = np.random.default_rng(np.random.SeedSequence(41).spawn(2)[0])
+            per_step = [sample_truncated_gaussian(lo, 1e-3, 7, stream) for _ in range(30)]
+            assert np.array_equal(draw_tape(spec, None, 7, 30, 41).kappa, per_step)
 
     def test_lipschitz_inflation_relative_model(self, rng):
         # a shared multiplier realization kappa inflates L by at most (1+delta)
@@ -165,34 +174,54 @@ class TestQuantize:
 
 
 class TestQuantizedGradient:
+    @staticmethod
+    def quantized(fmt, quad, x):
+        return quantized_gradient(fmt, quantize_quadratic(fmt, quad), x, quad.grad(x))
+
     def test_wide_format_is_lossless(self, rng):
         quad = QuadraticSmooth(rng.standard_normal((5, 4)), rng.standard_normal(5), half=True)
         fmt = FixedPointFormat(60, 48, signed=True)
         x = rng.standard_normal(4)
-        _, eps1 = quantized_gradient(fmt, quad, x)
+        _, eps1 = self.quantized(fmt, quad, x)
         assert np.abs(eps1).max() <= 1e-12
 
     def test_s16_8_amplification_recorded(self, rng):
         quad = QuadraticSmooth(rng.standard_normal((6, 4)), rng.standard_normal(6), half=True)
         fmt = FixedPointFormat.parse("s16.8")
         x = rng.standard_normal(4)
-        _, eps1 = quantized_gradient(fmt, quad, x)
+        _, eps1 = self.quantized(fmt, quad, x)
         amp = np.abs(eps1).max() / (quad.n * fmt.ulp / 2.0)
         assert amp <= 16.0  # unit-scale data keeps the amplification modest
 
     def test_saturating_input_clamps(self, rng):
         quad = QuadraticSmooth(np.eye(2), np.zeros(2), half=True)
         fmt = FixedPointFormat.parse("s8.4")
-        g, _ = quantized_gradient(fmt, quad, np.array([1000.0, -1000.0]))
+        g, _ = self.quantized(fmt, quad, np.array([1000.0, -1000.0]))
         lo, hi = fmt.dynamic_range()
         assert g[0] == hi and g[1] == lo
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_matches_requantizing_every_operand(self, rng, half):
+        # quantizing M and v once per run gives the bits of quantizing
+        # every operand at every call
+        fmt = FixedPointFormat.parse("s16.8")
+        mat, vec = 3 * rng.standard_normal((9, 5)), rng.standard_normal(9)
+        quad = QuadraticSmooth(mat, vec, half=half)
+        quad_q = quantize_quadratic(fmt, quad)
+        q = fmt.quantize
+        for _ in range(20):
+            x = rng.standard_normal(5)
+            ref = q(mat).T @ (q(mat) @ q(x) - q(vec))
+            ref = q(ref if half else 2.0 * ref)
+            g, eps1 = quantized_gradient(fmt, quad_q, x, quad.grad(x))
+            assert np.array_equal(g, ref) and np.array_equal(eps1, ref - quad.grad(x))
 
 
 class TestApproxProx:
     def test_zero_target_is_exact(self, rng):
         h = L1Term(1.0)
         w = rng.standard_normal(5)
-        x, gap, r = approx_prox(h, 0.5, w, 0.0, rng=rng)
+        x, gap, r = approx_prox(h, 0.5, w, 0.0, unit(rng.standard_normal(5)))
         assert gap == 0.0 and np.all(r == 0)
         assert np.allclose(x, h.prox(0.5, w))
 
@@ -201,7 +230,7 @@ class TestApproxProx:
         h = L1Term(1.0)
         s, target = 0.5, 1e-4
         w = rng.standard_normal(6)
-        x, gap, r = approx_prox(h, s, w, target, rng=rng)
+        x, gap, r = approx_prox(h, s, w, target, unit(rng.standard_normal(6)))
         G = lambda z: h.value(z) + np.linalg.norm(z - w) ** 2 / (2 * s)
         direct_gap = G(x) - G(h.prox(s, w))
         assert 0.9 * target <= direct_gap <= target * (1 + 1e-6)
@@ -213,33 +242,40 @@ class TestApproxProx:
             s = float(rng.uniform(0.01, 2.0))
             target = float(rng.uniform(0, 1e-3))
             w = rng.standard_normal(4)
-            _, gap, r = approx_prox(h, s, w, target, rng=rng)
+            _, gap, r = approx_prox(h, s, w, target, unit(rng.standard_normal(4)))
             assert np.linalg.norm(r) <= np.sqrt(2 * s * gap) + 1e-10
 
-    def test_random_symmetric_residual_mean(self, rng):
+    def test_random_symmetric_residual_mean(self):
         # fixed w with the exact prox away from the l1 kinks: there the
         # subproblem gap is direction-even, so the residual is exactly
         # sign-symmetric (at kink coordinates the symmetry is only
         # statistical; that gap is documented)
         h = L1Term(1.0)
-        s, target, n = 0.5, 1e-4, 4
+        s, target, n, count = 0.5, 1e-4, 4, 10_000
         w = np.array([1.2, -0.9, 0.8, -1.5])
-        rs = np.array([approx_prox(h, s, w, target, rng=rng)[2] for _ in range(10_000)])
+        spec = ProxErrorSpec(mode="target_gap", schedule=(target,) * count)
+        tape = draw_tape(None, spec, n, count, 12345)
+        rs = np.array([approx_prox(h, s, w, target, d)[2] for d in tape.directions])
         se = rs.std() / np.sqrt(len(rs))
         assert np.linalg.norm(rs.mean(axis=0)) <= 4 * se * np.sqrt(n)
 
     def test_fixed_direction_is_deterministic(self, rng):
         h = L1Term(1.0)
         w = rng.standard_normal(4)
-        x1, g1, r1 = approx_prox(h, 0.5, w, 1e-5, direction="fixed")
-        x2, g2, r2 = approx_prox(h, 0.5, w, 1e-5, direction="fixed")
+        spec = ProxErrorSpec(mode="target_gap", eps0=1e-5, direction="fixed")
+        tape_a, tape_b = draw_tape(None, spec, 4, 3, 0), draw_tape(None, spec, 4, 3, 1)
+        assert np.array_equal(tape_a.directions, np.full((3, 4), 0.5))
+        assert np.array_equal(tape_a.directions, tape_b.directions)
+        x1, g1, r1 = approx_prox(h, 0.5, w, 1e-5, tape_a.directions[0])
+        x2, g2, r2 = approx_prox(h, 0.5, w, 1e-5, tape_b.directions[2])
         assert np.array_equal(x1, x2) and g1 == g2
 
-    def test_invalid_inputs(self, rng):
+    def test_invalid_inputs(self):
+        d = unit(np.ones(2))
         with pytest.raises(ValueError):
-            approx_prox(L1Term(1.0), 0.0, np.ones(2), 1e-4, rng=rng)
+            approx_prox(L1Term(1.0), 0.0, np.ones(2), 1e-4, d)
         with pytest.raises(ValueError):
-            approx_prox(L1Term(1.0), 1.0, np.ones(2), -1.0, rng=rng)
+            approx_prox(L1Term(1.0), 1.0, np.ones(2), -1.0, d)
 
 
 class TestInnerSolverProx:
@@ -258,25 +294,40 @@ class TestInnerSolverProx:
         assert np.linalg.norm(r) > 0.0
 
 
-class TestProxErrorSampler:
+class TestProxTape:
     def test_schedule_and_exhaustion(self, rng):
         spec = ProxErrorSpec(mode="target_gap", schedule=(1e-5, 0.0))
-        sampler = ProxErrorSampler(spec, rng)
-        h = L1Term(1.0)
-        _, gap0, _ = sampler.apply(h, 0.5, rng.standard_normal(3), 0)
+        tape = draw_tape(None, spec, 3, 2, 12345)
+        assert np.array_equal(tape.targets, [1e-5, 0.0])
+        h, targets, directions = L1Term(1.0), tape.targets, tape.directions
+        _, gap0, _ = approx_prox(h, 0.5, rng.standard_normal(3), targets[0], directions[0])
         assert 0.9e-5 <= gap0 <= 1e-5 * (1 + 1e-9)
-        _, gap1, r1 = sampler.apply(h, 0.5, rng.standard_normal(3), 1)
+        _, gap1, r1 = approx_prox(h, 0.5, rng.standard_normal(3), targets[1], directions[1])
         assert gap1 == 0.0 and np.all(r1 == 0)
-        with pytest.raises(ValueError):
-            sampler.apply(h, 0.5, rng.standard_normal(3), 2)
+        with pytest.raises(ValueError, match="schedule"):
+            draw_tape(None, spec, 3, 3, 0)
 
     def test_random_bound_respected(self, rng):
         spec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
-        sampler = ProxErrorSampler(spec, rng)
+        tape = draw_tape(None, spec, 3, 200, 12345)
+        assert np.all(tape.targets >= 0.0) and np.all(tape.targets <= 1e-4)
         h = L1Term(1.0)
-        for k in range(200):
-            _, gap, _ = sampler.apply(h, 0.5, rng.standard_normal(3), k)
+        for target, d in zip(tape.targets, tape.directions):
+            _, gap, _ = approx_prox(h, 0.5, rng.standard_normal(3), target, d)
             assert 0.0 <= gap <= 1e-4 * (1 + 1e-9)
+
+    def test_directions_are_unit_and_zero_mean(self):
+        spec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+        d = draw_tape(None, spec, 3, 20_000, 5).directions
+        assert np.allclose(np.linalg.norm(d, axis=1), 1.0, rtol=0, atol=1e-15)
+        se = d.std(axis=0) / np.sqrt(len(d))
+        assert np.all(np.abs(d.mean(axis=0)) <= 4 * se)
+
+    def test_error_free_kinds_allocate_nothing(self):
+        inner = ProxErrorSpec(mode="inner_solver", eps0=1e-6)
+        fmt = FixedPointFormat.parse("s16.8")
+        for pspec in (None, ProxErrorSpec(), inner, ProxErrorSpec(mode="target_gap")):
+            assert draw_tape(fmt, pspec, 5, 100_000, 0) == (None, None, None)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from proxcert.experiments.mpc import (
     simulate_outputs,
 )
 
-from oracles import grid_min
+from oracles import grid_min, quadratic_hessian
 
 
 def scalar_spec(a=1.0, b=1.0, n_p=2, n_c=2, q=1.0, r=0.0, lam=0.0, x0=1.0):
@@ -160,6 +160,19 @@ class TestCondensation:
             values[horizon] = mpc_to_lasso(spec).lipschitz
         assert values[2] == pytest.approx(556.24, rel=1e-3)
         assert values[10] == pytest.approx(10981.5, rel=1e-3)
+
+    def test_lipschitz_matches_rollout_hessian_at_every_horizon(self):
+        # L must be the exact curvature at every pairing, not only at the
+        # documented ones: a 1/L step must not exceed the 1/L premise
+        worst = {}
+        for n_p in range(1, 13):
+            for n_c in range(1, n_p + 1):
+                spec = spacecraft_mpc(n_p=n_p, n_c=n_c)
+                hess = quadratic_hessian(lambda u: rollout_objective(spec, u), spec.n_moves)
+                oracle = float(np.linalg.eigvalsh(hess)[-1])
+                worst[(n_p, n_c)] = abs(mpc_to_lasso(spec).lipschitz - oracle) / oracle
+        assert len(worst) == 78
+        assert max(worst.values()) <= 1e-12, max(worst.items(), key=lambda kv: kv[1])
 
 
 class TestLqrClosedForm:

@@ -13,6 +13,7 @@ from proxcert import (
     run_accelerated,
     run_basic,
 )
+from proxcert.errors import draw_tape
 from proxcert.solvers import alpha_series
 
 from oracles import grid_min
@@ -211,6 +212,27 @@ class TestDeterminism:
             np.zeros(small_lasso.n),
         )
         assert not np.array_equal(mk(1).xs, mk(2).xs)
+
+
+class TestRunReadsTape:
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_trace_errors_come_from_the_tape(self, small_lasso, variant):
+        gspec = GradientErrorSpec(model="relative", mode="random", delta=0.1)
+        pspec = ProxErrorSpec(mode="target_gap", eps0=1e-5)
+        cfg = SolverConfig(
+            variant=variant, max_iters=40, grad_error=gspec, prox_error=pspec, seed=9
+        )
+        runner = run_accelerated if variant == "accelerated" else run_basic
+        trace = runner(small_lasso, cfg, np.zeros(small_lasso.n))
+        tape = draw_tape(gspec, pspec, small_lasso.n, 40, 9)
+        points = trace.xs[:-1] if trace.ys is None else trace.ys
+        grads = np.array([small_lasso.grad(y) for y in points])
+        assert np.array_equal(trace.eps1, tape.kappa * grads)
+        assert np.all(trace.eps2 >= 0.9 * tape.targets) and np.all(trace.eps2 <= tape.targets)
+        # r = t d with t > 0: the residual points along the tape's direction
+        along = np.einsum("ij,ij->i", trace.res, tape.directions)
+        assert np.all(along > 0)
+        assert np.allclose(trace.res, along[:, None] * tape.directions, rtol=0, atol=1e-15)
 
 
 class TestBacktrackingRuns:
