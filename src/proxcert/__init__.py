@@ -11,7 +11,6 @@ from .problems import (
     max_constant_stepsize,
     problem_from_json,
     problem_to_json,
-    prox_exact,
 )
 from .errors import (
     FixedPointFormat,
@@ -25,8 +24,6 @@ from .errors import (
 from .solvers import (
     RunTrace,
     SolverConfig,
-    alpha_sequence,
-    ergodic_average,
     reference_solution,
     run_accelerated,
     run_basic,
@@ -46,7 +43,6 @@ __all__ = [
     "max_constant_stepsize",
     "problem_from_json",
     "problem_to_json",
-    "prox_exact",
     "FixedPointFormat",
     "GradientErrorSpec",
     "ProxErrorSpec",
@@ -56,8 +52,6 @@ __all__ = [
     "sample_truncated_gaussian",
     "RunTrace",
     "SolverConfig",
-    "alpha_sequence",
-    "ergodic_average",
     "reference_solution",
     "run_accelerated",
     "run_basic",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solvers import alpha_sequence
+from .solvers import alpha_series
 
 SERIES_NAMES = (
     "thm_basic_det",
@@ -162,10 +162,6 @@ def bound_basic_det_series(trace, params, x_star):
     return total / (ks + 1)
 
 
-def bound_basic_det(trace, params, x_star, k):
-    return float(bound_basic_det_series(trace, params, x_star)[k])
-
-
 def bound_basic_det_corollary_series(trace, params, x_star=None, variant="full"):
     """Quasi-Fejer corollary of the basic theorem.
 
@@ -203,12 +199,6 @@ def bound_basic_det_corollary_series(trace, params, x_star=None, variant="full")
     if params.k0 > 0:
         values[: params.k0] = np.nan
     return values
-
-
-def bound_basic_det_corollary(trace, params, k, x_star=None, variant="full"):
-    if variant == "full" and k < params.k0:
-        raise ValueError(f"full corollary needs k >= k0 = {params.k0}")
-    return float(bound_basic_det_corollary_series(trace, params, x_star, variant)[k])
 
 
 def bound_basic_random(params, k, eps2_partial_sum, variant="stated"):
@@ -374,7 +364,7 @@ def bound_acc_random_closed(params, k):
         g * abs(params.delta) * params.m_u * params.m_grad * d * math.sqrt(params.n * p2)
     )
     s_r = g * params.m_u * d * math.sqrt(2.0 * s * params.eps0 * p2)
-    alpha_k = alpha_sequence(params.alpha_rule, k)
+    alpha_k = float(alpha_series(params.alpha_rule, k)[-1])
     value = (s_eps2 + s_eps1 + s_r + d * d / (2.0 * s)) / alpha_k**2
     prob = 1.0 - 6.0 * math.exp(-(g * g) / 2.0)
     return value, prob

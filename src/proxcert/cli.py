@@ -51,26 +51,7 @@ class ConfigError(ValueError):
     pass
 
 
-ALLOWED_KEYS = {
-    "run": {"seed", "out", "iters", "abstol", "strict", "command"},
-    "problem": {"file"},
-    "lasso": {"n", "m", "sparsity", "noise", "lam", "seed"},
-    "mpc": {"n_p", "n_c", "lam", "x0", "closed_loop_steps"},
-    "solver": {"variant", "stepsize", "backtracking", "eta", "momentum"},
-    "errors": {
-        "grad_model",
-        "delta",
-        "format",
-        "prox_mode",
-        "eps0",
-        "solver_tol",
-        "direction",
-    },
-    "bounds": {"gamma", "p", "eps2_mean", "m_u"},
-    "verify": {"trials", "k_max", "gammas"},
-    "quantize": {"format", "values"},
-}
-
+# every section and key a config may set, with its default
 DEFAULTS = {
     "run": {
         "seed": "0",
@@ -113,10 +94,10 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for section in parser.sections():
-        if section not in ALLOWED_KEYS:
+        if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in ALLOWED_KEYS[section]:
+            if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             out.setdefault(section, {})[key] = value
     return out
@@ -130,7 +111,7 @@ def resolve_config(file_cfg, cli_overrides):
     for (sec, key), value in (cli_overrides or {}).items():
         if value is None:
             continue
-        if key not in ALLOWED_KEYS[sec]:
+        if key not in DEFAULTS[sec]:
             raise ConfigError(f"unknown key {key!r} in section [{sec}]")
         cfg[sec][key] = str(value)
     return cfg

@@ -126,6 +126,24 @@ class MpcSpec:
             self._cache["psi_phi"] = build_prediction_matrices(self)
         return self._cache["psi_phi"]
 
+    def condensed_weights(self):
+        """``(Q, H, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``.
+
+        None of these depend on the state, so the condensations of one
+        horizon share them.
+        """
+        if "weights" not in self._cache:
+            _, phi = self.prediction_matrices()
+            q_full = self.output_weight()
+            normal = phi.T @ q_full @ phi + self.input_weight()
+            eigs = np.linalg.eigvalsh(0.5 * (normal + normal.T))
+            if eigs[0] <= 0:
+                raise ValueError("Phi'QPhi + R is not positive definite")
+            root, inv_root = symmetric_sqrt(normal)
+            # g has Hessian 2H
+            self._cache["weights"] = (q_full, normal, root, inv_root, 2.0 * float(eigs[-1]))
+        return self._cache["weights"]
+
     def output_weight(self):
         return np.diag(np.tile(self.q_step, self.n_p))
 
@@ -147,7 +165,7 @@ class MpcSpec:
             lam=self.lam,
             x0=x0,
             setpoint=self.setpoint,
-            _cache=self._cache,  # Psi/Phi depend only on the model and horizons
+            _cache=self._cache,  # nothing cached depends on the state
         )
 
 
@@ -222,14 +240,8 @@ def mpc_to_lasso(spec):
     ``problem.meta["offset"]``.
     """
     psi, phi = spec.prediction_matrices()
-    q_full = spec.output_weight()
-    r_full = spec.input_weight()
+    q_full, normal, root, inv_root, lipschitz = spec.condensed_weights()
     target = spec.setpoint_stack() - psi @ spec.x0
-    normal = phi.T @ q_full @ phi + r_full
-    eigs = np.linalg.eigvalsh(0.5 * (normal + normal.T))
-    if eigs[0] <= 0:
-        raise ValueError("Phi'QPhi + R is not positive definite")
-    root, inv_root = symmetric_sqrt(normal)
     rhs = phi.T @ (q_full @ target)
     vec = inv_root @ rhs
     quad = QuadraticSmooth(root, vec, half=False)
@@ -238,7 +250,7 @@ def mpc_to_lasso(spec):
         quad,
         spec.lam,
         meta={"offset": offset, "psi": psi, "phi": phi, "normal": normal, "spec": spec},
-        lipschitz=2.0 * float(eigs[-1]),  # g has Hessian 2H
+        lipschitz=lipschitz,
     )
 
 

@@ -171,11 +171,6 @@ class L1Term:
         return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
-def prox_exact(h, s, y):
-    """Exact proximal operator of ``s*h`` at ``y`` (soft threshold for l1)."""
-    return h.prox(s, y)
-
-
 @dataclass
 class CompositeProblem:
     """The pair (g, h) plus the gradient Lipschitz constant.

@@ -61,13 +61,6 @@ def alpha_series(rule, kmax):
     return out
 
 
-def alpha_sequence(rule, k):
-    """Momentum parameter alpha_k (see :func:`_next_alpha` for the rules)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return float(alpha_series(rule, k)[-1])
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     variant: str = "basic"
@@ -135,15 +128,6 @@ class RunTrace:
         csum = np.cumsum(self.xs[1:], axis=0)
         counts = np.arange(1, self.num_steps + 1)[:, None]
         return csum / counts
-
-
-def ergodic_average(trace, k):
-    """Arithmetic mean of the iterates x^1 .. x^{k+1}."""
-    if trace.num_steps == 0:
-        raise ValueError("empty trace")
-    if not 0 <= k < trace.num_steps:
-        raise ValueError(f"k={k} outside trace with {trace.num_steps} steps")
-    return trace.xs[1 : k + 2].mean(axis=0)
 
 
 def _run(problem, config, x0, accelerated):

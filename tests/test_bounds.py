@@ -20,7 +20,6 @@ from proxcert.bounds import (
     bound_acc_det_series,
     bound_acc_random_closed,
     bound_acc_random_series,
-    bound_basic_det,
     bound_basic_det_corollary_series,
     bound_basic_det_series,
     bound_basic_random,
@@ -33,7 +32,7 @@ from proxcert.bounds import (
     sum_i4,
     u_sequence,
 )
-from proxcert.solvers import RunTrace, alpha_series, ergodic_average
+from proxcert.solvers import RunTrace, alpha_series
 
 
 def make_params(**kw):
@@ -138,7 +137,7 @@ class TestBasicDetTheorem:
             - r**2 / (2 * s)
             - (x_star - x1) ** 2 / (2 * s)
         )
-        assert bound_basic_det(trace, params, np.array([x_star]), 0) == pytest.approx(
+        assert bound_basic_det_series(trace, params, np.array([x_star]))[0] == pytest.approx(
             hand, rel=1e-12
         )
 
@@ -170,14 +169,11 @@ class TestBasicDetCorollary:
         assert np.all(approx >= thm - dropped_neg / (ks + 1) - 1e-12)
 
     def test_k0_precondition(self, noisy_runs):
-        from proxcert.bounds import bound_basic_det_corollary
-
+        # the full corollary holds only from k0 on; earlier entries are NaN
         prob, x_star, _, bas, _, params, _ = noisy_runs
-        import dataclasses
-
-        p2 = dataclasses.replace(params, k0=5)
-        with pytest.raises(ValueError):
-            bound_basic_det_corollary(bas, p2, 2, x_star, "full")
+        full = bound_basic_det_corollary_series(bas, replace(params, k0=5), x_star, "full")
+        assert np.all(np.isnan(full[:5]))
+        assert np.all(np.isfinite(full[5:]))
 
     def test_one_over_i_errors_decay_like_log_k_over_k(self):
         # ||eps1^i|| ~ 1/i with residual-scale prox error sqrt(eps2) ~ 1/i
@@ -468,7 +464,8 @@ class TestVectorizedAgainstPerK:
     def test_observed_gaps_match_f_value_of_each_mean(self, noisy_runs):
         prob, _, f_star, bas, _, _, _ = noisy_runs
         obs = ObservedGaps.from_trace(prob, bas, f_star)
-        f_means = np.array([prob.f_value(ergodic_average(bas, k)) for k in range(bas.num_steps)])
+        means = [bas.xs[1 : k + 2].mean(axis=0) for k in range(bas.num_steps)]  # x^1..x^{k+1}
+        f_means = np.array([prob.f_value(x) for x in means])
         tol = 1e-12 * np.abs(f_means)
         assert np.all(np.abs(obs.ergodic_incl - (f_means - f_star)) <= tol)
         assert np.isnan(obs.ergodic[0])

@@ -7,6 +7,7 @@ from proxcert import (
     FixedPointFormat,
     GradientErrorSpec,
     L1Term,
+    OracleError,
     ProxErrorSpec,
     QuadraticSmooth,
     SolverConfig,
@@ -276,6 +277,49 @@ class TestApproxProx:
             approx_prox(L1Term(1.0), 0.0, np.ones(2), 1e-4, d)
         with pytest.raises(ValueError):
             approx_prox(L1Term(1.0), 1.0, np.ones(2), -1.0, d)
+
+    def test_ray_solve_lands_on_its_aim(self):
+        # the gap along the ray is piecewise quadratic and solved exactly, so
+        # it lands on 0.95 * target, not merely somewhere in [0.9, 1] * target
+        rng = np.random.default_rng(20240601)
+        worst, most_kinks, zero_dirs = 0.0, 0, 0
+        for _ in range(2500):
+            n = int(rng.integers(1, 13))
+            h = L1Term(float(rng.choice([0.0, rng.uniform(0.05, 3.0)])))
+            s = float(10 ** rng.uniform(-3, 1))
+            w = rng.standard_normal(n) * 10 ** rng.uniform(-2, 1)
+            d = rng.standard_normal(n)
+            d[rng.random(n) < 0.3] = 0.0
+            d[0] = d[0] or 1.0
+            d = unit(d)
+            zero_dirs += bool(np.any(d == 0.0))
+            target = float(10 ** rng.uniform(-12, 1))
+            x, gap, _ = approx_prox(h, s, w, target, d)
+            worst = max(worst, abs(gap - 0.95 * target) / (0.95 * target))
+            x_exact = h.prox(s, w)
+            crossed = (np.sign(x_exact) * d < 0) & (np.sign(x) != np.sign(x_exact))
+            most_kinks = max(most_kinks, int(crossed.sum()))
+            if target >= 1e-3:
+                G = lambda z: h.value(z) + float((z - w) @ (z - w)) / (2 * s)
+                assert G(x) - G(x_exact) == pytest.approx(gap, rel=1e-9, abs=1e-12)
+        assert worst <= 1e-9
+        assert most_kinks >= 5 and zero_dirs >= 500
+
+    def test_one_gap_evaluation_per_call(self, rng, monkeypatch):
+        import proxcert.errors as errors
+
+        calls = []
+        gap_along = errors._gap_along
+        monkeypatch.setattr(errors, "_gap_along", lambda *a: calls.append(a) or gap_along(*a))
+        for target in (1e-12, 1e-4, 10.0):
+            w, d = rng.standard_normal(8), unit(rng.standard_normal(8))
+            approx_prox(L1Term(0.5), 0.3, w, target, d)
+        assert len(calls) == 3
+
+    def test_non_finite_point_raises(self):
+        # a diverged iterate has no eps2-prox point; the window check reports it
+        with np.errstate(invalid="ignore"), pytest.raises(OracleError):
+            approx_prox(L1Term(1.0), 0.5, np.array([np.inf, 1.0]), 1e-4, unit(np.ones(2)))
 
 
 class TestInnerSolverProx:

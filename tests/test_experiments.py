@@ -150,6 +150,21 @@ class TestCondensation:
             1.0, np.linalg.norm(problem.grad(np.zeros(spec.n_moves)))
         )
 
+    def test_state_change_reuses_state_free_condensation(self, rng):
+        # with_state shares H, its roots and L; the condensation at the new
+        # state must equal a fresh one to the bit
+        spec = spacecraft_mpc(n_p=10)
+        first = mpc_to_lasso(spec)
+        for _ in range(3):
+            x = rng.standard_normal(7)
+            cached = mpc_to_lasso(spec.with_state(x))
+            fresh = mpc_to_lasso(spacecraft_mpc(n_p=10, x0=x))
+            assert np.array_equal(cached.smooth.mat, fresh.smooth.mat)
+            assert np.array_equal(cached.smooth.vec, fresh.smooth.vec)
+            assert cached.lipschitz == fresh.lipschitz
+            assert cached.meta["offset"] == fresh.meta["offset"]
+            assert cached.smooth.mat is first.smooth.mat
+
     def test_lipschitz_reported_for_documented_horizons(self):
         # the paper reports 8388 for the quadratic term; computed constants
         # for the documented horizon pairings are asserted below (see the

@@ -12,7 +12,6 @@ from proxcert import (
     backtrack_stepsize,
     problem_from_json,
     problem_to_json,
-    prox_exact,
 )
 from proxcert.problems import power_iteration, symmetric_sqrt
 
@@ -63,7 +62,7 @@ class TestProx:
     def test_against_golden_section(self):
         h = L1Term(2.0)
         s, y = 0.1, np.array([0.5, -0.1, 0.0])
-        got = prox_exact(h, s, y)
+        got = h.prox(s, y)
         oracle = np.array(
             [
                 golden_section(
@@ -77,14 +76,14 @@ class TestProx:
 
     def test_zero_weight_is_identity(self, rng):
         y = rng.standard_normal(5)
-        assert np.allclose(prox_exact(L1Term(0.0), 0.3, y), y)
+        assert np.allclose(L1Term(0.0).prox(0.3, y), y)
 
     def test_zero_input(self):
-        assert np.allclose(prox_exact(L1Term(1.5), 2.0, np.zeros(4)), 0.0)
+        assert np.allclose(L1Term(1.5).prox(2.0, np.zeros(4)), 0.0)
 
     def test_nonpositive_stepsize_rejected(self):
         with pytest.raises(ValueError):
-            prox_exact(L1Term(1.0), 0.0, np.ones(2))
+            L1Term(1.0).prox(0.0, np.ones(2))
 
     def test_nonexpansive_on_random_pairs(self, rng):
         h = L1Term(0.7)

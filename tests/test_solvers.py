@@ -8,8 +8,6 @@ from proxcert import (
     QuadraticSmooth,
     SolverConfig,
     StepsizePolicy,
-    alpha_sequence,
-    ergodic_average,
     run_accelerated,
     run_basic,
 )
@@ -33,10 +31,10 @@ def pc_from_quad(quad):
 class TestAlphaSequence:
     def test_fista_first_value_is_golden_root(self):
         # closed root of a^2 - a - 1 = 0
-        assert alpha_sequence("fista", 1) == pytest.approx(1.6180339887, abs=1e-9)
+        assert alpha_series("fista", 1)[-1] == pytest.approx(1.6180339887, abs=1e-9)
 
     def test_linear_example(self):
-        assert alpha_sequence("linear", 3) == 2.5
+        assert alpha_series("linear", 3)[-1] == 2.5
 
     def test_fista_recursion_holds_to_1e12(self):
         a = alpha_series("fista", 10_000)
@@ -46,11 +44,11 @@ class TestAlphaSequence:
 
     def test_alpha0_is_one(self):
         for rule in ("fista", "linear", "none"):
-            assert alpha_sequence(rule, 0) == 1.0
+            assert alpha_series(rule, 0)[-1] == 1.0
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            alpha_sequence("nesterov", 3)
+            alpha_series("nesterov", 3)
 
 
 class TestRunBasic:
@@ -259,13 +257,13 @@ class TestErgodicAverage:
         prob = separable_problem([0.0], 0.0)
         cfg = SolverConfig(variant="basic", max_iters=5)
         trace = run_basic(prob, cfg, np.zeros(1))
-        assert np.allclose(ergodic_average(trace, 3), 0.0)
+        assert np.allclose(trace.ergodic_averages()[3], 0.0)
 
     def test_two_iterate_mean(self, small_lasso):
         cfg = SolverConfig(variant="basic", max_iters=5)
         trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
         manual = 0.5 * (trace.xs[1] + trace.xs[2])
-        assert np.allclose(ergodic_average(trace, 1), manual)
+        assert np.allclose(trace.ergodic_averages()[1], manual)
 
     def test_jensen_along_trace(self, small_lasso, small_lasso_ref):
         _, f_star = small_lasso_ref
@@ -273,17 +271,10 @@ class TestErgodicAverage:
         cfg = SolverConfig(variant="basic", max_iters=60, prox_error=pspec, seed=3)
         trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
         csum = np.cumsum(trace.fvals[1:])
+        means = trace.ergodic_averages()
         for k in range(trace.num_steps):
             avg_f = csum[k] / (k + 1)
-            assert small_lasso.f_value(ergodic_average(trace, k)) <= avg_f + 1e-12
-
-    def test_bounds_and_empty(self, small_lasso):
-        cfg = SolverConfig(variant="basic", max_iters=3)
-        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
-        with pytest.raises(ValueError):
-            ergodic_average(trace, 3)
-        with pytest.raises(ValueError):
-            ergodic_average(trace, -1)
+            assert small_lasso.f_value(means[k]) <= avg_f + 1e-12
 
 
 class TestQuasiFejer:
