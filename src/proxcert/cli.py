@@ -380,11 +380,15 @@ def cmd_run(cfg, command):
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
     config = _build_solver_config(cfg, problem, default_iters)
-    trace = run_solver(problem, config, np.zeros(problem.n))
+    summary_path = os.path.join(out, "summary.json")
+    try:
+        trace = run_solver(problem, config, np.zeros(problem.n))
+    except OracleError as exc:  # e.g. no eps2-prox point once the iterates diverge
+        artifacts.write_summary(summary_path, {"status": "oracle-error", "error": str(exc)})
+        raise
     if trace.status == "non-finite-iterate":
         artifacts.write_summary(
-            os.path.join(out, "summary.json"),
-            {"status": trace.status, "iterations": trace.num_steps},
+            summary_path, {"status": trace.status, "iterations": trace.num_steps}
         )
         return EXIT_SOLVER
     extra = {}

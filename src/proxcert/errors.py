@@ -164,15 +164,14 @@ def draw_tape(grad_spec, prox_spec, n, steps, seed):
     return ErrorTape(kappa, targets, directions)
 
 
-def _gap_along(h, s, w, x_exact, direction, t):
-    """Suboptimality of x_exact + t*direction in the prox subproblem.
+def _gap_along(h, s, x_exact, direction, t, d_dot_xw, d_dot_d):
+    """Suboptimality of x_exact + t*direction in the prox subproblem at w.
 
     Evaluated in expanded form (no large-term cancellation):
-    ``h(x+td) - h(x) + (2 t d'(x-w) + t^2 ||d||^2) / (2s)``.
+    ``h(x+td) - h(x) + (2 t d'(x-w) + t^2 ||d||^2) / (2s)``, given
+    ``d_dot_xw = d'(x-w)`` and ``d_dot_d = ||d||^2``.
     """
-    quad = (2.0 * t * float(direction @ (x_exact - w)) + t * t * float(direction @ direction)) / (
-        2.0 * s
-    )
+    quad = (2.0 * t * d_dot_xw + t * t * d_dot_d) / (2.0 * s)
     return h.value_delta(x_exact, direction, t) + quad
 
 
@@ -184,12 +183,13 @@ def approx_prox(h, s, w, target_eps2, direction):
     the t where the subproblem gap phi(t) reaches 0.95 * target_eps2.  For
     ``h = lam ||.||_1``, phi is convex and piecewise quadratic in t: its
     curvature is ``||d||^2 / s`` and its slope jumps by ``2 lam |d_j|`` at
-    each kink ``t_j = -x_j / d_j`` with ``x_j d_j < 0``.  Sorting the kinks
-    and summing phi up to each one finds the segment that reaches the aim,
-    where one quadratic gives t (the sort-and-scan of the l1-ball
-    projection, Duchi et al., ICML 2008).  The realized gap is then
-    evaluated exactly; outside ``[0.9, 1.0] * target_eps2`` it raises
-    :class:`OracleError`.
+    each kink ``t_j = -x_j / d_j`` with ``x_j d_j < 0``.  When phi stays
+    below the aim up to the first kink, sorting the kinks and summing phi
+    up to each one finds the segment that reaches it (the sort-and-scan of
+    the l1-ball projection, Duchi et al., ICML 2008); otherwise the first
+    segment does.  One quadratic on that segment gives t.  The realized gap
+    is then evaluated exactly; outside ``[0.9, 1.0] * target_eps2`` it
+    raises :class:`OracleError`.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -200,23 +200,29 @@ def approx_prox(h, s, w, target_eps2, direction):
     if target_eps2 == 0.0:
         return x, 0.0, np.zeros_like(w)
     d = direction
-    curv = float(d @ d) / s
-    crossing = np.sign(x) * d < 0.0  # coordinates that reach zero at t_j = -x_j / d_j > 0
+    d_dot_xw, d_dot_d = float(d @ (x - w)), float(d @ d)
+    curv = d_dot_d / s
+    signed_d = np.sign(x) * d
+    crossing = signed_d < 0.0  # coordinates that reach zero at t_j = -x_j / d_j > 0
     kinks = -x[crossing] / d[crossing]
-    order = np.argsort(kinks)
-    lefts = np.concatenate(([0.0], kinks[order]))  # left ends of the segments
-    jumps = np.concatenate(([0.0], 2.0 * h.lam * np.abs(d[crossing])[order]))
     # phi'(0+): the l1 slope of coordinate j is |d_j| at x_j = 0, sign(x_j) d_j elsewhere
-    l1_slope = np.where(x == 0.0, np.abs(d), np.sign(x) * d)
-    slope0 = float(d @ (x - w)) / s + h.lam * float(l1_slope.sum())
-    slopes = slope0 + curv * lefts + np.cumsum(jumps)  # phi' just right of each left end
-    widths = np.diff(lefts)
-    phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
+    l1_slope = np.where(x == 0.0, np.abs(d), signed_d)
+    slope0 = d_dot_xw / s + h.lam * float(l1_slope.sum())
     aim = 0.95 * target_eps2
-    i = int(np.searchsorted(phis, aim)) - 1  # phis[i] < aim <= phis[i + 1]
-    rest, p = aim - phis[i], slopes[i]
-    t = lefts[i] + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
-    gap = _gap_along(h, s, w, x, d, t)
+    left, rest, p = 0.0, aim, slope0  # the first segment, [0, first kink]
+    if kinks.size:
+        k_min = kinks.min()
+        if not (slope0 + 0.5 * curv * k_min) * k_min >= aim:  # phi(first kink) < aim
+            order = np.argsort(kinks)
+            lefts = np.concatenate(([0.0], kinks[order]))  # left ends of the segments
+            jumps = np.concatenate(([0.0], 2.0 * h.lam * np.abs(d[crossing])[order]))
+            slopes = slope0 + curv * lefts + np.cumsum(jumps)  # phi' just right of each left end
+            widths = np.diff(lefts)
+            phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
+            i = int(np.searchsorted(phis, aim)) - 1  # phis[i] < aim <= phis[i + 1]
+            left, rest, p = lefts[i], aim - phis[i], slopes[i]
+    t = left + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
+    gap = _gap_along(h, s, x, d, t, d_dot_xw, d_dot_d)
     if not 0.9 * target_eps2 <= gap <= target_eps2:
         raise OracleError(f"approx_prox gap {gap:.6g} outside [0.9, 1] x target {target_eps2:.6g}")
     residual = t * d
@@ -307,14 +313,16 @@ class FixedPointFormat:
         scalar = np.ndim(x) == 0
         y = np.asarray(x, dtype=float) * 2.0**self.frac
         if self.rounding == "nearest":
-            q = np.floor(np.abs(y) + 0.5) * np.where(np.signbit(y), -1.0, 1.0)
+            # a +-1 factor, unlike copysign(|q|, y), leaves NaNs positive
+            q = np.floor(np.abs(y) + 0.5) * np.copysign(1.0, y)
         else:
             q = np.floor(y)
         if self.signed:
             lo_i, hi_i = -(2.0 ** (self.width - 1)), 2.0 ** (self.width - 1) - 1.0
         else:
             lo_i, hi_i = 0.0, 2.0**self.width - 1.0
-        q = np.clip(q, lo_i, hi_i) * 2.0 ** (-self.frac)
+        # maximum(lo, q) keeps q's -0.0 against lo = 0.0, as a clip does
+        q = np.minimum(np.maximum(lo_i, q), hi_i) * 2.0 ** (-self.frac)
         return float(q) if scalar else q
 
 

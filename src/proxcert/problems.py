@@ -155,11 +155,11 @@ class L1Term:
         base = np.asarray(base, dtype=float)
         step = t * np.asarray(direction, dtype=float)
         moved = base + step
-        same_side = np.sign(moved) == np.sign(base)
+        sign = np.sign(base)
         terms = np.where(
             base == 0.0,
             np.abs(step),
-            np.where(same_side, np.sign(base) * step, np.abs(moved) - np.abs(base)),
+            np.where(np.sign(moved) == sign, sign * step, np.abs(moved) - np.abs(base)),
         )
         return self.lam * float(terms.sum())
 

@@ -146,67 +146,70 @@ def _run(problem, config, x0, accelerated):
     ys = []
     steps, betas, alphas, eps2s = [], [], [], []
     eps1s, ress = [], []
-    fvals = [problem.f_value(x0)]
+    zero = np.zeros(problem.n)  # eps1/res row of an exact gradient or prox
     status = "iteration-cap"
 
     s = policy.s0
     x_prev = x0
     x = x0
     alpha_k = 1.0
-    for k in range(config.max_iters):
-        beta_k, y = 0.0, x
-        if k > 0:
-            alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
-            if accelerated:
-                beta_k = (alpha_prev - 1.0) / alpha_k
-                y = x + beta_k * (x - x_prev)
-        g = problem.grad(y)
-        if tape.kappa is not None:
-            eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
-            noisy = g + eps1
-        elif quad_q is not None:
-            noisy, eps1 = quantized_gradient(gspec, quad_q, y, g)
-        else:
-            noisy, eps1 = g, np.zeros_like(g)
-        if policy.mode == "backtracking":
-            s, _ = backtrack_stepsize(problem, s, y, noisy, eta=policy.eta)
-        # overflow during divergence is an expected, reported outcome
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow during divergence is an expected, reported outcome
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iters):
+            beta_k, y = 0.0, x
+            if k > 0:
+                alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
+                if accelerated:
+                    beta_k = (alpha_prev - 1.0) / alpha_k
+                    y = x + beta_k * (x - x_prev)
+            g = problem.grad(y)
+            if tape.kappa is not None:
+                eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
+                noisy = g + eps1
+            elif quad_q is not None:
+                noisy, eps1 = quantized_gradient(gspec, quad_q, y, g)
+            else:
+                noisy, eps1 = g, zero
+            if policy.mode == "backtracking":
+                s, z = backtrack_stepsize(problem, s, y, noisy, eta=policy.eta)
             w = y - s * noisy
             if tape.targets is not None:
                 x_next, gap, r = approx_prox(problem.reg, s, w, tape.targets[k], tape.directions[k])
             elif inner:
                 x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
+            elif policy.mode == "backtracking":
+                x_next, gap, r = z, 0.0, zero  # the accepted candidate is prox(s, w)
             else:
-                x_next, gap, r = problem.prox(s, w), 0.0, np.zeros_like(w)
+                x_next, gap, r = problem.prox(s, w), 0.0, zero
 
-        ys.append(y)
-        steps.append(s)
-        betas.append(beta_k)
-        alphas.append(alpha_k)
-        eps1s.append(eps1)
-        eps2s.append(gap)
-        ress.append(r)
-        xs.append(x_next)
-        if not np.all(np.isfinite(x_next)):
-            fvals.append(np.nan)
-            status = "non-finite-iterate"
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals.append(problem.f_value(x_next))
-            change = float(np.linalg.norm(x_next - x))
-        x_prev, x = x, x_next
-        if config.abstol > 0 and change <= config.abstol:
-            status = "converged"
-            break
+            if accelerated:
+                ys.append(y)
+            steps.append(s)
+            betas.append(beta_k)
+            alphas.append(alpha_k)
+            eps1s.append(eps1)
+            eps2s.append(gap)
+            ress.append(r)
+            xs.append(x_next)
+            if not np.isfinite(x_next).all():
+                status = "non-finite-iterate"
+                break
+            if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
+                status = "converged"
+                break
+            x_prev, x = x, x_next
+        xs = np.asarray(xs)
+        fvals = problem.f_values(xs)
+    if status == "non-finite-iterate":
+        fvals[-1] = np.nan
 
     return RunTrace(
-        xs=np.asarray(xs),
+        xs=xs,
         ys=np.asarray(ys) if accelerated else None,
         steps=np.asarray(steps),
         betas=np.asarray(betas),
         alphas=np.asarray(alphas),
-        fvals=np.asarray(fvals),
+        fvals=fvals,
         eps1=np.asarray(eps1s),
         eps2=np.asarray(eps2s),
         res=np.asarray(ress),

@@ -66,6 +66,22 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_diverging_target_gap_run_writes_summary(self, tmp_path, capsys):
+        # once the iterates diverge no point meets the prox-gap window; the
+        # run still leaves its status in summary.json
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(
+            "[lasso]\nn = 20\nm = 50\nseed = 7\n\n[solver]\nstepsize = 1000\n\n"
+            "[errors]\nprox_mode = target_gap\neps0 = 1e-5\n"
+        )
+        out = tmp_path / "o"
+        code = run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "5000"])
+        assert code == 3
+        summary = read_summary(out)
+        assert summary["status"] == "oracle-error"
+        assert summary["error"].startswith("approx_prox gap")
+        assert summary["error"] in capsys.readouterr().err
+
     def test_problem_file_input(self, tmp_path):
         from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json
 

@@ -18,6 +18,8 @@ from proxcert import (
 )
 from proxcert.errors import draw_tape, inner_solver_prox, quantize_quadratic
 
+from oracles import l1_ray_point
+
 
 class TestTruncatedGaussian:
     def test_symmetric_interval_mean_near_zero(self, rng):
@@ -46,6 +48,22 @@ class TestTruncatedGaussian:
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def ray_cases():
+    """2,500 seeded ray solves ``(h, s, w, target, d)``: n up to 12, l1 weights
+    0 and 0.05-3, stepsizes 1e-3 to 10, targets 1e-12 to 10, directions with
+    zero entries."""
+    rng = np.random.default_rng(20240601)
+    for _ in range(2500):
+        n = int(rng.integers(1, 13))
+        h = L1Term(float(rng.choice([0.0, rng.uniform(0.05, 3.0)])))
+        s = float(10 ** rng.uniform(-3, 1))
+        w = rng.standard_normal(n) * 10 ** rng.uniform(-2, 1)
+        d = rng.standard_normal(n)
+        d[rng.random(n) < 0.3] = 0.0
+        d[0] = d[0] or 1.0
+        yield h, s, w, float(10 ** rng.uniform(-12, 1)), unit(d)
 
 
 class TestGradientInjection:
@@ -164,6 +182,35 @@ class TestQuantize:
         assert fmt.quantize(1.3) == pytest.approx(20 / 16)
         assert fmt.quantize(-1.3) == pytest.approx(-21 / 16)
 
+    @pytest.mark.parametrize("text", ["s8.4", "u8.4"])
+    @pytest.mark.parametrize("rounding", ["nearest", "floor"])
+    def test_bits_match_where_signbit_and_clip(self, text, rounding):
+        # the former formula: round |y| and restore the sign with a
+        # where(signbit) product, then np.clip; compared bit by bit on signed
+        # zeros, ties, saturation, infinities and both NaN signs
+        fmt = FixedPointFormat.parse(text, rounding=rounding)
+        ticks = np.arange(-300, 301) + 0.5
+        with np.errstate(invalid="ignore"):
+            neg_nan = np.array([np.inf]) - np.inf  # the sign-bit-set NaN of x86 arithmetic
+        x = np.concatenate(
+            (
+                [0.0, -0.0, 1e-300, -1e-300, 0.01, -0.01, 1e6, -1e6, np.inf, -np.inf, np.nan],
+                neg_nan,
+                ticks * fmt.ulp,
+                -ticks * fmt.ulp,
+            )
+        )
+        y = x * 2.0**fmt.frac
+        if rounding == "nearest":
+            q = np.floor(np.abs(y) + 0.5) * np.where(np.signbit(y), -1.0, 1.0)
+        else:
+            q = np.floor(y)
+        lo, hi = fmt.dynamic_range()
+        ref = np.clip(q, lo * 2.0**fmt.frac, hi * 2.0**fmt.frac) * 2.0**-fmt.frac
+        assert fmt.quantize(x).view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+        for v, r in zip(x, ref):
+            assert np.float64(fmt.quantize(float(v))).tobytes() == r.tobytes()
+
     def test_parse_rejects_bad_formats(self):
         for bad in ("s4.8", "x8.4", "s8", "8.4", "s0.0"):
             with pytest.raises(ValueError):
@@ -281,19 +328,9 @@ class TestApproxProx:
     def test_ray_solve_lands_on_its_aim(self):
         # the gap along the ray is piecewise quadratic and solved exactly, so
         # it lands on 0.95 * target, not merely somewhere in [0.9, 1] * target
-        rng = np.random.default_rng(20240601)
         worst, most_kinks, zero_dirs = 0.0, 0, 0
-        for _ in range(2500):
-            n = int(rng.integers(1, 13))
-            h = L1Term(float(rng.choice([0.0, rng.uniform(0.05, 3.0)])))
-            s = float(10 ** rng.uniform(-3, 1))
-            w = rng.standard_normal(n) * 10 ** rng.uniform(-2, 1)
-            d = rng.standard_normal(n)
-            d[rng.random(n) < 0.3] = 0.0
-            d[0] = d[0] or 1.0
-            d = unit(d)
+        for h, s, w, target, d in ray_cases():
             zero_dirs += bool(np.any(d == 0.0))
-            target = float(10 ** rng.uniform(-12, 1))
             x, gap, _ = approx_prox(h, s, w, target, d)
             worst = max(worst, abs(gap - 0.95 * target) / (0.95 * target))
             x_exact = h.prox(s, w)
@@ -304,6 +341,22 @@ class TestApproxProx:
                 assert G(x) - G(x_exact) == pytest.approx(gap, rel=1e-9, abs=1e-12)
         assert worst <= 1e-9
         assert most_kinks >= 5 and zero_dirs >= 500
+
+    def test_matches_full_sort_and_scan_to_the_bit(self):
+        # the first-segment exit and the scan give the scan's point, gap and
+        # residual exactly, whether the point lies before the first kink or
+        # beyond several
+        crossed_counts = []
+        for h, s, w, target, d in ray_cases():
+            x, gap, r = approx_prox(h, s, w, target, d)
+            x_ref, gap_ref, r_ref = l1_ray_point(h.lam, s, w, target, d)
+            assert x.tobytes() == x_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+            assert np.float64(gap).tobytes() == np.float64(gap_ref).tobytes()
+            x_exact = h.prox(s, w)
+            crossed = (np.sign(x_exact) * d < 0) & (np.sign(x) != np.sign(x_exact))
+            crossed_counts.append(int(crossed.sum()))
+        crossed_counts = np.array(crossed_counts)
+        assert np.sum(crossed_counts == 0) >= 1000 and np.sum(crossed_counts >= 3) >= 20
 
     def test_one_gap_evaluation_per_call(self, rng, monkeypatch):
         import proxcert.errors as errors

@@ -3,7 +3,9 @@ import pytest
 
 from proxcert import (
     CompositeProblem,
+    FixedPointFormat,
     GradientErrorSpec,
+    L1Term,
     ProxErrorSpec,
     QuadraticSmooth,
     SolverConfig,
@@ -11,6 +13,7 @@ from proxcert import (
     run_accelerated,
     run_basic,
 )
+import proxcert.errors as errors
 from proxcert.errors import draw_tape
 from proxcert.solvers import alpha_series
 
@@ -22,6 +25,14 @@ def separable_problem(c, lam):
     c = np.asarray(c, dtype=float)
     quad = QuadraticSmooth(np.eye(len(c)), c, half=True)
     return CompositeProblem.from_quadratic(quad, lam)
+
+
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call; returns the record."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
 
 
 def pc_from_quad(quad):
@@ -250,6 +261,91 @@ class TestBacktrackingRuns:
             lhs = g.value(z)
             rhs = g.value(x) + g.grad(x) @ delta + delta @ delta / (2 * s)
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
+
+    def test_one_prox_per_trial_stepsize(self, small_lasso, monkeypatch):
+        # the accepted backtracking candidate is the next iterate: with
+        # eta = 1/2 a step that shrinks s j times tries j + 1 stepsizes, and
+        # no step proxes once more
+        calls = counted(monkeypatch, L1Term, "prox")
+        s0 = 20.0 / small_lasso.lipschitz
+        cfg = SolverConfig(stepsize=StepsizePolicy.backtracking(s0, eta=0.5), max_iters=50)
+        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
+        shrinks = np.log2(s0 / trace.steps[-1])
+        assert shrinks >= 2 and shrinks == round(shrinks)
+        assert len(calls) == trace.num_steps + round(shrinks)
+
+
+class TestFvals:
+    """``RunTrace.fvals``, evaluated once per run, equals f at each iterate."""
+
+    @staticmethod
+    def settings(problem):
+        target = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+        big = StepsizePolicy.constant(1000.0 / problem.lipschitz)
+        return {
+            "exact": {},
+            "target_gap": {"prox_error": target},
+            "relative": {
+                "grad_error": GradientErrorSpec(model="relative", mode="random", delta=1e-3)
+            },
+            "s16.8": {"grad_error": FixedPointFormat.parse("s16.8")},
+            "inner_solver": {"prox_error": ProxErrorSpec(mode="inner_solver", eps0=1e-6)},
+            "backtracking": {
+                "stepsize": StepsizePolicy.backtracking(20.0 / problem.lipschitz),
+                "prox_error": target,
+            },
+            "converged": {"abstol": 1e-9, "max_iters": 3000},
+            "diverging": {"stepsize": big, "max_iters": 5000},
+        }
+
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    @pytest.mark.parametrize(
+        "setting",
+        ["exact", "target_gap", "relative", "s16.8", "inner_solver", "backtracking",
+         "converged", "diverging"],
+    )
+    def test_equal_f_value_at_each_iterate(self, small_lasso, variant, setting):
+        kw = {"max_iters": 200, "seed": 5, **self.settings(small_lasso)[setting]}
+        trace = (run_accelerated if variant == "accelerated" else run_basic)(
+            small_lasso, SolverConfig(variant=variant, **kw), np.zeros(small_lasso.n)
+        )
+        expected_status = {"converged": "converged", "diverging": "non-finite-iterate"}
+        assert trace.status == expected_status.get(setting, "iteration-cap")
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_point = np.array([small_lasso.f_value(x) for x in trace.xs])
+        if setting == "diverging":
+            assert np.isnan(trace.fvals[-1])
+            per_point[-1] = np.nan
+        assert trace.fvals.tobytes() == per_point.tobytes()
+
+
+class TestHotPathBudget:
+    """Per-step oracle calls of the run loop, counted by monkeypatched wrappers."""
+
+    def test_target_gap_run(self, small_lasso, monkeypatch):
+        f_values = counted(monkeypatch, CompositeProblem, "f_value")
+        gap_evals = counted(monkeypatch, errors, "_gap_along")
+        proxes = counted(monkeypatch, L1Term, "prox")
+        cfg = SolverConfig(
+            max_iters=300,
+            grad_error=GradientErrorSpec(model="absolute", mode="random", delta=1e-3),
+            prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4),
+            seed=1,
+        )
+        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
+        assert trace.num_steps == 300
+        assert (len(f_values), len(gap_evals), len(proxes)) == (0, 300, 300)
+
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_quantized_run(self, small_lasso, monkeypatch, variant):
+        quantizes = counted(monkeypatch, FixedPointFormat, "quantize")
+        cfg = SolverConfig(
+            variant=variant, max_iters=40, grad_error=FixedPointFormat.parse("s16.8")
+        )
+        (run_accelerated if variant == "accelerated" else run_basic)(
+            small_lasso, cfg, np.zeros(small_lasso.n)
+        )
+        assert len(quantizes) == 2 * 40 + 2
 
 
 class TestErgodicAverage:
