@@ -18,26 +18,22 @@ from .bounds import SERIES_NAMES
 
 SCHEMA_VERSION = 1
 
-BOUNDS_HEADER = (
-    ["iter", "f_gap"]
-    + list(SERIES_NAMES)
-    + ["prob_thm_basic_rand", "prob_thm_basic_stat", "prob_thm_acc_rand"]
-)
+# the probabilistic series, whose probability columns follow the bound columns
+PROB_SERIES = ("thm_basic_rand", "thm_basic_stat", "thm_acc_rand")
 
-PROB_COLUMNS = {
-    "thm_basic_rand": "prob_thm_basic_rand",
-    "thm_basic_stat": "prob_thm_basic_stat",
-    "thm_acc_rand": "prob_thm_acc_rand",
-}
+BOUNDS_HEADER = ["iter", "f_gap"] + list(SERIES_NAMES) + [f"prob_{name}" for name in PROB_SERIES]
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    x = float(x)
-    if np.isnan(x):
-        return ""
-    return "%.17g" % x
+def fmt_column(values):
+    """CSV cells of a column of floats: %.17g, NaN as an empty cell."""
+    return ["" if v != v else "%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def write_csv(path, header, columns):
+    """Header line, then row k: the index k and the k-th cell of each column."""
+    rows = enumerate(zip(*columns))
+    lines = [",".join(header)] + [",".join((str(k),) + row) for k, row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def atomic_write_text(path, text):
@@ -72,43 +68,31 @@ def write_trace_csv(path, trace, f_star=None):
     """Rows k = 0..T; row k carries the state x^k plus the step-k quantities
     (stepsize, errors, and the residual r^{k+1} produced by that step)."""
     t = trace.num_steps
-    eps1n = trace.eps1_norms()
-    resn = trace.res_norms()
-    changes = trace.x_change()
-    lines = ["iter,f,f_gap,step,eps1_norm,eps2,res_norm,x_change"]
-    for k in range(t + 1):
-        f_gap = "" if f_star is None else _fmt(trace.fvals[k] - f_star)
-        if k < t:
-            step_cols = [
-                _fmt(trace.steps[k]),
-                _fmt(eps1n[k]),
-                _fmt(trace.eps2[k]),
-                _fmt(resn[k]),
-            ]
-        else:
-            step_cols = ["", "", "", ""]
-        change = _fmt(changes[k - 1]) if k >= 1 else ""
-        lines.append(
-            ",".join([str(k), _fmt(trace.fvals[k]), f_gap] + step_cols + [change])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    step_cols = (trace.steps, trace.eps1_norms(), trace.eps2, trace.res_norms())
+    columns = [
+        fmt_column(trace.fvals),
+        [""] * (t + 1) if f_star is None else fmt_column(trace.fvals - f_star),
+        *(fmt_column(c) + [""] for c in step_cols),
+        [""] + fmt_column(trace.x_change()),
+    ]
+    header = ["iter", "f", "f_gap", "step", "eps1_norm", "eps2", "res_norm", "x_change"]
+    write_csv(path, header, columns)
 
 
 def write_bounds_csv(path, series_list, f_gap):
     """Fixed-schema bound sweep; absent series emit empty cells."""
     by_name = {s.name: s for s in series_list}
     t = len(f_gap)
-    lines = [",".join(BOUNDS_HEADER)]
-    for k in range(t):
-        row = [str(k), _fmt(f_gap[k])]
-        for name in SERIES_NAMES:
-            s = by_name.get(name)
-            row.append(_fmt(s.values[k]) if s is not None else "")
-        for name, _col in PROB_COLUMNS.items():
-            s = by_name.get(name)
-            row.append(_fmt(s.probability[k]) if s is not None else "")
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [fmt_column(f_gap)]
+    columns += [
+        fmt_column(by_name[name].values) if name in by_name else [""] * t
+        for name in SERIES_NAMES
+    ]
+    columns += [
+        fmt_column(by_name[name].probability) if name in by_name else [""] * t
+        for name in PROB_SERIES
+    ]
+    write_csv(path, BOUNDS_HEADER, columns)
 
 
 def write_comparison_csv(path, series_list, f_gap, baseline_name):
@@ -123,18 +107,11 @@ def write_comparison_csv(path, series_list, f_gap, baseline_name):
         + [f"imprv_{s.name}" for s in ours]
     )
     t = len(f_gap)
-    lines = [",".join(header)]
-    for k in range(t):
-        row = [str(k), _fmt(f_gap[k])]
-        for s in series_list:
-            row.append(_fmt(s.values[k]))
-        for s in ours:
-            if baseline is None:
-                row.append("")
-            else:
-                row.append(_fmt(baseline.values[k] - s.values[k]))
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [fmt_column(f_gap)] + [fmt_column(s.values) for s in series_list]
+    columns += [
+        [""] * t if baseline is None else fmt_column(baseline.values - s.values) for s in ours
+    ]
+    write_csv(path, header, columns)
 
 
 def save_iterates_bin(path, trace):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 import time
@@ -395,10 +396,8 @@ def cmd_run(cfg, command):
     steps = _get_int(cfg, "mpc", "closed_loop_steps") if spec is not None else None
     if steps:
         report = mpc_closed_loop(spec, config, steps)
-        lines = ["step,state_norm"] + [
-            f"{i},{artifacts._fmt(v)}" for i, v in enumerate(report.state_norms)
-        ]
-        artifacts.atomic_write_text(os.path.join(out, "closed_loop.csv"), "\n".join(lines) + "\n")
+        norms = artifacts.fmt_column(report.state_norms)
+        artifacts.write_csv(os.path.join(out, "closed_loop.csv"), ["step", "state_norm"], [norms])
         extra["closed_loop_status"] = report.status
     return certify(cfg, problem, trace, spec, extra)
 
@@ -498,6 +497,7 @@ def cmd_quantize(cfg):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="proxcert",

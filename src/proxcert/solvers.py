@@ -152,6 +152,7 @@ def _run(problem, config, x0, accelerated):
     s = policy.s0
     x_prev = x0
     x = x0
+    g_x = None  # g(x^k), when backtracking has evaluated it as the accepted z
     alpha_k = 1.0
     # overflow during divergence is an expected, reported outcome
     with np.errstate(over="ignore", invalid="ignore"):
@@ -170,15 +171,18 @@ def _run(problem, config, x0, accelerated):
                 noisy, eps1 = quantized_gradient(gspec, quad_q, y, g)
             else:
                 noisy, eps1 = g, zero
+            g_next = None
             if policy.mode == "backtracking":
-                s, z = backtrack_stepsize(problem, s, y, noisy, eta=policy.eta)
+                g_y = None if accelerated else g_x  # a basic step probes at x^k
+                s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
             w = y - s * noisy
             if tape.targets is not None:
                 x_next, gap, r = approx_prox(problem.reg, s, w, tape.targets[k], tape.directions[k])
             elif inner:
                 x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
             elif policy.mode == "backtracking":
-                x_next, gap, r = z, 0.0, zero  # the accepted candidate is prox(s, w)
+                # the accepted candidate is prox(s, w), and g(z) is known
+                x_next, gap, r, g_next = z, 0.0, zero, g_z
             else:
                 x_next, gap, r = problem.prox(s, w), 0.0, zero
 
@@ -197,7 +201,7 @@ def _run(problem, config, x0, accelerated):
             if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
                 status = "converged"
                 break
-            x_prev, x = x, x_next
+            x_prev, x, g_x = x, x_next, g_next
         xs = np.asarray(xs)
         fvals = problem.f_values(xs)
     if status == "non-finite-iterate":

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's own code paths: golden-section and
 grid minimization, central finite differences, exact second differences of
-quadratics, and brute-force sums.
+quadratics, brute-force sums, and CSV artifacts formatted one cell at a time.
 """
 
 import numpy as np
@@ -105,3 +105,77 @@ def l1_ray_point(lam, s, w, target, d):
     )
     gap = lam * float(l1_change.sum()) + (2.0 * t * xw + t * t * dd) / (2.0 * s)
     return x + step, gap, step
+
+
+def _fmt(x):
+    if x is None:
+        return ""
+    x = float(x)
+    if np.isnan(x):
+        return ""
+    return "%.17g" % x
+
+
+def trace_csv_text(trace, f_star=None):
+    """``trace.csv`` formatted cell by cell, one row per k."""
+    t = trace.num_steps
+    eps1n = trace.eps1_norms()
+    resn = trace.res_norms()
+    changes = trace.x_change()
+    lines = ["iter,f,f_gap,step,eps1_norm,eps2,res_norm,x_change"]
+    for k in range(t + 1):
+        f_gap = "" if f_star is None else _fmt(trace.fvals[k] - f_star)
+        if k < t:
+            step_cols = [
+                _fmt(trace.steps[k]),
+                _fmt(eps1n[k]),
+                _fmt(trace.eps2[k]),
+                _fmt(resn[k]),
+            ]
+        else:
+            step_cols = ["", "", "", ""]
+        change = _fmt(changes[k - 1]) if k >= 1 else ""
+        lines.append(",".join([str(k), _fmt(trace.fvals[k]), f_gap] + step_cols + [change]))
+    return "\n".join(lines) + "\n"
+
+
+# the fixed bounds.csv schema documented in the README
+BOUNDS_HEADER = (
+    "iter,f_gap,thm_basic_det,cor_basic_det,thm_basic_rand,thm_basic_stat,thm_acc_det,"
+    "cor_acc_det,thm_acc_rand,schmidt_basic,schmidt_acc,"
+    "prob_thm_basic_rand,prob_thm_basic_stat,prob_thm_acc_rand"
+)
+
+
+def bounds_csv_text(series_list, f_gap):
+    """``bounds.csv`` formatted cell by cell."""
+    names = BOUNDS_HEADER.split(",")[2:]
+    bound_names = [n for n in names if not n.startswith("prob_")]
+    prob_names = [n[len("prob_"):] for n in names if n.startswith("prob_")]
+    by_name = {s.name: s for s in series_list}
+    lines = [BOUNDS_HEADER]
+    for k in range(len(f_gap)):
+        row = [str(k), _fmt(f_gap[k])]
+        for name in bound_names:
+            s = by_name.get(name)
+            row.append(_fmt(s.values[k]) if s is not None else "")
+        for name in prob_names:
+            s = by_name.get(name)
+            row.append(_fmt(s.probability[k]) if s is not None else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def comparison_csv_text(series_list, f_gap, baseline_name):
+    """``comparison.csv`` formatted cell by cell."""
+    by_name = {s.name: s for s in series_list}
+    baseline = by_name.get(baseline_name)
+    ours = [s for s in series_list if s.name != baseline_name]
+    header = ["iter", "f_gap"] + [s.name for s in series_list] + [f"imprv_{s.name}" for s in ours]
+    lines = [",".join(header)]
+    for k in range(len(f_gap)):
+        row = [str(k), _fmt(f_gap[k])]
+        row += [_fmt(s.values[k]) for s in series_list]
+        row += ["" if baseline is None else _fmt(baseline.values[k] - s.values[k]) for s in ours]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

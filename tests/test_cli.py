@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from proxcert.cli import main
+from proxcert.cli import build_parser, main
 
 
 def run_cli(args):
@@ -127,10 +127,12 @@ class TestConfigErrors:
             ("verify", "[verify]\ngammas = 1,x\n", None),
             ("lasso", "", '{"n": 1, "M": [1], "v": [1]}'),  # lasso builds its own problem
             ("mpc", "", '{"n": 1, "M": [1], "v": [1]}'),  # so does mpc
+            ("solve", "", '{"n": 2, "M": [1, NaN], "v": [1]}'),
+            ("solve", "", '{"n": 1, "M": [1], "v": [1], "lambda": 1e999}'),
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
-             "mpc_problem_file"],
+             "mpc_problem_file", "nan_in_m", "infinite_lambda"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -161,6 +163,16 @@ class TestQuantizeCommand:
     def test_custom_values(self, capsys):
         assert run_cli(["quantize", "--format", "s8.4", "1.3"]) == 0
         assert "1.3125" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        parser = build_parser()
+        assert run_cli(["quantize", "--format", "s8.4", "2.71"]) == 0
+        assert run_cli(["quantize", "--bogus"]) == 2
+        capsys.readouterr()
+        assert run_cli(["quantize", "--format", "u8.4"]) == 0
+        out = capsys.readouterr().out
+        assert "2.71" not in out and "0.026" in out  # the default sample inputs
+        assert build_parser() is parser
 
 
 class TestMpcCommand:

@@ -132,7 +132,7 @@ class TestBacktracking:
         prob = CompositeProblem.from_quadratic(quad, 0.1)
         s0 = 1.0 / prob.lipschitz
         x = rng.standard_normal(4)
-        s, _ = backtrack_stepsize(prob, s0, x, prob.grad(x))
+        s, _, _ = backtrack_stepsize(prob, s0, x, prob.grad(x))
         assert s == s0
 
     def test_oversized_stepsize_shrinks_until_descent(self, rng):
@@ -142,7 +142,7 @@ class TestBacktracking:
         s0 = 4.0 / L
         x = rng.standard_normal(4)
         g = prob.grad(x)
-        s, z = backtrack_stepsize(prob, s0, x, g, eta=0.5)
+        s, z, _ = backtrack_stepsize(prob, s0, x, g, eta=0.5)
         assert any(np.isclose(s, s0 * 0.5**j) for j in range(20))
         # descent inequality holds at the accepted s
         delta = z - x
@@ -223,3 +223,72 @@ class TestSerialization:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             problem_from_json({"n": 1, "M": [1.0], "v": [0.0], "scale": 0.7, "lambda": 0.0})
+
+
+def decode_document(rng):
+    """JSON text of a problem whose numbers stress a decoder: signed zeros,
+    the smallest subnormal, the smallest normal, the largest double, halfway
+    and long-digit literals, and random doubles of every exponent, written in
+    repr, %.17g and %.16e form."""
+    special = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 9007199254740993.0,
+    ]
+    literals = [
+        "2.2250738585072011e-308",  # the slow path of older strtod implementations
+        "1.00000000000000011102230246251565404236316680908203125",  # halfway: rounds to even
+        "1.00000000000000011102230246251565404236316680908203126",  # just above halfway
+        "9007199254740993",  # 2^53 + 1 as an integer literal
+        "123456789012345678901234567890e-320",
+        "1E+300", "1e-05", "-7", "0e0",
+    ]
+    randoms = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    randoms = randoms[np.isfinite(randoms)]
+    wide = rng.standard_normal(600) * 10.0 ** rng.integers(-320, 308, 600).astype(float)
+    subnormal = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
+    forms = (repr, "%.17g".__mod__, "%.16e".__mod__)
+    cells = [repr(x) for x in special] + literals
+    drawn = np.concatenate([randoms, wide, subnormal, -subnormal])
+    cells += [forms[i % 3](float(x)) for i, x in enumerate(drawn)]
+    cells = [c for c in cells if np.isfinite(float(c))]
+    n = 7
+    m = len(cells) // (n + 1)
+    mat, vec = cells[: m * n], cells[m * n : m * n + m]
+    return (
+        '{"n": %d, "M": [%s], "v": [%s], "scale": 0.5, "lambda": 5e-324, '
+        '"L": 1.7976931348623157e308}' % (n, ", ".join(mat), ", ".join(vec))
+    )
+
+
+class TestDecode:
+    """``problem_from_json`` decodes every number as the standard library does."""
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "dict"])
+    def test_bits_match_stdlib_json(self, rng, kind):
+        text = decode_document(rng)
+        ref = json.loads(text)
+        doc = {"str": text, "bytes": text.encode(), "dict": ref}[kind]
+        prob = problem_from_json(doc)
+        n, v = ref["n"], np.asarray(ref["v"], dtype=float)
+        mat = np.asarray(ref["M"], dtype=float).reshape(len(v), n)
+        assert mat.size > 2000 and np.any(np.signbit(mat) & (mat == 0.0))
+        assert prob.smooth.mat.tobytes() == mat.tobytes()
+        assert prob.smooth.vec.tobytes() == v.tobytes()
+        assert np.float64(prob.reg.lam).tobytes() == np.float64(ref["lambda"]).tobytes()
+        assert np.float64(prob.lipschitz).tobytes() == np.float64(ref["L"]).tobytes()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "M": [float("nan")], "v": [0.0]},
+            {"n": 1, "M": [1.0], "v": ["inf"]},
+            {"n": 1, "M": [1.0], "v": [0.0], "lambda": float("inf")},
+            {"n": 1, "M": [1.0], "v": [0.0], "L": "-inf"},
+            '{"n": 1, "M": [NaN], "v": [0.0]}',
+            b'{"n": 1, "M": [1.0], "v": [0.0], "lambda": 1e999}',
+        ],
+        ids=["nan_m", "inf_v", "inf_lambda", "inf_l", "nan_text", "overflow_text"],
+    )
+    def test_non_finite_data_rejected(self, doc):
+        with pytest.raises(ValueError):
+            problem_from_json(doc)

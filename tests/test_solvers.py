@@ -347,6 +347,29 @@ class TestHotPathBudget:
         )
         assert len(quantizes) == 2 * 40 + 2
 
+    @pytest.mark.parametrize(
+        "variant, prox, probes",
+        [("basic", "exact", 1), ("accelerated", "exact", 100), ("basic", "target_gap", 100)],
+    )
+    def test_backtracking_run(self, small_lasso, monkeypatch, variant, prox, probes):
+        # each trial stepsize evaluates g once at its candidate z; g(probe) is
+        # evaluated only where the probe is not the previous step's accepted
+        # z: at x^0, at every momentum point, and after every inexact prox
+        values = counted(monkeypatch, QuadraticSmooth, "value")
+        s0 = 20.0 / small_lasso.lipschitz
+        cfg = SolverConfig(
+            variant=variant,
+            stepsize=StepsizePolicy.backtracking(s0, eta=0.5),
+            max_iters=100,
+            prox_error=ProxErrorSpec(mode=prox, eps0=1e-4 if prox == "target_gap" else 0.0),
+        )
+        trace = (run_accelerated if variant == "accelerated" else run_basic)(
+            small_lasso, cfg, np.zeros(small_lasso.n)
+        )
+        shrinks = round(np.log2(s0 / trace.steps[-1]))
+        assert trace.num_steps == 100 and shrinks == 4
+        assert len(values) == probes + 100 + shrinks
+
 
 class TestErgodicAverage:
     def test_constant_iterates(self):
