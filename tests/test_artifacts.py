@@ -21,19 +21,19 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0
 
 
 def runs(problem):
-    """(name, trace) of a basic, an accelerated and a diverged run."""
+    """A basic, an accelerated (noisy) and a diverged run."""
     noisy = dict(
         grad_error=GradientErrorSpec(model="absolute", mode="random", delta=1e-3),
         prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4),
         seed=2,
     )
     x0 = np.zeros(problem.n)
-    yield "basic", run_basic(problem, SolverConfig(max_iters=40), x0)
-    yield "accelerated", run_accelerated(problem, SolverConfig(max_iters=40, **noisy), x0)
+    yield run_basic(problem, SolverConfig(max_iters=40), x0)
+    yield run_accelerated(problem, SolverConfig(max_iters=40, **noisy), x0)
     big = StepsizePolicy.constant(1000.0 / problem.lipschitz)
     diverged = run_basic(problem, SolverConfig(stepsize=big, max_iters=2000), x0)
     assert diverged.status == "non-finite-iterate"
-    yield "diverged", diverged
+    yield diverged
 
 
 def planted(trace):
@@ -70,7 +70,7 @@ class TestCsvWritersMatchPerCellOracle:
     def test_trace_csv(self, tmp_path, small_lasso, small_lasso_ref):
         _, f_star = small_lasso_ref
         path = tmp_path / "trace.csv"
-        for _, trace in runs(small_lasso):
+        for trace in runs(small_lasso):
             for tr in (trace, planted(trace)):
                 for fs in (f_star, None, -0.0):
                     write_trace_csv(path, tr, fs)
@@ -79,7 +79,7 @@ class TestCsvWritersMatchPerCellOracle:
     def test_bounds_and_comparison_csv(self, tmp_path, small_lasso, small_lasso_ref):
         x_star, f_star = small_lasso_ref
         bounds, comparison = tmp_path / "bounds.csv", tmp_path / "comparison.csv"
-        for _, trace in runs(small_lasso):
+        for trace in runs(small_lasso):
             variant = "accelerated" if trace.ys is not None else "basic"
             params = BoundParams.from_trace(small_lasso, trace, x_star, model="absolute")
             series = evaluate_all_series(trace, params, x_star, variant)
