@@ -322,7 +322,8 @@ def certify(cfg, problem, trace, spec=None, extra=None):
     """
     out = cfg["run"]["out"]
     accelerated = trace.ys is not None
-    x_star, f_star = reference_solution(problem)
+    ref = reference_solution(problem)
+    x_star, f_star = ref
     params = _bound_params(cfg, problem, trace, x_star)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
     series = evaluate_all_series(trace, params, x_star, "accelerated" if accelerated else "basic")
@@ -344,6 +345,7 @@ def certify(cfg, problem, trace, spec=None, extra=None):
         "status": trace.status,
         "final_f_gap": float(trace.fvals[-1] - f_star),
         "f_star": float(f_star),
+        "ref_duality_gap": float(ref.gap),
         "dist0": params.dist0,
         "stepsize": params.s,
         "lipschitz": problem.lipschitz,

@@ -14,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..problems import CompositeProblem, QuadraticSmooth, as_vector, symmetric_sqrt
+from ..problems import (
+    CompositeProblem, QuadraticSmooth, as_vector, lambda_max_bound, symmetric_sqrt,
+)
 from ..solvers import run as run_solver
 
 SPACECRAFT_A = np.array(
@@ -130,7 +132,8 @@ class MpcSpec:
         """``(Q, H, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``.
 
         None of these depend on the state, so the condensations of one
-        horizon share them.
+        horizon share them.  g has Hessian 2H, and H is the Gram matrix of
+        ``[Q^{1/2} Phi; R^{1/2}]``, whose row count sets L's margin.
         """
         if "weights" not in self._cache:
             _, phi = self.prediction_matrices()
@@ -140,8 +143,8 @@ class MpcSpec:
             if eigs[0] <= 0:
                 raise ValueError("Phi'QPhi + R is not positive definite")
             root, inv_root = symmetric_sqrt(normal)
-            # g has Hessian 2H
-            self._cache["weights"] = (q_full, normal, root, inv_root, 2.0 * float(eigs[-1]))
+            lipschitz = 2.0 * lambda_max_bound(eigs[-1], sum(phi.shape))
+            self._cache["weights"] = (q_full, normal, root, inv_root, lipschitz)
         return self._cache["weights"]
 
     def output_weight(self):

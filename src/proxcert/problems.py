@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import orjson
@@ -34,7 +33,8 @@ def power_iteration(mat, iters=200, rtol=1e-10, seed=0, return_converged=False):
     """Largest eigenvalue of ``mat.T @ mat`` (squared top singular value).
 
     Runs at most ``iters`` iterations, stopping early once the Rayleigh
-    quotient changes by less than ``rtol`` relatively.
+    quotient changes by less than ``rtol`` relatively.  The estimate lies
+    below the eigenvalue; no L is taken from it.
     """
     mat = np.asarray(mat, dtype=float)
     rng = np.random.default_rng(seed)
@@ -55,6 +55,17 @@ def power_iteration(mat, iters=200, rtol=1e-10, seed=0, return_converged=False):
             break
         lam = lam_new
     return (lam, converged) if return_converged else lam
+
+
+def lambda_max_bound(top, dim):
+    """Upper bound on ``sigma_max(M)^2`` from ``top``, the ``eigvalsh`` maximum
+    of the Gram matrix ``M'M`` or ``MM'`` of an ``m x n`` M, ``dim = max(m, n)``.
+
+    Forming and eigensolving the Gram matrix move ``top`` by a few units of
+    ``dim * eps * sigma_max(M)^2``, so ``top * (1 + 4 dim eps)`` keeps the
+    1/L stepsize premise, at most 4.4e-13 relative high for ``dim <= 500``.
+    """
+    return max(0.0, float(top)) * (1.0 + 4.0 * dim * np.finfo(float).eps)
 
 
 def symmetric_sqrt(mat):
@@ -123,12 +134,11 @@ class QuadraticSmooth:
         return g if self.half else 2.0 * g
 
     def lipschitz(self):
-        smax_sq, converged = power_iteration(self.mat, return_converged=True)
-        if not converged:
-            # nearly degenerate top of the spectrum: the iteration cap binds
-            # before 1e-6 accuracy; fall back to the exact dense eigensolve
-            # so the 1/L stepsize premise stays valid
-            smax_sq = float(np.linalg.eigvalsh(self.mat.T @ self.mat)[-1])
+        """``sigma_max(M)^2`` (times 2 unscaled), from the smaller Gram matrix
+        ``M'M`` or ``MM'`` and raised to an upper bound by ``lambda_max_bound``."""
+        m, n = self.mat.shape
+        gram = self.mat.T @ self.mat if m >= n else self.mat @ self.mat.T
+        smax_sq = lambda_max_bound(np.linalg.eigvalsh(gram)[-1], max(m, n))
         return smax_sq if self.half else 2.0 * smax_sq
 
 
@@ -177,27 +187,22 @@ class CompositeProblem:
     """The pair (g, h) plus the gradient Lipschitz constant.
 
     ``smooth`` needs ``value``/``grad``; ``reg`` needs ``value``/``prox``.
-    ``x_star``/``f_star`` are optional diagnostics (a known optimum).
     """
 
     n: int
     smooth: QuadraticSmooth
     reg: L1Term
     lipschitz: float
-    x_star: Optional[np.ndarray] = None
-    f_star: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_quadratic(cls, quad, lam, x_star=None, f_star=None, meta=None, lipschitz=None):
+    def from_quadratic(cls, quad, lam, meta=None, lipschitz=None):
         """``quad + lam ||.||_1``; L is ``quad.lipschitz()`` unless already known."""
         return cls(
             n=quad.n,
             smooth=quad,
             reg=L1Term(lam),
             lipschitz=quad.lipschitz() if lipschitz is None else lipschitz,
-            x_star=None if x_star is None else np.asarray(x_star, dtype=float),
-            f_star=f_star,
             meta=meta or {},
         )
 
@@ -212,6 +217,22 @@ class CompositeProblem:
     def f_values(self, xs):
         """``f_value`` at each row of ``xs``."""
         return self.smooth.values(xs) + self.reg.lam * np.abs(xs).sum(axis=1)
+
+    def dual_lower_bound(self, x):
+        """Lower bound on min f from the residual at ``x``.
+
+        ``f`` is ``(1/2)||A x - y||^2 + lam ||x||_1`` with ``(A, y) = sqrt(c) (M, v)``,
+        ``c = 1`` half-scaled and 2 unscaled.  ``theta = r / max(1, ||A'r||_inf / lam)``,
+        ``r = y - A x``, is dual feasible, so ``||y||^2/2 - ||y - theta||^2/2 <= f*``
+        (Fercoq, Gramfort & Salmon, ICML 2015), with equality at the optimum.
+        With ``lam = 0``, ``theta = r`` is feasible only at a least-squares solution.
+        """
+        quad, lam = self.smooth, self.reg.lam
+        c = 1.0 if quad.half else 2.0
+        r = quad.vec - quad.mat @ as_vector(x, self.n)  # the docstring's r over sqrt(c)
+        scale = max(1.0, c * float(np.abs(quad.mat.T @ r).max()) / lam) if lam > 0 else 1.0
+        rest = quad.vec - r / scale
+        return 0.5 * c * (float(quad.vec @ quad.vec) - float(rest @ rest))
 
     def prox(self, s, y):
         return self.reg.prox(s, y)
@@ -319,10 +340,14 @@ def problem_from_json(doc):
 
     Text is decoded with ``orjson``: the same doubles as the standard
     library's ``json``, several times faster on a large ``M``.  Raises
-    ``ValueError`` on malformed or non-finite data.
+    ``ValueError`` on malformed or non-finite data, an ``n`` that is not a
+    positive integer and an ``L`` (given or computed) that is not positive.
     """
     doc = dict(doc) if isinstance(doc, dict) else orjson.loads(doc)
-    n = int(doc["n"])
+    n = float(doc["n"])
+    if not (n.is_integer() and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {doc['n']!r}")
+    n = int(n)
     v = np.asarray(doc["v"], dtype=float)
     mat = np.asarray(doc["M"], dtype=float).reshape(len(v), n)
     scale = float(doc.get("scale", 1.0))
@@ -334,4 +359,7 @@ def problem_from_json(doc):
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
     quad = QuadraticSmooth(mat, v, half=scale == 0.5)
-    return CompositeProblem.from_quadratic(quad, lam, lipschitz=lipschitz)
+    problem = CompositeProblem.from_quadratic(quad, lam, lipschitz=lipschitz)
+    if not problem.lipschitz > 0:
+        raise ValueError(f"L must be positive, got {problem.lipschitz!r}")
+    return problem

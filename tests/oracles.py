@@ -70,6 +70,24 @@ def quadratic_hessian(f, n):
     return hess
 
 
+def svd_smax_sq(mat):
+    """Squared largest singular value of ``mat`` from a full SVD."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    return float(np.linalg.svd(mat, compute_uv=False)[0]) ** 2 if mat.size else 0.0
+
+
+def l1_dual_bound(mat, vec, lam, x, half):
+    """Dual objective ``y'theta - ||theta||^2/2`` at the rescaled residual of
+    ``x`` for ``c ||M x - v||^2 + lam ||x||_1`` (``c`` = 1/2 or 1), written
+    as ``(1/2)||A x - y||^2 + lam ||x||_1`` with ``A``, ``y`` scaled by
+    ``sqrt(2c)``; a lower bound on the minimum for every ``x``."""
+    root = 1.0 if half else np.sqrt(2.0)
+    a, y = root * np.asarray(mat, dtype=float), root * np.asarray(vec, dtype=float)
+    theta = y - a @ x
+    theta /= max(1.0, np.max(np.abs(a.T @ theta)) / lam)
+    return float(y @ theta) - 0.5 * float(theta @ theta)
+
+
 def l1_ray_point(lam, s, w, target, d):
     """Point on the ray from the exact prox of ``s lam ||.||_1`` at which the
     prox-subproblem gap reaches 0.95 * target, by a full sort-and-scan.

@@ -4,7 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from proxcert import reference_solution
 from proxcert.cli import build_parser, main
+from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
+
+from oracles import l1_dual_bound
 
 
 def run_cli(args):
@@ -129,10 +133,17 @@ class TestConfigErrors:
             ("mpc", "", '{"n": 1, "M": [1], "v": [1]}'),  # so does mpc
             ("solve", "", '{"n": 2, "M": [1, NaN], "v": [1]}'),
             ("solve", "", '{"n": 1, "M": [1], "v": [1], "lambda": 1e999}'),
+            ("solve", "", '{"n": 1, "M": [1], "v": [1], "L": 0}'),
+            ("solve", "", '{"n": 1, "M": [1], "v": [1], "L": -1}'),
+            ("solve", "", '{"n": 1, "M": [0], "v": [1]}'),  # computed L is 0
+            ("solve", "", '{"n": 2.5, "M": [1, 2], "v": [1]}'),
+            ("solve", "", '{"n": 0, "M": [], "v": []}'),
+            ("solve", "", '{"n": -1, "M": [1], "v": [1]}'),
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
-             "mpc_problem_file", "nan_in_m", "infinite_lambda"],
+             "mpc_problem_file", "nan_in_m", "infinite_lambda", "zero_l", "negative_l",
+             "zero_matrix", "fractional_n", "zero_n", "negative_n"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -247,6 +258,27 @@ class TestBoundsCommand:
             assert recomputed.pop("status") == "loaded"
             stored.pop("status")
             assert recomputed == stored
+
+    def test_reference_duality_gap_in_summary(self, tmp_path, toy_config):
+        # the reference is certified to 1e-10 of f*, solve and mpc alike, and
+        # the gap is f* minus an independent dual bound at the reference point
+        runs = {
+            "solve": (["solve", "--config", str(toy_config)],
+                      lasso_problem(gen_lasso(n=20, m=50, seed=7))),
+            "mpc": (["mpc", "--iters", "20"],
+                    mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7)))),
+        }
+        for command, (args, problem) in runs.items():
+            assert run_cli(args + ["--out", str(tmp_path / command)]) == 0
+            summary = read_summary(tmp_path / command)
+            gap, f_star = summary["ref_duality_gap"], summary["f_star"]
+            assert -1e-12 * abs(f_star) <= gap <= 1e-10 * abs(f_star), command
+            ref = reference_solution(problem)
+            x_star, _ = ref
+            assert gap == ref.gap
+            quad = problem.smooth
+            lower = l1_dual_bound(quad.mat, quad.vec, problem.reg.lam, x_star, quad.half)
+            assert gap == pytest.approx(f_star - lower, rel=0.0, abs=1e-12 * abs(f_star))
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2

@@ -13,9 +13,10 @@ from proxcert import (
     problem_from_json,
     problem_to_json,
 )
+from proxcert.experiments import mpc_to_lasso, spacecraft_mpc
 from proxcert.problems import power_iteration, symmetric_sqrt
 
-from oracles import central_diff_gradient, golden_section
+from oracles import central_diff_gradient, golden_section, svd_smax_sq
 
 
 def toy_problem(mat, vec, lam=0.0, half=False):
@@ -191,6 +192,48 @@ class TestPowerIteration:
         assert QuadraticSmooth(mat, np.zeros(5), half=False).lipschitz() == pytest.approx(
             2 * truth, rel=1e-6
         )
+
+
+class TestLipschitzUpperBound:
+    """L is never below sigma_max(M)^2 (times 2 unscaled) and at most 1e-12
+    relative above it."""
+
+    @staticmethod
+    def matrices(rng):
+        low_rank = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 40))
+        scaled = rng.standard_normal((30, 20)) * np.logspace(-6, 6, 20)
+        yield from (
+            ("tall", rng.standard_normal((500, 100))),
+            ("wide", rng.standard_normal((100, 500))),
+            ("square", rng.standard_normal((50, 50))),
+            ("rank_deficient", low_rank),
+            ("duplicated_columns", np.repeat(rng.standard_normal((20, 5)), 2, axis=1)),
+            ("badly_scaled", scaled),
+            ("row", rng.standard_normal((1, 7))),
+            ("column", rng.standard_normal((7, 1))),
+            ("zero", np.zeros((6, 4))),
+        )
+
+    def test_upper_bound_against_svd(self, rng):
+        for name, mat in self.matrices(rng):
+            truth = svd_smax_sq(mat)
+            for half, factor in ((True, 1.0), (False, 2.0)):
+                L = QuadraticSmooth(mat, np.zeros(mat.shape[0]), half=half).lipschitz()
+                assert L >= factor * truth, name
+                assert L <= factor * truth * (1.0 + 1e-12), name
+
+    def test_mpc_lipschitz_bounds_the_stacked_factor(self):
+        # H = Phi'Q Phi + R is the Gram matrix of [Q^{1/2} Phi; R^{1/2}]
+        for n_p in (2, 5, 10, 15):
+            spec = spacecraft_mpc(n_p=n_p)
+            _, phi = spec.prediction_matrices()
+            factor = np.vstack(
+                [np.sqrt(np.diag(spec.output_weight()))[:, None] * phi,
+                 np.diag(np.sqrt(np.diag(spec.input_weight())))]
+            )
+            truth = 2.0 * svd_smax_sq(factor)
+            L = mpc_to_lasso(spec).lipschitz
+            assert truth <= L <= truth * (1.0 + 1e-12), n_p
 
 
 class TestSymmetricSqrt:

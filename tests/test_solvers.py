@@ -14,10 +14,12 @@ from proxcert import (
     run_basic,
 )
 import proxcert.errors as errors
+import proxcert.solvers as solvers
 from proxcert.errors import draw_tape
-from proxcert.solvers import alpha_series
+from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
+from proxcert.solvers import alpha_series, reference_solution
 
-from oracles import grid_min
+from oracles import grid_min, l1_dual_bound
 
 
 def separable_problem(c, lam):
@@ -417,6 +419,103 @@ class TestQuasiFejer:
             + params.c_rho
         )
         assert np.all(dists[1:] <= bound + 1e-12)
+
+
+REF_RTOL = 1e-10  # the duality-gap tolerance reference_solution documents
+
+
+def independent_gap(problem, x, f):
+    quad = problem.smooth
+    return f - l1_dual_bound(quad.mat, quad.vec, problem.reg.lam, x, quad.half)
+
+
+def reference_cases():
+    inst = gen_lasso(n=20, m=50, seed=7)
+    zero_lam = float(np.abs(inst.a.T @ inst.y).max())
+    yield "lasso_20x50", lasso_problem(inst)
+    yield "lasso_100x500", lasso_problem(gen_lasso(n=100, m=500, seed=0))
+    yield "lasso_wide_500x100", lasso_problem(gen_lasso(n=500, m=100, seed=3))
+    for factor in (1.0, 2.0):  # lam >= ||A'y||_inf: x* = 0
+        yield f"lasso_x_star_zero_{factor}", lasso_problem(
+            gen_lasso(n=20, m=50, seed=7, lam=factor * zero_lam)
+        )
+    rng = np.random.default_rng(20)
+    for i in range(4):
+        x0 = rng.uniform(-1.0, 1.0, 7)
+        for n_p in (2, 10):
+            yield f"mpc_{n_p}_{i}", mpc_to_lasso(spacecraft_mpc(n_p=n_p, x0=x0))
+
+
+class TestReferenceSolution:
+    @pytest.mark.parametrize(
+        "name, problem", [pytest.param(*case, id=case[0]) for case in reference_cases()]
+    )
+    def test_certified_within_tolerance(self, name, problem):
+        ref = reference_solution(problem)
+        x_star, f_star = ref
+        assert f_star == problem.f_value(x_star)
+        gap = independent_gap(problem, x_star, f_star)
+        assert gap <= REF_RTOL * abs(f_star), name
+        assert ref.gap == pytest.approx(gap, rel=0.0, abs=1e-12 * max(1.0, abs(f_star)))
+        if name.startswith("lasso_x_star_zero"):
+            assert not x_star.any() and ref.gap == 0.0
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lasso_problem(gen_lasso(n=20, m=50, seed=7)),
+            lasso_problem(gen_lasso(n=100, m=500, seed=0)),
+            mpc_to_lasso(spacecraft_mpc(n_p=2, x0=0.5 * np.ones(7))),
+            mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7))),
+        ],
+        ids=["lasso_20x50", "lasso_100x500", "mpc_2", "mpc_10"],
+    )
+    def test_matches_long_fista_run(self, problem):
+        x_star, _ = reference_solution(problem)
+        config = SolverConfig(variant="accelerated", max_iters=3000)
+        x_long = run_accelerated(problem, config, np.zeros(problem.n)).xs[-1]
+        assert np.abs(x_star - x_long).max() <= 1e-8
+
+    def test_polish_certifies_within_a_few_segments(self, monkeypatch):
+        # at most four 25-step segments; FISTA alone needs about 1,900 steps
+        # at MPC N=10
+        for problem in (
+            lasso_problem(gen_lasso(n=100, m=500, seed=0)),
+            mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7))),
+        ):
+            segments = counted(monkeypatch, solvers, "run_accelerated")
+            ref = reference_solution(problem)
+            assert len(segments) <= 4 and ref.gap <= REF_RTOL * abs(ref[1])
+            monkeypatch.undo()
+
+    def test_singular_support_system_falls_back_to_fista(self):
+        # duplicating the optimum's support columns makes M_S'M_S singular;
+        # the optimum value is unchanged and FISTA splits each weight evenly
+        inst = gen_lasso(n=20, m=50, seed=7)
+        base = lasso_problem(inst)
+        x_base, f_base = reference_solution(base)
+        support = np.flatnonzero(x_base)
+        assert support.size >= 2
+        mat = np.hstack([inst.a, inst.a[:, support]])
+        problem = CompositeProblem.from_quadratic(
+            QuadraticSmooth(mat, inst.y, half=True), inst.lam
+        )
+        ref = reference_solution(problem)
+        x_star, f_star = ref
+        assert np.all(x_star[support] != 0.0)
+        assert np.allclose(x_star[support], x_star[20:], rtol=1e-12, atol=0.0)
+        assert f_star == pytest.approx(f_base, rel=1e-12)
+        assert np.isfinite(ref.gap)
+        assert ref.gap == pytest.approx(independent_gap(problem, x_star, f_star), abs=1e-12)
+        assert ref.gap <= REF_RTOL * abs(f_star)
+
+    def test_exhausted_budget_returns_last_point_and_its_gap(self):
+        problem = lasso_problem(gen_lasso(n=500, m=100, seed=3))
+        ref = reference_solution(problem, max_iters=25)
+        x_last, f_last = ref
+        assert f_last == problem.f_value(x_last)
+        assert ref.gap > REF_RTOL * abs(f_last)
+        assert ref.gap == pytest.approx(independent_gap(problem, x_last, f_last), rel=1e-12)
 
 
 class TestConfigValidation:
