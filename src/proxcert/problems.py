@@ -61,9 +61,13 @@ def lambda_max_bound(top, dim):
     """Upper bound on ``sigma_max(M)^2`` from ``top``, the ``eigvalsh`` maximum
     of the Gram matrix ``M'M`` or ``MM'`` of an ``m x n`` M, ``dim = max(m, n)``.
 
-    Forming and eigensolving the Gram matrix move ``top`` by a few units of
-    ``dim * eps * sigma_max(M)^2``, so ``top * (1 + 4 dim eps)`` keeps the
-    1/L stepsize premise, at most 4.4e-13 relative high for ``dim <= 500``.
+    Forming and eigensolving the Gram matrix typically move ``top`` by a few
+    units of ``dim * eps * sigma_max(M)^2``, so ``top * (1 + 4 dim eps)`` keeps
+    the 1/L stepsize premise, at most 4.4e-13 relative high for ``dim <= 500``.
+    The margin is a typical-case one, checked against the SVD on tall, wide,
+    rank-deficient and badly scaled matrices, not a worst-case proof: in the
+    worst case forming the Gram matrix errs by up to ``dim * eps * ||M||_F^2``,
+    up to ``min(m, n)`` times more.
     """
     return max(0.0, float(top)) * (1.0 + 4.0 * dim * np.finfo(float).eps)
 
@@ -218,21 +222,48 @@ class CompositeProblem:
         """``f_value`` at each row of ``xs``."""
         return self.smooth.values(xs) + self.reg.lam * np.abs(xs).sum(axis=1)
 
-    def dual_lower_bound(self, x):
-        """Lower bound on min f from the residual at ``x``.
+    def duality_gap(self, x):
+        """``f(x)`` minus a lower bound on min f from the residual at ``x``.
 
         ``f`` is ``(1/2)||A x - y||^2 + lam ||x||_1`` with ``(A, y) = sqrt(c) (M, v)``,
-        ``c = 1`` half-scaled and 2 unscaled.  ``theta = r / max(1, ||A'r||_inf / lam)``,
-        ``r = y - A x``, is dual feasible, so ``||y||^2/2 - ||y - theta||^2/2 <= f*``
-        (Fercoq, Gramfort & Salmon, ICML 2015), with equality at the optimum.
-        With ``lam = 0``, ``theta = r`` is feasible only at a least-squares solution.
+        ``c = 1`` half-scaled and 2 unscaled, and ``r = v - M x``.  With ``lam > 0``,
+        ``theta = sqrt(c) r / s``, ``s = max(1, c ||M'r||_inf / lam)``, is dual
+        feasible, so ``||y||^2/2 - ||y - theta||^2/2 <= f*`` (Fercoq, Gramfort &
+        Salmon, ICML 2015), with equality at the optimum.  Its distance to f is
+        summed as ``lam ||x||_1 - (c/s) x'M'r + (c/2)(1 - 1/s)^2 ||r||^2``: every
+        term scales with f, where the difference of two ``||v||^2``-sized terms
+        would round by ``eps ||v||^2``.  With ``lam = 0``, theta is the part of
+        the residual orthogonal to range(M), and the gap is ``(c/2) ||P r||^2``,
+        P the projection onto range(M) (rank cut at ``lstsq``'s default): exactly
+        ``f(x) - f*``.
         """
         quad, lam = self.smooth, self.reg.lam
         c = 1.0 if quad.half else 2.0
-        r = quad.vec - quad.mat @ as_vector(x, self.n)  # the docstring's r over sqrt(c)
-        scale = max(1.0, c * float(np.abs(quad.mat.T @ r).max()) / lam) if lam > 0 else 1.0
-        rest = quad.vec - r / scale
-        return 0.5 * c * (float(quad.vec @ quad.vec) - float(rest @ rest))
+        x = as_vector(x, self.n)
+        r = quad.vec - quad.mat @ x
+        if lam == 0.0:
+            proj = quad.mat @ np.linalg.lstsq(quad.mat, r, rcond=None)[0]
+            return 0.5 * c * float(proj @ proj)
+        g = quad.mat.T @ r
+        s = max(1.0, c * float(np.abs(g).max()) / lam)
+        shrink = 0.5 * c * (1.0 - 1.0 / s) ** 2 * float(r @ r)
+        return lam * float(np.abs(x).sum()) - c / s * float(x @ g) + shrink
+
+    def gap_rounding(self, x):
+        """First-order bound on the rounding error of ``duality_gap(x)`` in double
+        precision: forming ``r`` and ``M'r`` moves ``c x'M'r`` by at most
+        ``c (m + n + 1) eps (|M||x|)'(|M||x| + |v|)``.  At ``lam = 0`` the same
+        allowance serves: the projection's first-order error is proportional
+        to ``||P r||``, which vanishes at a solution."""
+        quad = self.smooth
+        m, n = quad.mat.shape
+        ax = np.abs(quad.mat) @ np.abs(as_vector(x, self.n))
+        c = 1.0 if quad.half else 2.0
+        return c * (m + n + 1) * np.finfo(float).eps * float(ax @ (ax + np.abs(quad.vec)))
+
+    def dual_lower_bound(self, x):
+        """The lower bound on min f behind ``duality_gap(x)``."""
+        return self.f_value(x) - self.duality_gap(x)
 
     def prox(self, s, y):
         return self.reg.prox(s, y)

@@ -241,7 +241,7 @@ def run(problem, config, x0):
 
 class Reference(tuple):
     """``(x_star, f_star)`` of a reference solve, unpacking as that pair,
-    with ``gap``: ``f_star`` minus ``dual_lower_bound(x_star)``."""
+    with ``gap``: ``problem.duality_gap(x_star)``."""
 
     def __new__(cls, x_star, f_star, gap):
         ref = super().__new__(cls, (x_star, f_star))
@@ -252,9 +252,12 @@ class Reference(tuple):
 def _polish(problem, x):
     """The point on the support S and signs of ``x`` that solves the stationarity
     system ``(M_S' M_S) x_S = M_S' v - (lam/c) sign(x_S)``, ``c = 1`` half-scaled
-    and 2 unscaled; None when that system is singular."""
+    and 2 unscaled; None when that system is singular, as it is whenever S has
+    more columns than M has rows."""
     quad = problem.smooth
     support = np.flatnonzero(x)
+    if support.size > quad.mat.shape[0]:
+        return None
     sign = np.sign(x[support])
     m_s = quad.mat[:, support]
     rhs = m_s.T @ quad.vec - problem.reg.lam / (1.0 if quad.half else 2.0) * sign
@@ -267,12 +270,14 @@ def _polish(problem, x):
 
 
 def reference_solution(problem, max_iters=100_000):
-    """``Reference`` ``(x_star, f_star)`` certified to a relative duality gap of 1e-10.
+    """``Reference`` ``(x_star, f_star)`` certified by a duality gap.
 
     Exact FISTA at 1/L runs in 25-step segments, each warm-started from the
     last.  After each, the polished point (``_polish``), else the FISTA point,
-    is returned once ``f - problem.dual_lower_bound`` there is at most
-    ``1e-10 |f|``; after ``max_iters`` steps, the last point with its gap.
+    is returned once ``problem.duality_gap`` there is at most
+    ``1e-10 |f| + problem.gap_rounding``: relative 1e-10, unless f* is so small
+    (noiseless data, a tiny or zero lam) that the rounding of the gap itself
+    is larger.  After ``max_iters`` steps, the last point with its gap.
     """
     config = SolverConfig(
         variant="accelerated",
@@ -286,7 +291,7 @@ def reference_solution(problem, max_iters=100_000):
             if point is None:
                 continue
             f = problem.f_value(point)
-            gap = f - problem.dual_lower_bound(point)
-            if gap <= 1e-10 * abs(f):
+            gap = problem.duality_gap(point)
+            if gap <= 1e-10 * abs(f) + problem.gap_rounding(point):
                 return Reference(point, f, gap)
     return Reference(x, f, gap)

@@ -88,6 +88,16 @@ def l1_dual_bound(mat, vec, lam, x, half):
     return float(y @ theta) - 0.5 * float(theta @ theta)
 
 
+def gap_rounding_floor(mat, vec, x, half):
+    """First-order rounding bound ``c (m + n + 1) eps (|M||x|)'(|M||x| + |v|)``
+    of a duality gap evaluated in double precision (``c`` = 1 half-scaled, 2
+    unscaled)."""
+    mat = np.asarray(mat, dtype=float)
+    ax = np.abs(mat) @ np.abs(x)
+    c = 1.0 if half else 2.0
+    return c * (sum(mat.shape) + 1) * np.finfo(float).eps * float(ax @ (ax + np.abs(vec)))
+
+
 def l1_ray_point(lam, s, w, target, d):
     """Point on the ray from the exact prox of ``s lam ||.||_1`` at which the
     prox-subproblem gap reaches 0.95 * target, by a full sort-and-scan.

@@ -13,13 +13,14 @@ from proxcert import (
     run_accelerated,
     run_basic,
 )
+from proxcert.problems import problem_from_json
 import proxcert.errors as errors
 import proxcert.solvers as solvers
 from proxcert.errors import draw_tape
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
 from proxcert.solvers import alpha_series, reference_solution
 
-from oracles import grid_min, l1_dual_bound
+from oracles import gap_rounding_floor, grid_min, l1_dual_bound
 
 
 def separable_problem(c, lam):
@@ -508,6 +509,52 @@ class TestReferenceSolution:
         assert np.isfinite(ref.gap)
         assert ref.gap == pytest.approx(independent_gap(problem, x_star, f_star), abs=1e-12)
         assert ref.gap <= REF_RTOL * abs(f_star)
+
+    @pytest.mark.parametrize("m, n", [(20, 50), (50, 20)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0])
+    def test_least_squares_problem_file(self, monkeypatch, m, n, scale):
+        # a problem file without "lambda": f* and the minimum-norm x* of
+        # lstsq; FISTA from 0 stays in the row space of M
+        rng = np.random.default_rng(m + 100 * n)
+        mat, vec = rng.standard_normal((m, n)), rng.standard_normal(m)
+        problem = problem_from_json({"n": n, "M": mat.ravel().tolist(), "v": vec.tolist(), "scale": scale})
+        assert problem.reg.lam == 0.0
+        x_ls = np.linalg.lstsq(mat, vec, rcond=None)[0]
+        segments = counted(monkeypatch, solvers, "run_accelerated")
+        ref = reference_solution(problem)
+        x_star, f_star = ref
+        assert len(segments) <= 10
+        assert f_star == pytest.approx(problem.f_value(x_ls), rel=1e-12, abs=1e-8)
+        assert np.abs(x_star - x_ls).max() <= 1e-6
+        assert 0.0 <= ref.gap <= REF_RTOL * f_star + gap_rounding_floor(mat, vec, x_star, scale == 0.5)
+
+    def test_least_squares_gap_is_exact(self):
+        # lam = 0: the gap is f(x) - f* at any point, undershooting ones included
+        rng = np.random.default_rng(5)
+        for m, n in ((20, 50), (50, 20)):
+            mat, vec = rng.standard_normal((m, n)), rng.standard_normal(m)
+            problem = CompositeProblem.from_quadratic(QuadraticSmooth(mat, vec), 0.0)
+            x_ls = np.linalg.lstsq(mat, vec, rcond=None)[0]
+            for x in (np.zeros(n), 0.5 * x_ls, rng.standard_normal(n)):
+                exact = problem.f_value(x) - problem.f_value(x_ls)
+                assert problem.duality_gap(x) == pytest.approx(exact, rel=1e-10, abs=1e-12)
+                assert problem.dual_lower_bound(x) <= problem.f_value(x_ls) + 1e-12
+
+    def test_small_optimum_certifies_at_the_rounding_floor(self, monkeypatch):
+        # noiseless data and lam = 1e-10: f* is 2e-10 and the rounding of M'r
+        # (about 1e-14 in the gap) is far above 1e-10 f*, so the gap certifies
+        # against the rounding floor, within a few segments
+        inst = gen_lasso(n=15, m=40, noise=0.0, lam=1e-10, seed=3)
+        problem = lasso_problem(inst)
+        segments = counted(monkeypatch, solvers, "run_accelerated")
+        ref = reference_solution(problem)
+        x_star, f_star = ref
+        assert len(segments) <= 4
+        floor = gap_rounding_floor(inst.a, inst.y, x_star, True)
+        assert floor <= 1e-11
+        assert ref.gap <= REF_RTOL * f_star + floor
+        assert independent_gap(problem, x_star, f_star) <= REF_RTOL * f_star + floor
+        assert problem.gap_rounding(x_star) == pytest.approx(floor, rel=1e-12)
 
     def test_exhausted_budget_returns_last_point_and_its_gap(self):
         problem = lasso_problem(gen_lasso(n=500, m=100, seed=3))
