@@ -3,9 +3,9 @@
 Bounds come in two families.  Running bounds consume the realized error
 sequences recorded in a trace (the deterministic theorems and their
 corollaries); a-priori bounds are computable from parameters alone (the
-probabilistic theorems and their closed-form corollary).  Deterministic
-running bounds must dominate the observed suboptimality on every valid run;
-probabilistic ones are checked by Monte-Carlo coverage.
+probabilistic theorems).  Deterministic running bounds must dominate the
+observed suboptimality on every valid run; probabilistic ones are checked by
+Monte-Carlo coverage.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-
-from .solvers import alpha_series
 
 SERIES_NAMES = (
     "thm_basic_det",
@@ -37,8 +35,7 @@ class BoundParams:
 
     ``s`` is the effective (constant) stepsize, ``dist0 = ||x* - x0||``.
     ``m_grad`` is the sup of the gradient sup-norm over iterates (1 under the
-    absolute error model), ``m_u`` the multiplier bounding ``||u^i||`` by
-    ``m_u * dist0``.  ``(c1, c2, rho, k0)`` are the quasi-Fejer corollary
+    absolute error model).  ``(c1, c2, rho, k0)`` are the quasi-Fejer corollary
     constants; ``p`` is the Fejer-monotonicity probability (taken as 1 in
     verified monotone regimes unless overridden).
     """
@@ -52,22 +49,20 @@ class BoundParams:
     gamma: float = 3.0
     p: float = 1.0
     m_grad: Optional[float] = None
-    m_u: Optional[float] = None
     eps2_mean: Optional[float] = None
     c1: Optional[float] = None
     c2: Optional[float] = None
     rho: Optional[float] = None
     k0: int = 0
-    alpha_rule: str = "fista"
 
     def __post_init__(self):
         if self.s <= 0 or self.lipschitz <= 0:
             raise ValueError("stepsize and Lipschitz constant must be positive")
-        if self.dist0 < 0 or self.delta < 0 or self.eps0 < 0:
+        if min(self.dist0, self.delta, self.eps0, self.eps2_mean or 0.0) < 0:
             raise ValueError("error magnitudes must be nonnegative")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     @classmethod
@@ -106,18 +101,6 @@ class BoundParams:
         return math.sqrt(2.0 * c2 * rho / self.s) + self.s * c1 * self.lipschitz * rho
 
 
-def sum_i2(k):
-    """Sum of i^2 for i = 1..k, closed form."""
-    k = int(k)
-    return float(k * (k + 1) * (2 * k + 1) // 6)
-
-
-def sum_i4(k):
-    """Sum of i^4 for i = 1..k, closed form."""
-    k = int(k)
-    return float(k * (k + 1) * (2 * k + 1) * (3 * k * k + 3 * k - 1) // 30)
-
-
 def u_sequence(trace, x_star):
     """Momentum-residual vectors u^{i+1} aligned with step index i.
 
@@ -127,6 +110,20 @@ def u_sequence(trace, x_star):
     x_star = np.asarray(x_star, dtype=float)
     diffs = np.diff(trace.xs, axis=0)
     return x_star - trace.xs[1:] + (1.0 - trace.alphas)[:, None] * diffs
+
+
+def error_increments(trace, x_star, s, accelerated):
+    """Per-step terms of the cumulative error sum the theorems bound.
+
+    ``nu_i . (x* - x^{i+1})``, or ``alpha_i nu_i . u^{i+1}`` for an
+    accelerated run, with ``nu_i = eps1^i - r^{i+1} / s``; ``s`` is the
+    stepsize, or one per step.
+    """
+    x_star = np.asarray(x_star, dtype=float)
+    nu = trace.eps1 - trace.res / np.reshape(s, (-1, 1))
+    if accelerated:
+        return trace.alphas * np.einsum("ij,ij->i", nu, u_sequence(trace, x_star))
+    return np.einsum("ij,ij->i", nu, x_star - trace.xs[1:])
 
 
 def _w_terms(trace, s):
@@ -147,8 +144,7 @@ def bound_basic_det_series(trace, params, x_star):
     """
     s = params.s
     x_star = np.asarray(x_star, dtype=float)
-    nu = trace.eps1 - trace.res / s
-    cross = np.einsum("ij,ij->i", nu, x_star - trace.xs[1:])
+    cross = error_increments(trace, x_star, s, accelerated=False)
     res_sq = np.einsum("ij,ij->i", trace.res, trace.res)
     last_dist_sq = np.einsum("ij,ij->i", x_star - trace.xs[1:], x_star - trace.xs[1:])
     ks = np.arange(trace.num_steps)
@@ -286,9 +282,7 @@ def _acc_det(trace, params, cross):
 
 def bound_acc_det_series(trace, params, x_star):
     """Accelerated deterministic theorem: error-weighted momentum residuals."""
-    useq = u_sequence(trace, x_star)  # U[i] = u^{i+1}
-    nu = trace.eps1 - trace.res / params.s
-    return _acc_det(trace, params, trace.alphas * np.einsum("ij,ij->i", nu, useq))
+    return _acc_det(trace, params, error_increments(trace, x_star, params.s, accelerated=True))
 
 
 def bound_acc_det_corollary_series(trace, params, x_star=None, variant="full"):
@@ -345,29 +339,6 @@ def bound_acc_random_series(trace, params, x_star):
     values = (s_eps2 + s_eps1 + s_r + params.dist0**2 / (2.0 * s)) / trace.alphas**2
     prob = np.full(t, 1.0 - 6.0 * math.exp(-(g * g) / 2.0))
     return values, prob
-
-
-def bound_acc_random_closed(params, k):
-    """A-priori closed form of the accelerated probabilistic bound.
-
-    Substitutes the polynomial sums for i^2 and i^4 and bounds ||u^i|| by
-    ``m_u * dist0`` and eps2 by eps0, exactly as the corollary states.
-    """
-    if params.m_u is None:
-        raise ValueError("m_u is required in closed mode")
-    if params.m_grad is None:
-        raise ValueError("m_grad is required")
-    g, s, d = params.gamma, params.s, params.dist0
-    p2, p4 = sum_i2(k), sum_i4(k)
-    s_eps2 = params.eps0 * p2 + 0.5 * g * params.eps0 * math.sqrt(p4)
-    s_eps1 = (
-        g * abs(params.delta) * params.m_u * params.m_grad * d * math.sqrt(params.n * p2)
-    )
-    s_r = g * params.m_u * d * math.sqrt(2.0 * s * params.eps0 * p2)
-    alpha_k = float(alpha_series(params.alpha_rule, k)[-1])
-    value = (s_eps2 + s_eps1 + s_r + d * d / (2.0 * s)) / alpha_k**2
-    prob = 1.0 - 6.0 * math.exp(-(g * g) / 2.0)
-    return value, prob
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import os
 import sys
 import time
@@ -81,26 +82,31 @@ DEFAULTS = {
         "solver_tol": "",
         "direction": "random_symmetric",
     },
-    "bounds": {"gamma": "3.0", "p": "1.0", "eps2_mean": "", "m_u": ""},
+    "bounds": {"gamma": "3.0", "p": "1.0", "eps2_mean": ""},
     "verify": {"trials": "200", "k_max": "25", "gammas": "1,2,3"},
-    "quantize": {"format": "", "values": "0,1.3,-1.3,0.026,100,-100"},
+    "quantize": {"values": "0,1.3,-1.3,0.026,100,-100"},
 }
 
 
-def load_config(path):
-    """Read an INI config file, rejecting unknown sections or keys."""
+def load_config(path, strict=True):
+    """Read an INI config file.  Unknown sections or keys are errors, or,
+    with ``strict=False`` (the echo of a stored run), dropped."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in DEFAULTS and strict:
             raise ConfigError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in DEFAULTS[section]:
+            if key in DEFAULTS.get(section, ()):
+                out.setdefault(section, {})[key] = value
+            elif strict:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            out.setdefault(section, {})[key] = value
     return out
 
 
@@ -129,24 +135,20 @@ def echo_config(cfg, path):
     artifacts.atomic_write_text(path, buf.getvalue())
 
 
-def _get_float(cfg, sec, key, default=None):
-    raw = cfg[sec][key].strip()
+def _get(cfg, sec, key, kind=float, default=None):
+    """``[sec] key`` as a finite ``kind``.  An empty value takes the one in
+    ``DEFAULTS``, and ``default`` when that is empty too."""
+    raw = cfg[sec][key].strip() or DEFAULTS[sec][key]
     if raw == "":
         return default
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key} must be a number, got {raw!r}") from exc
-
-
-def _get_int(cfg, sec, key, default=None):
-    raw = cfg[sec][key].strip()
-    if raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key} must be an integer, got {raw!r}") from exc
+        value = kind(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"[{sec}] {key} must be {what}, got {raw!r}")
+    return value
 
 
 def _get_bool(cfg, sec, key):
@@ -168,97 +170,81 @@ def _get_floats(cfg, sec, key):
 
 
 def _build_error_specs(cfg):
-    grad_model = cfg["errors"]["grad_model"].strip()
-    if grad_model not in ("absolute", "relative"):
-        raise ConfigError(f"unknown gradient error model {grad_model!r}")
-    delta = _get_float(cfg, "errors", "delta", 0.0)
-    fmt_text = cfg["errors"]["format"].strip()
-    if fmt_text:
-        try:
-            grad_spec = FixedPointFormat.parse(fmt_text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif delta > 0:
-        grad_spec = GradientErrorSpec(model=grad_model, mode="random", delta=delta)
-    else:
-        grad_spec = None
-    prox_mode = cfg["errors"]["prox_mode"].strip()
-    eps0 = _get_float(cfg, "errors", "eps0", 0.0)
-    solver_tol = _get_float(cfg, "errors", "solver_tol")
+    """``(grad_spec, prox_spec, grad_model, delta, eps0)`` of ``[errors]``;
+    values the specs reject are config errors."""
+    errors = cfg["errors"]
+    grad_model = errors["grad_model"].strip()
+    delta = _get(cfg, "errors", "delta")
+    fmt_text = errors["format"].strip()
+    prox_mode = errors["prox_mode"].strip()
+    eps0 = _get(cfg, "errors", "eps0")
+    solver_tol = _get(cfg, "errors", "solver_tol")
     if solver_tol is not None:
-        prox_mode = "inner_solver"
-        eps0 = solver_tol
-    direction = cfg["errors"]["direction"].strip()
+        prox_mode, eps0 = "inner_solver", solver_tol
     if prox_mode == "exact" and eps0 > 0:
         prox_mode = "target_gap"
-    if prox_mode == "exact":
-        prox_spec = ProxErrorSpec()
-    elif prox_mode in ("target_gap", "inner_solver"):
-        prox_spec = ProxErrorSpec(mode=prox_mode, eps0=eps0, direction=direction)
-    else:
-        raise ConfigError(f"unknown prox error mode {prox_mode!r}")
+    try:
+        noise = GradientErrorSpec(model=grad_model, mode="random", delta=delta)
+        if fmt_text:
+            grad_spec = FixedPointFormat.parse(fmt_text)
+        else:
+            grad_spec = noise if delta > 0 else None
+        prox_spec = ProxErrorSpec(mode=prox_mode, eps0=eps0, direction=errors["direction"].strip())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return grad_spec, prox_spec, grad_model, delta, eps0
 
 
 def _build_solver_config(cfg, problem, default_iters):
     grad_spec, prox_spec, grad_model, delta, _ = _build_error_specs(cfg)
-    variant = cfg["solver"]["variant"].strip()
-    if variant not in ("basic", "accelerated"):
-        raise ConfigError(f"unknown solver variant {variant!r}")
-    iters = _get_int(cfg, "run", "iters", default_iters)
-    abstol = _get_float(cfg, "run", "abstol", 0.0)
-    momentum = cfg["solver"]["momentum"].strip()
-    step_raw = cfg["solver"]["stepsize"].strip()
-    relative = grad_model == "relative" and isinstance(grad_spec, GradientErrorSpec)
-    if step_raw in ("", "auto"):
+    if cfg["solver"]["stepsize"].strip() in ("", "auto"):
+        relative = grad_model == "relative" and isinstance(grad_spec, GradientErrorSpec)
         s0 = max_constant_stepsize(problem.lipschitz, delta, relative=relative)
     else:
-        try:
-            s0 = float(step_raw)
-        except ValueError as exc:
-            raise ConfigError(f"stepsize must be 'auto' or a number, got {step_raw!r}") from exc
-    if _get_bool(cfg, "solver", "backtracking"):
-        policy = StepsizePolicy.backtracking(s0, _get_float(cfg, "solver", "eta", 0.5))
-    else:
-        policy = StepsizePolicy.constant(s0)
+        s0 = _get(cfg, "solver", "stepsize")
     try:
+        if _get_bool(cfg, "solver", "backtracking"):
+            policy = StepsizePolicy.backtracking(s0, _get(cfg, "solver", "eta"))
+        else:
+            policy = StepsizePolicy.constant(s0)
         return SolverConfig(
-            variant=variant,
+            variant=cfg["solver"]["variant"].strip(),
             stepsize=policy,
-            max_iters=iters,
-            abstol=abstol,
-            momentum=momentum,
+            max_iters=_get(cfg, "run", "iters", int, default_iters),
+            abstol=_get(cfg, "run", "abstol"),
+            momentum=cfg["solver"]["momentum"].strip(),
             grad_error=grad_spec,
             prox_error=prox_spec,
-            seed=_get_int(cfg, "run", "seed", 0),
+            seed=_get(cfg, "run", "seed", int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _bound_params(cfg, problem, trace, x_star):
+def _bound_overrides(cfg):
+    """``(model, overrides)`` of ``BoundParams.from_trace`` from ``[errors]``
+    and ``[bounds]``.  Values ``BoundParams`` rejects are config errors, so a
+    run command checks them before it solves."""
     grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
-    if isinstance(grad_spec, FixedPointFormat):
-        # quantization errors are componentwise bounded: absolute-model
-        # flavour with the realized machine precision (x1.05 safety)
-        grad_model = "absolute"
-        if delta == 0.0 and trace.eps1.size:
-            delta = 1.05 * float(np.abs(trace.eps1).max())
-    overrides = {
-        "delta": delta,
-        "eps0": eps0,
-        "gamma": _get_float(cfg, "bounds", "gamma", 3.0),
-        "p": _get_float(cfg, "bounds", "p", 1.0),
-    }
-    eps2_mean = _get_float(cfg, "bounds", "eps2_mean")
+    eps2_mean = _get(cfg, "bounds", "eps2_mean")
     if eps2_mean is None and prox_spec.mode == "target_gap" and eps0 > 0:
         eps2_mean = float(truncated_gaussian_mean(0.0, eps0))
-    if eps2_mean is not None:
-        overrides["eps2_mean"] = eps2_mean
-    m_u = _get_float(cfg, "bounds", "m_u")
-    if m_u is not None:
-        overrides["m_u"] = m_u
-    return BoundParams.from_trace(problem, trace, x_star, model=grad_model, **overrides)
+    overrides = dict(delta=delta, eps0=eps0, gamma=_get(cfg, "bounds", "gamma"),
+                     p=_get(cfg, "bounds", "p"), eps2_mean=eps2_mean)
+    try:
+        BoundParams(s=1.0, lipschitz=1.0, dist0=0.0, n=1, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # quantization errors are componentwise bounded: absolute-model flavour
+    return ("absolute" if isinstance(grad_spec, FixedPointFormat) else grad_model), overrides
+
+
+def _bound_params(cfg, problem, trace, x_star):
+    model, overrides = _bound_overrides(cfg)
+    if cfg["errors"]["format"].strip() and overrides["delta"] == 0.0 and trace.eps1.size:
+        # the realized machine precision (x1.05 safety)
+        overrides["delta"] = 1.05 * float(np.abs(trace.eps1).max())
+    return BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
 
 
 def problem_from_cfg(cfg):
@@ -278,10 +264,10 @@ def problem_from_cfg(cfg):
         # reference setup: basic runs at horizon 10, the time-critical
         # accelerated variant at horizon 2
         accelerated = cfg["solver"]["variant"].strip() == "accelerated"
-        n_p = _get_int(cfg, "mpc", "n_p", 2 if accelerated else 10)
-        n_c = _get_int(cfg, "mpc", "n_c", n_p)
+        n_p = _get(cfg, "mpc", "n_p", int, 2 if accelerated else 10)
+        n_c = _get(cfg, "mpc", "n_c", int, n_p)
         cfg["mpc"]["n_p"], cfg["mpc"]["n_c"] = str(n_p), str(n_c)
-        lam = _get_float(cfg, "mpc", "lam", 16.79)
+        lam = _get(cfg, "mpc", "lam")
         x0 = _get_floats(cfg, "mpc", "x0") or 0.5 * np.ones(7)
         build = lambda: mpc_to_lasso(spacecraft_mpc(n_p=n_p, n_c=n_c, lam=lam, x0=x0))
         source = "[mpc]"
@@ -295,12 +281,12 @@ def problem_from_cfg(cfg):
         source = f"problem file {pfile}"
     else:
         kwargs = dict(
-            n=_get_int(cfg, "lasso", "n", 100),
-            m=_get_int(cfg, "lasso", "m", 500),
-            sparsity=_get_int(cfg, "lasso", "sparsity"),
-            noise=_get_float(cfg, "lasso", "noise", 0.01),
-            lam=_get_float(cfg, "lasso", "lam"),
-            seed=_get_int(cfg, "lasso", "seed", 0),
+            n=_get(cfg, "lasso", "n", int),
+            m=_get(cfg, "lasso", "m", int),
+            sparsity=_get(cfg, "lasso", "sparsity", int),
+            noise=_get(cfg, "lasso", "noise"),
+            lam=_get(cfg, "lasso", "lam"),
+            seed=_get(cfg, "lasso", "seed", int),
         )
         build = lambda: lasso_problem(gen_lasso(**kwargs))
         source = "[lasso]"
@@ -383,6 +369,10 @@ def cmd_run(cfg, command):
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
     config = _build_solver_config(cfg, problem, default_iters)
+    _bound_overrides(cfg)  # bad [bounds] values fail here, not after the solve
+    steps = _get(cfg, "mpc", "closed_loop_steps", int) if spec is not None else None
+    if steps is not None and steps < 0:
+        raise ConfigError(f"[mpc] closed_loop_steps must be nonnegative, got {steps}")
     summary_path = os.path.join(out, "summary.json")
     try:
         trace = run_solver(problem, config, np.zeros(problem.n))
@@ -395,7 +385,6 @@ def cmd_run(cfg, command):
         )
         return EXIT_SOLVER
     extra = {}
-    steps = _get_int(cfg, "mpc", "closed_loop_steps") if spec is not None else None
     if steps:
         report = mpc_closed_loop(spec, config, steps)
         norms = artifacts.fmt_column(report.state_norms)
@@ -416,7 +405,7 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     echo_path = os.path.join(from_dir, "config_echo.ini")
     if not os.path.exists(trace_path) or not os.path.exists(echo_path):
         raise ConfigError(f"{from_dir} does not contain a stored run")
-    base = load_config(echo_path)
+    base = load_config(echo_path, strict=False)
     for sec, vals in (file_cfg or {}).items():
         base.setdefault(sec, {}).update(vals)
     cfg = resolve_config(base, overrides)
@@ -432,10 +421,12 @@ def cmd_verify(cfg):
     out = cfg["run"]["out"]
     os.makedirs(out, exist_ok=True)
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    trials = _get_int(cfg, "verify", "trials", 200)
-    k_max = _get_int(cfg, "verify", "k_max", 25)
+    trials = _get(cfg, "verify", "trials", int)
+    k_max = _get(cfg, "verify", "k_max", int)
     gammas = _get_floats(cfg, "verify", "gammas")
-    seed = _get_int(cfg, "run", "seed", 0)
+    if min(trials, k_max) < 1 or not gammas:
+        raise ConfigError("[verify] needs trials and k_max of at least 1 and one gamma or more")
+    seed = _get(cfg, "run", "seed", int)
     problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
     x_star, _ = reference_solution(problem)
     gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
@@ -481,7 +472,7 @@ def cmd_verify(cfg):
 
 
 def cmd_quantize(cfg):
-    fmt_text = cfg["quantize"]["format"].strip() or cfg["errors"]["format"].strip()
+    fmt_text = cfg["errors"]["format"].strip()
     if not fmt_text:
         raise ConfigError("quantize needs --format")
     try:
@@ -545,10 +536,6 @@ def _overrides_from_args(args):
         ov[("run", "strict")] = "true"
     if getattr(args, "values", None):
         ov[("quantize", "values")] = ",".join(str(v) for v in args.values)
-        if args.fmt:
-            ov[("quantize", "format")] = args.fmt
-    elif getattr(args, "fmt", None) and args.command == "quantize":
-        ov[("quantize", "format")] = args.fmt
     return ov
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bounds import u_sequence
+from ..bounds import error_increments
 from ..solvers import SolverConfig, run_accelerated, run_basic, reference_solution
 
 
@@ -29,18 +29,6 @@ class DiagnosticReport:
     @property
     def passed(self):
         return self.status == "pass"
-
-
-def _increment_pairs(trace, x_star, accelerated):
-    """(T_{k-1}, dT_k) pairs of the cumulative error term along one trace."""
-    nu = trace.eps1 - trace.res / trace.steps[:, None]
-    if accelerated:
-        useq = u_sequence(trace, x_star)
-        incr = trace.alphas * np.einsum("ij,ij->i", nu, useq)
-    else:
-        incr = np.einsum("ij,ij->i", nu, x_star - trace.xs[1:])
-    before = np.concatenate([[0.0], np.cumsum(incr)[:-1]])
-    return before, incr
 
 
 def martingale_diagnostic(
@@ -78,9 +66,9 @@ def martingale_diagnostic(
             seed=int(trial_seed),
         )
         trace = runner(problem, config, x0)
-        b, d = _increment_pairs(trace, x_star, variant == "accelerated")
-        befores.append(b)
-        incrs.append(d)
+        incr = error_increments(trace, x_star, trace.steps, variant == "accelerated")
+        befores.append(np.concatenate([[0.0], np.cumsum(incr)[:-1]]))  # T_{k-1}
+        incrs.append(incr)
     before = np.concatenate(befores)
     incr = np.concatenate(incrs)
     std = float(incr.std())
@@ -125,11 +113,27 @@ def martingale_diagnostic(
     )
 
 
-def _coverage_status(empirical, theoretical, trials):
-    """Pass when empirical exceedance <= theoretical + 3 binomial sigmas."""
-    theo = min(theoretical, 1.0)
-    sigma = np.sqrt(theo * (1.0 - theo) / trials)
-    return empirical <= theoretical + 3.0 * sigma, theoretical + 3.0 * sigma
+def _coverage_report(name, gammas, trials, tail):
+    """Per-gamma coverage report; ``tail(gamma)`` is the (empirical,
+    theoretical) exceedance.  A gamma passes when the empirical rate is at
+    most the theoretical one plus 3 binomial sigmas."""
+    stats, details = {}, []
+    for gamma in gammas:
+        empirical, theoretical = tail(gamma)
+        theo = min(theoretical, 1.0)
+        limit = theoretical + 3.0 * np.sqrt(theo * (1.0 - theo) / trials)
+        stats[f"gamma={gamma}"] = empirical
+        details.append(
+            {"gamma": gamma, "empirical": empirical, "theoretical": theoretical, "limit": limit}
+        )
+    return DiagnosticReport(
+        name=name,
+        trials=trials,
+        statistics=stats,
+        thresholds={d["gamma"]: d["limit"] for d in details},
+        status="pass" if all(d["empirical"] <= d["limit"] for d in details) else "fail",
+        details=details,
+    )
 
 
 def azuma_coverage(c_schedule, gammas, trials, seed=0):
@@ -145,25 +149,11 @@ def azuma_coverage(c_schedule, gammas, trials, seed=0):
     signs = rng.choice([-1.0, 1.0], size=(trials, len(c)))
     sums = signs @ c
     radius = float(np.sqrt((c**2).sum()))
-    stats, details = {}, []
-    status = "pass"
-    for gamma in gammas:
-        theoretical = 2.0 * np.exp(-(gamma**2) / 2.0)
-        empirical = float(np.mean(np.abs(sums) > gamma * radius))
-        ok, limit = _coverage_status(empirical, theoretical, trials)
-        stats[f"gamma={gamma}"] = empirical
-        details.append(
-            {"gamma": gamma, "empirical": empirical, "theoretical": theoretical, "limit": limit}
-        )
-        if not ok:
-            status = "fail"
-    return DiagnosticReport(
-        name="azuma-coverage",
-        trials=trials,
-        statistics=stats,
-        thresholds={d["gamma"]: d["limit"] for d in details},
-        status=status,
-        details=details,
+    return _coverage_report(
+        "azuma-coverage",
+        gammas,
+        trials,
+        lambda g: (float(np.mean(np.abs(sums) > g * radius)), 2.0 * np.exp(-(g**2) / 2.0)),
     )
 
 
@@ -179,24 +169,12 @@ def hoeffding_coverage(lo, hi, k, gammas, trials, seed=0):
     rng = np.random.default_rng(seed)
     draws = rng.uniform(lo, hi, size=(trials, k)) if hi > lo else np.full((trials, k), lo)
     dev = np.abs(draws.sum(axis=1) - k * (lo + hi) / 2.0)
-    stats, details = {}, []
-    status = "pass"
-    for gamma in gammas:
-        t = gamma * np.sqrt(k) * (hi - lo) / 2.0
-        theoretical = 2.0 if hi == lo else 2.0 * np.exp(-(gamma**2) / 2.0)
-        empirical = float(np.mean(dev >= t)) if t > 0 else float(np.mean(dev >= 0.0))
-        ok, limit = _coverage_status(empirical, theoretical, trials)
-        stats[f"gamma={gamma}"] = empirical
-        details.append(
-            {"gamma": gamma, "empirical": empirical, "theoretical": theoretical, "limit": limit}
-        )
-        if not ok:
-            status = "fail"
-    return DiagnosticReport(
-        name="hoeffding-coverage",
-        trials=trials,
-        statistics=stats,
-        thresholds={d["gamma"]: d["limit"] for d in details},
-        status=status,
-        details=details,
+    return _coverage_report(
+        "hoeffding-coverage",
+        gammas,
+        trials,
+        lambda g: (
+            float(np.mean(dev >= g * np.sqrt(k) * (hi - lo) / 2.0)),
+            2.0 if hi == lo else 2.0 * np.exp(-(g**2) / 2.0),
+        ),
     )

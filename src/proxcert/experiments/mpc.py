@@ -9,7 +9,7 @@ horizon (the reference weights are given over a 2-step window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -159,17 +159,8 @@ class MpcSpec:
         return as_vector(self.setpoint, self.model.n_outputs * self.n_p, "setpoint")
 
     def with_state(self, x0):
-        return MpcSpec(
-            model=self.model,
-            n_p=self.n_p,
-            n_c=self.n_c,
-            q_step=self.q_step,
-            r_step=self.r_step,
-            lam=self.lam,
-            x0=x0,
-            setpoint=self.setpoint,
-            _cache=self._cache,  # nothing cached depends on the state
-        )
+        # the copy shares _cache: nothing cached depends on the state
+        return replace(self, x0=x0)
 
 
 def spacecraft_mpc(n_p=10, n_c=None, lam=SPACECRAFT_LAMBDA, x0=None):

@@ -18,7 +18,6 @@ from proxcert.bounds import (
     ObservedGaps,
     bound_acc_det_corollary_series,
     bound_acc_det_series,
-    bound_acc_random_closed,
     bound_acc_random_series,
     bound_basic_det_corollary_series,
     bound_basic_det_series,
@@ -28,8 +27,6 @@ from proxcert.bounds import (
     bound_basic_stationary_series,
     bound_schmidt_acc_series,
     bound_schmidt_basic_series,
-    sum_i2,
-    sum_i4,
     u_sequence,
 )
 from proxcert.solvers import RunTrace, alpha_series
@@ -292,16 +289,6 @@ class TestAccDet:
 
 
 class TestAccRandom:
-    def test_polynomial_sums(self):
-        assert sum_i2(3) == 14.0
-        assert sum_i4(3) == 98.0
-
-    def test_polynomial_sums_match_loops(self):
-        for k in (1, 7, 100, 10_000, 100_000):
-            idx = np.arange(1, k + 1, dtype=object)
-            assert sum_i2(k) == float(sum(i * i for i in idx))
-            assert sum_i4(k) == float(sum(i**4 for i in idx))
-
     def test_zero_errors_running_mode(self, small_lasso, small_lasso_ref):
         x_star, _ = small_lasso_ref
         trace = run_accelerated(
@@ -316,19 +303,6 @@ class TestAccRandom:
         expected = params.dist0**2 / (2 * params.s * trace.alphas**2)
         assert np.allclose(vals, expected, rtol=1e-12)
         assert prob[0] == pytest.approx(1 - 6 * math.exp(-4.5), rel=1e-12)
-
-    def test_closed_mode_grows_linearly(self):
-        # dist0 = 0 isolates the proximal-error sum, the dominant term
-        params = make_params(eps0=1e-2, delta=0.0, m_u=1.0, gamma=1.0, dist0=0.0)
-        ks = np.arange(100, 1001, 20)
-        vals = np.array([bound_acc_random_closed(params, int(k))[0] for k in ks])
-        slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
-        assert 0.8 <= slope <= 1.2
-
-    def test_closed_mode_requires_m_u(self):
-        params = make_params(eps0=1e-3)
-        with pytest.raises(ValueError):
-            bound_acc_random_closed(params, 5)
 
 
 class TestSchmidtBaselines:
@@ -406,9 +380,6 @@ class TestMonotoneInErrors:
         s1, _ = bound_basic_stationary(make_params(eps2_mean=1e-4, eps0=1e-3, delta=1e-3), 5)
         s2, _ = bound_basic_stationary(make_params(eps2_mean=2e-4, eps0=2e-3, delta=2e-3), 5)
         assert s2 >= s1
-        c1, _ = bound_acc_random_closed(make_params(eps0=1e-4, delta=1e-3, m_u=1.0), 5)
-        c2, _ = bound_acc_random_closed(make_params(eps0=2e-4, delta=2e-3, m_u=1.0), 5)
-        assert c2 >= c1
 
 
 class TestValidity:

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from proxcert import reference_solution
-from proxcert.cli import build_parser, main
+from proxcert.cli import DEFAULTS, build_parser, main
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
 
 from oracles import l1_dual_bound
@@ -139,11 +140,34 @@ class TestConfigErrors:
             ("solve", "", '{"n": 2.5, "M": [1, 2], "v": [1]}'),
             ("solve", "", '{"n": 0, "M": [], "v": []}'),
             ("solve", "", '{"n": -1, "M": [1], "v": [1]}'),
+            ("solve", "[errors]\ndirection = bogus\n", None),
+            ("solve", "[errors]\neps0 = -1\n", None),
+            ("solve", "[errors]\ndelta = -1\n", None),
+            ("solve", "[errors]\nsolver_tol = -1\n", None),
+            ("solve", "[solver]\nbacktracking = true\neta = 2\n", None),
+            ("solve", "[solver]\nstepsize = -1\n", None),
+            ("solve", "[bounds]\ngamma = 0\n", None),
+            ("solve", "[bounds]\np = 2\n", None),
+            ("verify", "[verify]\ntrials = 0\n", None),
+            ("verify", "[verify]\nk_max = 0\n", None),
+            ("solve", "[run]\nseed = 1\n[run]\nseed = 2\n", None),
+            ("solve", "[errors]\ndelta = nan\n", None),
+            ("solve", "[bounds]\ngamma = nan\n", None),
+            ("verify", "[verify]\ngammas = ,\n", None),
+            ("mpc", "[mpc]\nclosed_loop_steps = -1\n", None),
+            ("solve", "[bounds]\neps2_mean = -1\n", None),
+            ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
+            ("quantize", "[quantize]\nformat = s8.4\n", None),
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
              "mpc_problem_file", "nan_in_m", "infinite_lambda", "zero_l", "negative_l",
-             "zero_matrix", "fractional_n", "zero_n", "negative_n"],
+             "zero_matrix", "fractional_n", "zero_n", "negative_n", "bogus_direction",
+             "negative_eps0", "negative_delta", "negative_solver_tol", "eta_above_1",
+             "negative_stepsize", "zero_gamma", "p_above_1", "zero_trials", "zero_k_max",
+             "duplicate_section", "nan_delta", "nan_gamma", "empty_gammas",
+             "negative_closed_loop_steps", "negative_eps2_mean", "removed_m_u",
+             "removed_quantize_format"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -154,6 +178,16 @@ class TestConfigErrors:
         cfg.write_text(ini)
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_readme_names_every_config_key():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    para = readme[readme.index("Configuration files are INI"):]
+    documented = dict(re.findall(r"`\[(\w+)\]`\s+\(([^)]*)\)", para[: para.index("\n\n")]))
+    for sec, keys in DEFAULTS.items():
+        assert sec in documented, sec
+        for key in keys:
+            assert re.search(rf"\b{key}\b", documented[sec]), (sec, key)
 
 
 class TestQuantizeCommand:
@@ -279,6 +313,25 @@ class TestBoundsCommand:
             quad = problem.smooth
             lower = l1_dual_bound(quad.mat, quad.vec, problem.reg.lam, x_star, quad.half)
             assert gap == pytest.approx(f_star - lower, rel=0.0, abs=1e-12 * abs(f_star))
+
+    def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
+        # an echo written before [bounds] m_u and [quantize] format were
+        # removed still loads, and gives the same artifacts as a current one
+        src = tmp_path / "src"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
+        echo = (src / "config_echo.ini").read_text()
+        echo = echo.replace("[bounds]\n", "[bounds]\nm_u = \n")
+        echo = echo.replace("[quantize]\n", "[quantize]\nformat = \n")
+        assert "m_u = " in echo and echo.count("format = ") == 2
+        (src / "config_echo.ini").write_text(echo)
+        assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
+        old, new = tmp_path / "old", tmp_path / "new"
+        assert sorted(os.listdir(old)) == sorted(os.listdir(new))
+        for name in os.listdir(new):
+            # the echo differs only in [run] out
+            stored = (old / name).read_bytes().replace(bytes(old), bytes(new))
+            assert stored == (new / name).read_bytes(), name
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2
