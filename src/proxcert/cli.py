@@ -160,13 +160,24 @@ def _get_bool(cfg, sec, key):
     raise ConfigError(f"[{sec}] {key} must be a boolean, got {raw!r}")
 
 
-def _get_floats(cfg, sec, key):
-    """Comma-separated numbers; empty items are skipped."""
+def _get_floats(cfg, sec, key, finite=True):
+    """Comma-separated numbers, finite unless ``finite`` is False; empty
+    items are skipped."""
     raw = cfg[sec][key]
     try:
-        return [float(t) for t in raw.split(",") if t.strip()]
+        values = [float(t) for t in raw.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"[{sec}] {key} must be a list of numbers, got {raw.strip()!r}") from exc
+    if finite and not all(map(math.isfinite, values)):
+        raise ConfigError(f"[{sec}] {key} must be a list of finite numbers, got {raw.strip()!r}")
+    return values
+
+
+def _get_seed(cfg):
+    seed = _get(cfg, "run", "seed", int)
+    if seed < 0:
+        raise ConfigError(f"[run] seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _build_error_specs(cfg):
@@ -215,7 +226,7 @@ def _build_solver_config(cfg, problem, default_iters):
             momentum=cfg["solver"]["momentum"].strip(),
             grad_error=grad_spec,
             prox_error=prox_spec,
-            seed=_get(cfg, "run", "seed", int),
+            seed=_get_seed(cfg),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -426,7 +437,7 @@ def cmd_verify(cfg):
     gammas = _get_floats(cfg, "verify", "gammas")
     if min(trials, k_max) < 1 or not gammas:
         raise ConfigError("[verify] needs trials and k_max of at least 1 and one gamma or more")
-    seed = _get(cfg, "run", "seed", int)
+    seed = _get_seed(cfg)
     problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
     x_star, _ = reference_solution(problem)
     gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
@@ -483,7 +494,7 @@ def cmd_quantize(cfg):
     print(f"format        {fmt}")
     print(f"dynamic range [{lo:.10g}, {hi:.10g}]")
     print(f"ulp           {fmt.ulp:.10g}")
-    values = _get_floats(cfg, "quantize", "values")
+    values = _get_floats(cfg, "quantize", "values", finite=False)  # inf shows saturation
     print(f"{'input':>18}  {'quantized':>18}")
     for v in values:
         print(f"{v:>18.10g}  {fmt.quantize(v):>18.10g}")

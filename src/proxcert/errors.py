@@ -167,29 +167,38 @@ def draw_tape(grad_spec, prox_spec, n, steps, seed):
 def _gap_along(h, s, x_exact, direction, t, d_dot_xw, d_dot_d):
     """Suboptimality of x_exact + t*direction in the prox subproblem at w.
 
-    Evaluated in expanded form (no large-term cancellation):
-    ``h(x+td) - h(x) + (2 t d'(x-w) + t^2 ||d||^2) / (2s)``, given
-    ``d_dot_xw = d'(x-w)`` and ``d_dot_d = ||d||^2``.
+    Row by row: ``x_exact`` and ``direction`` are ``(..., n)``, the others
+    ``(...)`` or scalars.  Evaluated in expanded form (no large-term
+    cancellation): ``h(x+td) - h(x) + (2 t d'(x-w) + t^2 ||d||^2) / (2s)``,
+    given ``d_dot_xw = d'(x-w)`` and ``d_dot_d = ||d||^2``.
     """
     quad = (2.0 * t * d_dot_xw + t * t * d_dot_d) / (2.0 * s)
     return h.value_delta(x_exact, direction, t) + quad
 
 
-def approx_prox(h, s, w, target_eps2, direction):
-    """A point in the eps2-suboptimal prox set of ``s*h`` at ``w``.
+def ray_constants(directions):
+    """``(|d|, d'd)`` of each row of ``directions`` ``(T, n)``: the part of
+    :func:`ray_solve` that depends only on the direction.  ``d'd`` is a
+    stacked product, which gives ``float(d @ d)`` of each row to the bit."""
+    return np.abs(directions), np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0]
 
-    Returns ``(x, realized_gap, residual)``.  The point lies on the ray
-    ``x + t*d`` from the exact prox ``x`` along the unit vector ``d``, at
-    the t where the subproblem gap phi(t) reaches 0.95 * target_eps2.  For
-    ``h = lam ||.||_1``, phi is convex and piecewise quadratic in t: its
-    curvature is ``||d||^2 / s`` and its slope jumps by ``2 lam |d_j|`` at
-    each kink ``t_j = -x_j / d_j`` with ``x_j d_j < 0``.  When phi stays
-    below the aim up to the first kink, sorting the kinks and summing phi
-    up to each one finds the segment that reaches it (the sort-and-scan of
-    the l1-ball projection, Duchi et al., ICML 2008); otherwise the first
-    segment does.  One quadratic on that segment gives t.  The realized gap
-    is then evaluated exactly; outside ``[0.9, 1.0] * target_eps2`` it
-    raises :class:`OracleError`.
+
+def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
+    """The point of :func:`approx_prox`, before its gap check.
+
+    The point lies on the ray ``x + t*d`` from the exact prox ``x`` along
+    the unit vector ``d`` (``abs_d``, ``d_dot_d``: its
+    :func:`ray_constants`), at the t where the subproblem gap phi(t)
+    reaches 0.95 * target_eps2.  For ``h = lam ||.||_1``, phi is convex and
+    piecewise quadratic in t: its curvature is ``||d||^2 / s`` and its
+    slope jumps by ``2 lam |d_j|`` at each kink ``t_j = -x_j / d_j`` with
+    ``x_j d_j < 0``.  When phi stays below the aim up to the first kink,
+    sorting the kinks and summing phi up to each one finds the segment that
+    reaches it (the sort-and-scan of the l1-ball projection, Duchi et al.,
+    ICML 2008); otherwise the first segment does.  One quadratic on that
+    segment gives t.  Returns ``(point, residual, ray)`` with ``residual =
+    t*d`` and ``ray = (x, t, d'(x - w))``, what :func:`checked_gaps` needs;
+    a zero target returns ``x`` itself with a +0.0 residual.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -198,15 +207,14 @@ def approx_prox(h, s, w, target_eps2, direction):
     w = np.asarray(w, dtype=float)
     x = h.prox(s, w)
     if target_eps2 == 0.0:
-        return x, 0.0, np.zeros_like(w)
-    d = direction
-    d_dot_xw, d_dot_d = float(d @ (x - w)), float(d @ d)
+        return x, np.zeros_like(w), (x, 0.0, 0.0)
+    d_dot_xw = float(d @ (x - w))
     curv = d_dot_d / s
     signed_d = np.sign(x) * d
     crossing = signed_d < 0.0  # coordinates that reach zero at t_j = -x_j / d_j > 0
     kinks = -x[crossing] / d[crossing]
     # phi'(0+): the l1 slope of coordinate j is |d_j| at x_j = 0, sign(x_j) d_j elsewhere
-    l1_slope = np.where(x == 0.0, np.abs(d), signed_d)
+    l1_slope = np.where(x == 0.0, abs_d, signed_d)
     slope0 = d_dot_xw / s + h.lam * float(l1_slope.sum())
     aim = 0.95 * target_eps2
     left, rest, p = 0.0, aim, slope0  # the first segment, [0, first kink]
@@ -215,18 +223,55 @@ def approx_prox(h, s, w, target_eps2, direction):
         if not (slope0 + 0.5 * curv * k_min) * k_min >= aim:  # phi(first kink) < aim
             order = np.argsort(kinks)
             lefts = np.concatenate(([0.0], kinks[order]))  # left ends of the segments
-            jumps = np.concatenate(([0.0], 2.0 * h.lam * np.abs(d[crossing])[order]))
+            jumps = np.concatenate(([0.0], 2.0 * h.lam * abs_d[crossing][order]))
             slopes = slope0 + curv * lefts + np.cumsum(jumps)  # phi' just right of each left end
             widths = np.diff(lefts)
             phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
             i = int(np.searchsorted(phis, aim)) - 1  # phis[i] < aim <= phis[i + 1]
             left, rest, p = lefts[i], aim - phis[i], slopes[i]
     t = left + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
-    gap = _gap_along(h, s, x, d, t, d_dot_xw, d_dot_d)
-    if not 0.9 * target_eps2 <= gap <= target_eps2:
-        raise OracleError(f"approx_prox gap {gap:.6g} outside [0.9, 1] x target {target_eps2:.6g}")
     residual = t * d
-    return x + residual, gap, residual
+    return x + residual, residual, (x, t, d_dot_xw)
+
+
+def checked_gaps(h, steps, rays, directions, d_dot_d, targets):
+    """The realized gaps of the ``rays`` of :func:`ray_solve` steps 0, 1, ...
+
+    Step k was solved at ``steps[k]`` along ``directions[k]`` (with
+    ``d_dot_d[k]``) for ``targets[k]``; these may run past the last step.
+    One stacked :func:`_gap_along` call evaluates every gap, a zero
+    target's as +0.0.  A gap outside ``[0.9, 1] * target`` raises
+    :class:`OracleError` for the first such step, named when there is more
+    than one.
+    """
+    x, t, d_dot_xw = map(np.asarray, zip(*rays))
+    k = len(t)
+    s, d, d_dot_d, targets = (np.asarray(a)[:k] for a in (steps, directions, d_dot_d, targets))
+    live = targets != 0.0
+    gaps = np.zeros(k)
+    gaps[live] = _gap_along(h, s[live], x[live], d[live], t[live], d_dot_xw[live], d_dot_d[live])
+    bad = np.flatnonzero(~((0.9 * targets <= gaps) & (gaps <= targets)))
+    if bad.size:
+        i = bad[0]
+        where = f" at step {i}" if k > 1 else ""
+        raise OracleError(
+            f"approx_prox gap {gaps[i]:.6g} outside [0.9, 1] x target {targets[i]:.6g}{where}"
+        )
+    return gaps
+
+
+def approx_prox(h, s, w, target_eps2, direction):
+    """A point in the eps2-suboptimal prox set of ``s*h`` at ``w``.
+
+    Returns ``(x, realized_gap, residual)``: the point of :func:`ray_solve`
+    along the unit vector ``direction``, whose gap :func:`checked_gaps`
+    evaluates exactly; outside ``[0.9, 1.0] * target_eps2`` it raises
+    :class:`OracleError`.
+    """
+    d = np.asarray(direction, dtype=float)
+    abs_d, d_dot_d = ray_constants(d[None])
+    point, residual, ray = ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0])
+    return point, checked_gaps(h, [s], [ray], d[None], d_dot_d, [target_eps2])[0], residual
 
 
 def inner_solver_prox(h, s, w, tol):

@@ -165,10 +165,11 @@ class L1Term:
         On coordinates that do not cross zero the difference is exactly
         ``t * d_j * sign(base_j)``, avoiding the catastrophic cancellation of
         subtracting two near-equal l1 values (needed when targeting prox
-        gaps near machine precision).
+        gaps near machine precision).  Row by row: ``base`` and
+        ``direction`` are ``(..., n)``, ``t`` and the result ``(...)``.
         """
         base = np.asarray(base, dtype=float)
-        step = t * np.asarray(direction, dtype=float)
+        step = np.asarray(t)[..., None] * np.asarray(direction, dtype=float)
         moved = base + step
         sign = np.sign(base)
         terms = np.where(
@@ -176,7 +177,7 @@ class L1Term:
             np.abs(step),
             np.where(np.sign(moved) == sign, sign * step, np.abs(moved) - np.abs(base)),
         )
-        return self.lam * float(terms.sum())
+        return self.lam * terms.sum(axis=-1)
 
     def prox(self, s, y):
         if s <= 0:

@@ -116,6 +116,10 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert run_cli(["solve", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "[run] seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_malformed_number(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\niters = three\n")
@@ -158,6 +162,10 @@ class TestConfigErrors:
             ("solve", "[bounds]\neps2_mean = -1\n", None),
             ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
             ("quantize", "[quantize]\nformat = s8.4\n", None),
+            ("solve", "[run]\nseed = -1\n", None),
+            ("verify", "[run]\nseed = -1\n", None),
+            ("mpc", "[mpc]\nx0 = nan,0,0,0,0,0,0\n", None),
+            ("verify", "[verify]\ngammas = nan\n", None),
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
@@ -167,7 +175,8 @@ class TestConfigErrors:
              "negative_stepsize", "zero_gamma", "p_above_1", "zero_trials", "zero_k_max",
              "duplicate_section", "nan_delta", "nan_gamma", "empty_gammas",
              "negative_closed_loop_steps", "negative_eps2_mean", "removed_m_u",
-             "removed_quantize_format"],
+             "removed_quantize_format", "negative_seed", "negative_verify_seed", "nan_x0",
+             "nan_gammas"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:

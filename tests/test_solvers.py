@@ -6,6 +6,7 @@ from proxcert import (
     FixedPointFormat,
     GradientErrorSpec,
     L1Term,
+    OracleError,
     ProxErrorSpec,
     QuadraticSmooth,
     SolverConfig,
@@ -247,6 +248,56 @@ class TestRunReadsTape:
         assert np.allclose(trace.res, along[:, None] * tape.directions, rtol=0, atol=1e-15)
 
 
+class TestDeferredGapCheck:
+    """A target-gap run checks its realized gaps once, after its loop."""
+
+    @pytest.mark.parametrize("setting", ["basic", "accelerated", "backtracking", "schedule"])
+    def test_every_step_equals_approx_prox(self, small_lasso, setting):
+        gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
+        pspec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+        if setting == "schedule":  # every third target is 0.0: the exact prox
+            pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5, 0.0, 1e-9] * 20)
+        stepsize = None
+        if setting == "backtracking":
+            stepsize = StepsizePolicy.backtracking(20.0 / small_lasso.lipschitz, eta=0.5)
+        cfg = SolverConfig(
+            variant="accelerated" if setting == "accelerated" else "basic", stepsize=stepsize,
+            max_iters=60, grad_error=gspec, prox_error=pspec, seed=4,
+        )
+        trace = solvers.run(small_lasso, cfg, np.zeros(small_lasso.n))
+        assert trace.num_steps == 60
+        tape = draw_tape(gspec, pspec, small_lasso.n, 60, 4)
+        points = trace.xs[:-1] if trace.ys is None else trace.ys
+        for k, y in enumerate(points):
+            s = trace.steps[k]
+            w = y - s * (small_lasso.grad(y) + trace.eps1[k])
+            x, gap, r = errors.approx_prox(
+                small_lasso.reg, s, w, tape.targets[k], tape.directions[k]
+            )
+            assert x.tobytes() == trace.xs[k + 1].tobytes()
+            assert np.float64(gap).tobytes() == trace.eps2[k].tobytes()
+            assert r.tobytes() == trace.res[k].tobytes()
+        if setting == "schedule":
+            exact = trace.xs[2::3]  # x^{k+1} of the zero-target steps k = 1, 4, ...
+            assert np.signbit(exact[exact == 0.0]).any()  # the soft threshold's -0.0 kept
+            assert np.all(trace.res[1::3] == 0.0) and not np.signbit(trace.res[1::3]).any()
+
+    def test_out_of_window_run_names_the_first_step(self, small_lasso):
+        # the diverging stepsize-1000 LASSO: step 4 is the first whose point
+        # misses the window; fixed directions keep the tape's rows the same
+        # at every run length
+        pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5] * 50, direction="fixed")
+        config = lambda iters: SolverConfig(
+            stepsize=StepsizePolicy.constant(1000.0), max_iters=iters, prox_error=pspec
+        )
+        with pytest.raises(OracleError, match=r"^approx_prox gap .* at step 4$"):
+            run_basic(small_lasso, config(50), np.zeros(small_lasso.n))
+        with pytest.raises(OracleError, match=r"at step 4$"):
+            run_basic(small_lasso, config(5), np.zeros(small_lasso.n))
+        trace = run_basic(small_lasso, config(4), np.zeros(small_lasso.n))
+        assert np.all((0.9e-5 <= trace.eps2) & (trace.eps2 <= 1e-5))
+
+
 class TestBacktrackingRuns:
     def test_stepsize_never_increases_and_descent_holds(self, small_lasso):
         s0 = 8.0 / small_lasso.lipschitz
@@ -337,7 +388,9 @@ class TestHotPathBudget:
         )
         trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
         assert trace.num_steps == 300
-        assert (len(f_values), len(gap_evals), len(proxes)) == (0, 300, 300)
+        # no gap evaluation per step: one stacked call checks all 300 rows
+        assert (len(f_values), len(gap_evals), len(proxes)) == (0, 1, 300)
+        assert gap_evals[0][2].shape == (300, small_lasso.n)
 
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     def test_quantized_run(self, small_lasso, monkeypatch, variant):
