@@ -10,12 +10,12 @@ gradient magnitude).  Proximal errors are expressed as a suboptimality gap
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .problems import OracleError, QuadraticSmooth, as_vector
 
@@ -24,8 +24,12 @@ def sample_truncated_gaussian(lo, hi, shape, rng):
     """Standard normal conditioned on [lo, hi], drawn by inverse CDF.
 
     The inverse-CDF route has bounded runtime at arbitrarily narrow
-    truncations, unlike rejection sampling.
+    truncations, unlike rejection sampling.  ``scipy.special`` is imported
+    here, at the first draw, so that runs without random errors never load
+    scipy.
     """
+    from scipy.special import ndtr, ndtri
+
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     p_lo, p_hi = ndtr(lo), ndtr(hi)
@@ -34,9 +38,27 @@ def sample_truncated_gaussian(lo, hi, shape, rng):
 
 
 def truncated_gaussian_mean(lo, hi):
-    """Exact mean of the standard normal truncated to [lo, hi]."""
-    phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-    return (phi(lo) - phi(hi)) / (ndtr(hi) - ndtr(lo))
+    """Exact mean ``(phi(lo) - phi(hi)) / (Phi(hi) - Phi(lo))`` of the standard
+    normal truncated to the scalar interval [lo, hi].
+
+    Neither difference is formed by subtraction where it would cancel.  The
+    density difference is ``phi(lo) (1 - exp(-(hi - lo)(hi + lo)/2))``,
+    through ``expm1``.  The mass is a sum of two ``erf`` terms when the
+    interval straddles 0, else a difference of ``erf`` terms near 0 and of
+    ``erfc`` terms in the tail.  On [0, h] both are accurate to a few ulps
+    at any h > 0, where the plain differences give 0.0 for h <= 1e-8.
+    """
+    phi_lo = math.exp(-0.5 * lo * lo) / math.sqrt(2.0 * math.pi)
+    num = phi_lo * -math.expm1(-0.5 * (hi - lo) * (hi + lo))
+    # the density is even: the mass depends on |lo|, |hi| and whether [lo, hi] holds 0
+    a, b = sorted((abs(lo) / math.sqrt(2.0), abs(hi) / math.sqrt(2.0)))
+    if lo < 0.0 < hi:
+        mass = 0.5 * (math.erf(a) + math.erf(b))
+    elif math.erf(a) <= 0.5:
+        mass = 0.5 * (math.erf(b) - math.erf(a))
+    else:
+        mass = 0.5 * (math.erfc(a) - math.erfc(b))
+    return num / mass
 
 
 @dataclass(frozen=True)
@@ -154,12 +176,17 @@ def draw_tape(grad_spec, prox_spec, n, steps, seed):
     multipliers, the second the prox-gap targets and then the directions.
     Quantized gradients and inner-solver proxes depend on the iterate, so
     they stay off the tape.  A schedule shorter than ``steps`` is rejected.
+    A run with neither kind gets the empty tape without seeding anything.
     """
+    on_grad = isinstance(grad_spec, GradientErrorSpec)
+    on_prox = prox_spec is not None and prox_spec.mode == "target_gap"
+    if not (on_grad or on_prox):
+        return ErrorTape(None, None, None)
     grad_seq, prox_seq = np.random.SeedSequence(seed).spawn(2)
     kappa = targets = directions = None
-    if isinstance(grad_spec, GradientErrorSpec):
+    if on_grad:
         kappa = _gradient_multipliers(grad_spec, n, steps, grad_seq)
-    if prox_spec is not None and prox_spec.mode == "target_gap":
+    if on_prox:
         targets, directions = _prox_targets_and_directions(prox_spec, n, steps, prox_seq)
     return ErrorTape(kappa, targets, directions)
 
@@ -376,14 +403,15 @@ def quantize_quadratic(fmt, quad):
     return QuadraticSmooth(fmt.quantize(quad.mat), fmt.quantize(quad.vec), half=quad.half)
 
 
-def quantized_gradient(fmt, quad_q, x, exact):
+def quantized_gradient(fmt, quad_q, x, exact=None):
     """Gradient of a quadratic smooth term with inputs and output quantized.
 
     Emulates a reduced-precision gradient evaluation: ``quad_q`` comes from
     :func:`quantize_quadratic`, the point is stored in ``fmt`` and the
     computed gradient is written back in ``fmt``.  Returns
     ``(noisy_grad, eps1)`` with ``eps1`` measured against ``exact``, the
-    exact gradient at the unquantized point.
+    exact gradient at the unquantized point, or None when it is not given
+    (a run forms every step's eps1 at once, after its loop).
     """
     g_q = fmt.quantize(quad_q.grad(fmt.quantize(x)))
-    return g_q, g_q - exact
+    return g_q, None if exact is None else g_q - exact

@@ -166,14 +166,16 @@ def _run(problem, config, x0, accelerated):
                 if accelerated:
                     beta_k = (alpha_prev - 1.0) / alpha_k
                     y = x + beta_k * (x - x_prev)
-            g = problem.grad(y)
-            if tape.kappa is not None:
+            if quad_q is not None:
+                # the row holds noisy until the loop ends; then the stacked
+                # exact gradients turn every row into eps1 = noisy - grad g(y)
+                noisy = eps1 = quantized_gradient(gspec, quad_q, y)[0]
+            elif tape.kappa is not None:
+                g = problem.grad(y)
                 eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
                 noisy = g + eps1
-            elif quad_q is not None:
-                noisy, eps1 = quantized_gradient(gspec, quad_q, y, g)
             else:
-                noisy, eps1 = g, zero
+                noisy, eps1 = problem.grad(y), zero
             g_next = None
             if policy.mode == "backtracking":
                 g_y = None if accelerated else g_x  # a basic step probes at x^k
@@ -215,18 +217,23 @@ def _run(problem, config, x0, accelerated):
         if rays:
             eps2s = checked_gaps(problem.reg, steps, rays, tape.directions, d_dot_d, tape.targets)
     xs = np.asarray(xs)
+    ys = np.asarray(ys) if accelerated else None
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
+    eps1s = np.asarray(eps1s)
+    if quad_q is not None:
+        # the stacked gradients give the bits of problem.grad at each probe
+        eps1s = eps1s - problem.smooth.grads(ys if accelerated else xs[: len(steps)])
 
     return RunTrace(
         xs=xs,
-        ys=np.asarray(ys) if accelerated else None,
+        ys=ys,
         steps=np.asarray(steps),
         betas=np.asarray(betas),
         alphas=np.asarray(alphas),
         fvals=fvals,
-        eps1=np.asarray(eps1s),
+        eps1=eps1s,
         eps2=np.asarray(eps2s),
         res=np.asarray(ress),
         status=status,

@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +383,32 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "martingale_diagnostic", always_fail)
         code = run_cli(["verify", "--out", str(tmp_path / "v"), "--trials", "120"])
         assert code == 5
+
+
+COLD_START = """
+import sys
+import proxcert, proxcert.cli, proxcert.experiments
+from proxcert.cli import main
+
+out, loaded = sys.argv[1], []
+assert main(["quantize", "--format", "s8.4"]) == 0
+assert main(["mpc", "--out", out + "/mpc", "--iters", "100"]) == 0
+assert main(["bounds", "--from", out + "/mpc", "--out", out + "/bounds"]) == 0
+loaded.append("scipy" in sys.modules)
+assert main(["solve", "--eps0", "1e-4", "--out", out + "/solve", "--iters", "100"]) == 0
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_with_a_random_draw(self, tmp_path):
+        # a fresh interpreter: exact and quantized commands load no scipy,
+        # a target-gap run's first truncated-Gaussian draw does
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[False, True]"

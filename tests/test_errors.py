@@ -16,7 +16,12 @@ from proxcert import (
     run_basic,
     sample_truncated_gaussian,
 )
-from proxcert.errors import draw_tape, inner_solver_prox, quantize_quadratic
+from proxcert.errors import (
+    draw_tape,
+    inner_solver_prox,
+    quantize_quadratic,
+    truncated_gaussian_mean,
+)
 
 from oracles import l1_ray_point
 
@@ -44,6 +49,32 @@ class TestTruncatedGaussian:
     def test_invalid_interval(self, rng):
         with pytest.raises(ValueError):
             sample_truncated_gaussian(1.0, 1.0, 3, rng)
+
+
+class TestTruncatedGaussianMean:
+    """The mean against quadrature with no absolute tolerance, or against the
+    series h/2 - h^3/24 of [0, h], whose error O(h^5) is below 1e-16
+    relative for h <= 1e-4."""
+
+    @staticmethod
+    def quadrature_mean(lo, hi):
+        phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2 * np.pi)
+        tol = dict(epsabs=0.0, epsrel=1e-13)
+        return quadrature(lambda t: t * phi(t), lo, hi, **tol)[0] / quadrature(phi, lo, hi, **tol)[0]
+
+    @pytest.mark.parametrize("eps0", [1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
+    def test_narrow_interval_at_zero(self, eps0):
+        # the difference of densities and of CDFs cancels to 0.0 at eps0 <= 1e-8
+        if eps0 <= 1e-4:
+            oracle = eps0 / 2 - eps0**3 / 24
+        else:
+            oracle = self.quadrature_mean(0.0, eps0)
+        assert truncated_gaussian_mean(0.0, eps0) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 1.5), (-2.0, 0.25), (1.0, 3.0), (-3.0, -1.0)])
+    def test_wide_intervals(self, lo, hi):
+        oracle = self.quadrature_mean(lo, hi)
+        assert truncated_gaussian_mean(lo, hi) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def unit(v):
@@ -420,11 +451,16 @@ class TestProxTape:
         se = d.std(axis=0) / np.sqrt(len(d))
         assert np.all(np.abs(d.mean(axis=0)) <= 4 * se)
 
-    def test_error_free_kinds_allocate_nothing(self):
+    def test_error_free_kinds_allocate_nothing(self, monkeypatch):
         inner = ProxErrorSpec(mode="inner_solver", eps0=1e-6)
         fmt = FixedPointFormat.parse("s16.8")
         for pspec in (None, ProxErrorSpec(), inner, ProxErrorSpec(mode="target_gap")):
             assert draw_tape(fmt, pspec, 5, 100_000, 0) == (None, None, None)
+        # with no error kind on the tape, no stream is seeded either
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        for gspec in (None, fmt):
+            for pspec in (None, ProxErrorSpec(), inner):
+                assert draw_tape(gspec, pspec, 5, 100_000, 0) == (None, None, None)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

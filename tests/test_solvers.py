@@ -248,6 +248,32 @@ class TestRunReadsTape:
         assert np.allclose(trace.res, along[:, None] * tape.directions, rtol=0, atol=1e-15)
 
 
+class TestQuantizedRun:
+    """A quantized run forms every step's eps1 from stacked exact gradients."""
+
+    @pytest.mark.parametrize("variant", ["basic", "accelerated", "backtracking"])
+    @pytest.mark.parametrize("shape", [(50, 20), (30, 60)])
+    def test_eps1_equals_per_step_gradients(self, variant, shape):
+        m, n = shape
+        problem = lasso_problem(gen_lasso(n=n, m=m, seed=11))
+        fmt = FixedPointFormat.parse("s16.8")
+        stepsize = None
+        if variant == "backtracking":
+            stepsize = StepsizePolicy.backtracking(20.0 / problem.lipschitz, eta=0.5)
+        cfg = SolverConfig(
+            variant="accelerated" if variant == "accelerated" else "basic",
+            stepsize=stepsize, max_iters=60, grad_error=fmt,
+        )
+        trace = solvers.run(problem, cfg, np.zeros(n))
+        quad_q = errors.quantize_quadratic(fmt, problem.smooth)
+        points = trace.xs[:-1] if trace.ys is None else trace.ys
+        for k, y in enumerate(points):
+            g_q, eps1 = errors.quantized_gradient(fmt, quad_q, y, problem.grad(y))
+            assert eps1.tobytes() == trace.eps1[k].tobytes()
+            w = y - trace.steps[k] * g_q
+            assert problem.prox(trace.steps[k], w).tobytes() == trace.xs[k + 1].tobytes()
+
+
 class TestDeferredGapCheck:
     """A target-gap run checks its realized gaps once, after its loop."""
 
@@ -395,6 +421,8 @@ class TestHotPathBudget:
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     def test_quantized_run(self, small_lasso, monkeypatch, variant):
         quantizes = counted(monkeypatch, FixedPointFormat, "quantize")
+        grads = counted(monkeypatch, CompositeProblem, "grad")
+        stacked = counted(monkeypatch, QuadraticSmooth, "grads")
         cfg = SolverConfig(
             variant=variant, max_iters=40, grad_error=FixedPointFormat.parse("s16.8")
         )
@@ -402,6 +430,9 @@ class TestHotPathBudget:
             small_lasso, cfg, np.zeros(small_lasso.n)
         )
         assert len(quantizes) == 2 * 40 + 2
+        # no exact gradient per step: one stacked call forms all 40 eps1 rows
+        assert (len(grads), len(stacked)) == (0, 1)
+        assert stacked[0][1].shape == (40, small_lasso.n)
 
     @pytest.mark.parametrize(
         "variant, prox, probes",
