@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import json
 import math
 import os
 import sys
@@ -51,6 +52,13 @@ EXIT_DIAGNOSTIC = 5
 
 class ConfigError(ValueError):
     pass
+
+
+# what a run command writes into its out directory besides the config echo;
+# a rerun removes them first, so a failed one leaves no earlier run's files
+RUN_ARTIFACTS = ("trace.csv", "bounds.csv", "comparison.csv", "iterates.bin", "trace.npz",
+                 "closed_loop.csv", "summary.json")
+FAILED_STATUSES = ("non-finite-iterate", "oracle-error")
 
 
 # every section and key a config may set, with its default
@@ -308,6 +316,8 @@ def problem_from_cfg(cfg):
     return problem, problem.meta.get("spec")
 
 
+# a diverged run's bounds and gaps overflow; that is reported, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def certify(cfg, problem, trace, spec=None, extra=None):
     """Check a trace against every bound series and write the run artifacts.
 
@@ -370,12 +380,17 @@ def cmd_run(cfg, command):
     """``solve``, ``lasso`` and ``mpc``: build, run, certify.
 
     Default iteration counts: ``solve`` 100, ``lasso`` 300, ``mpc`` 300
-    (basic) or 20 (accelerated).
+    (basic) or 20 (accelerated).  The ``RUN_ARTIFACTS`` of an earlier run in
+    the out directory are removed before the config echo is written.
     """
     cfg["run"]["command"] = command
     problem, spec = problem_from_cfg(cfg)
     out = cfg["run"]["out"]
     os.makedirs(out, exist_ok=True)
+    for name in RUN_ARTIFACTS:
+        path = os.path.join(out, name)
+        if os.path.exists(path):
+            os.remove(path)
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
@@ -411,11 +426,22 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     flags override it (so e.g. --gamma re-evaluates the probabilistic
     bounds without re-running the solver).  The artifacts are those of the
     command that made the run, except the closed loop, which is not rerun.
+    A run whose summary records a failure (``FAILED_STATUSES``) is a
+    configuration error.
     """
     trace_path = os.path.join(from_dir, "trace.npz")
     echo_path = os.path.join(from_dir, "config_echo.ini")
     if not os.path.exists(trace_path) or not os.path.exists(echo_path):
         raise ConfigError(f"{from_dir} does not contain a stored run")
+    try:
+        with open(os.path.join(from_dir, "summary.json")) as fh:
+            status = json.load(fh).get("status")
+    except FileNotFoundError:
+        status = None
+    except ValueError as exc:
+        raise ConfigError(f"{from_dir} has a malformed summary.json: {exc}") from exc
+    if status in FAILED_STATUSES:
+        raise ConfigError(f"{from_dir} holds a failed run (status {status}), not a certifiable one")
     base = load_config(echo_path, strict=False)
     for sec, vals in (file_cfg or {}).items():
         base.setdefault(sec, {}).update(vals)

@@ -210,7 +210,7 @@ def ray_constants(directions):
     return np.abs(directions), np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0]
 
 
-def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
+def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
     """The point of :func:`approx_prox`, before its gap check.
 
     The point lies on the ray ``x + t*d`` from the exact prox ``x`` along
@@ -223,55 +223,67 @@ def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
     sorting the kinks and summing phi up to each one finds the segment that
     reaches it (the sort-and-scan of the l1-ball projection, Duchi et al.,
     ICML 2008); otherwise the first segment does.  One quadratic on that
-    segment gives t.  Returns ``(point, residual, ray)`` with ``residual =
-    t*d`` and ``ray = (x, t, d'(x - w))``, what :func:`checked_gaps` needs;
-    a zero target returns ``x`` itself with a +0.0 residual.
+    segment gives t.  Writes the exact prox into the array ``x`` and the
+    point into ``out`` and returns ``(t, d'(x - w))``: with ``x``, what
+    :func:`checked_gaps` needs.  The residual is ``t*d``; a zero target
+    leaves ``x`` itself in ``out``, with t = 0 and a +0.0 residual.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
     if target_eps2 < 0:
         raise ValueError("target gap must be nonnegative")
-    w = np.asarray(w, dtype=float)
-    x = h.prox(s, w)
+    h.prox(s, w, out=x)
     if target_eps2 == 0.0:
-        return x, np.zeros_like(w), (x, 0.0, 0.0)
-    d_dot_xw = float(d @ (x - w))
+        np.copyto(out, x)
+        return 0.0, 0.0
+    # ``out`` serves as scratch until the point is written
+    d_dot_xw = float(d.dot(np.subtract(x, w, out=out)))
     curv = d_dot_d / s
-    signed_d = np.sign(x) * d
+    signed_d = np.multiply(np.sign(x, out=out), d, out=out)
     crossing = signed_d < 0.0  # coordinates that reach zero at t_j = -x_j / d_j > 0
-    kinks = -x[crossing] / d[crossing]
     # phi'(0+): the l1 slope of coordinate j is |d_j| at x_j = 0, sign(x_j) d_j elsewhere
-    l1_slope = np.where(x == 0.0, abs_d, signed_d)
-    slope0 = d_dot_xw / s + h.lam * float(l1_slope.sum())
+    l1_slope = signed_d
+    np.copyto(l1_slope, abs_d, where=x == 0.0)
+    slope0 = d_dot_xw / s + h.lam * float(np.add.reduce(l1_slope))
     aim = 0.95 * target_eps2
     left, rest, p = 0.0, aim, slope0  # the first segment, [0, first kink]
-    if kinks.size:
-        k_min = kinks.min()
-        if not (slope0 + 0.5 * curv * k_min) * k_min >= aim:  # phi(first kink) < aim
-            order = np.argsort(kinks)
-            lefts = np.concatenate(([0.0], kinks[order]))  # left ends of the segments
-            jumps = np.concatenate(([0.0], 2.0 * h.lam * abs_d[crossing][order]))
-            slopes = slope0 + curv * lefts + np.cumsum(jumps)  # phi' just right of each left end
-            widths = np.diff(lefts)
-            phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
-            i = int(np.searchsorted(phis, aim)) - 1  # phis[i] < aim <= phis[i + 1]
-            left, rest, p = lefts[i], aim - phis[i], slopes[i]
-    t = left + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
-    residual = t * d
-    return x + residual, residual, (x, t, d_dot_xw)
+    # the first kink is -max(x_j / d_j) over the crossing j; fmax skips the
+    # NaN it starts from, which is left only when no coordinate crosses
+    k_min = -float(np.fmax.reduce(np.divide(x, d, out=out), where=crossing, initial=np.nan))
+    if k_min == k_min and not (slope0 + 0.5 * curv * k_min) * k_min >= aim:
+        # phi(first kink) < aim
+        kinks = -x[crossing] / d[crossing]
+        order = np.argsort(kinks)
+        lefts = np.concatenate(([0.0], kinks[order]))  # left ends of the segments
+        jumps = np.concatenate(([0.0], 2.0 * h.lam * abs_d[crossing][order]))
+        slopes = slope0 + curv * lefts + np.cumsum(jumps)  # phi' just right of each left end
+        widths = np.diff(lefts)
+        phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
+        i = int(np.searchsorted(phis, aim)) - 1  # phis[i] < aim <= phis[i + 1]
+        left, rest, p = lefts[i], aim - phis[i], slopes[i]
+    root = p * p + 2.0 * curv * rest
+    # NaN once the iterates diverge, which math.sqrt passes on as np.sqrt
+    # does; below 0 math.sqrt would raise, so that gives NaN too.  The
+    # division stays a float64 one: inf, not ZeroDivisionError, at 0
+    root = math.sqrt(root) if root >= 0.0 else math.nan
+    t = left + 2.0 * rest / np.float64(p + root)
+    np.add(x, np.multiply(d, t, out=out), out=out)
+    return t, d_dot_xw
 
 
 def checked_gaps(h, steps, rays, directions, d_dot_d, targets):
-    """The realized gaps of the ``rays`` of :func:`ray_solve` steps 0, 1, ...
+    """The realized gaps of :func:`ray_solve` steps 0, 1, ...
 
-    Step k was solved at ``steps[k]`` along ``directions[k]`` (with
-    ``d_dot_d[k]``) for ``targets[k]``; these may run past the last step.
+    ``rays`` is ``(x, t, d_dot_xw)``, stacked over the steps solved: the
+    exact prox points ``(k, n)`` and the returns of :func:`ray_solve`.
+    Step j was solved at ``steps[j]`` along ``directions[j]`` (with
+    ``d_dot_d[j]``) for ``targets[j]``; these may run past the last step.
     One stacked :func:`_gap_along` call evaluates every gap, a zero
     target's as +0.0.  A gap outside ``[0.9, 1] * target`` raises
     :class:`OracleError` for the first such step, named when there is more
     than one.
     """
-    x, t, d_dot_xw = map(np.asarray, zip(*rays))
+    x, t, d_dot_xw = map(np.asarray, rays)
     k = len(t)
     s, d, d_dot_d, targets = (np.asarray(a)[:k] for a in (steps, directions, d_dot_d, targets))
     live = targets != 0.0
@@ -287,6 +299,9 @@ def checked_gaps(h, steps, rays, directions, d_dot_d, targets):
     return gaps
 
 
+# ray_solve divides x_j / d_j at every j, crossing or not: a direction with
+# zero entries, which no tape holds, divides by zero where its mask drops it
+@np.errstate(divide="ignore", invalid="ignore")
 def approx_prox(h, s, w, target_eps2, direction):
     """A point in the eps2-suboptimal prox set of ``s*h`` at ``w``.
 
@@ -295,10 +310,13 @@ def approx_prox(h, s, w, target_eps2, direction):
     evaluates exactly; outside ``[0.9, 1.0] * target_eps2`` it raises
     :class:`OracleError`.
     """
+    w = np.asarray(w, dtype=float)
     d = np.asarray(direction, dtype=float)
     abs_d, d_dot_d = ray_constants(d[None])
-    point, residual, ray = ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0])
-    return point, checked_gaps(h, [s], [ray], d[None], d_dot_d, [target_eps2])[0], residual
+    x, point = np.empty_like(w), np.empty_like(w)
+    t, d_dot_xw = ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0], x, point)
+    gap = checked_gaps(h, [s], ([x], [t], [d_dot_xw]), d[None], d_dot_d, [target_eps2])[0]
+    return point, gap, t * d if target_eps2 else np.zeros_like(w)
 
 
 def inner_solver_prox(h, s, w, tol):

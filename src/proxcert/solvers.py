@@ -133,109 +133,134 @@ class RunTrace:
 # overflow during divergence is an expected, reported outcome
 @np.errstate(over="ignore", invalid="ignore")
 def _run(problem, config, x0, accelerated):
-    x0 = as_vector(x0, problem.n, "x0")
+    n, max_iters, reg = problem.n, config.max_iters, problem.reg
+    x0 = as_vector(x0, n, "x0")
     gspec, pspec = config.grad_error, config.prox_error
-    tape = draw_tape(gspec, pspec, problem.n, config.max_iters, config.seed)
-    relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
+    tape = draw_tape(gspec, pspec, n, max_iters, config.seed)
+    kappa, directions = tape.kappa, tape.directions
+    relative = kappa is not None and gspec.model == "relative"
     quad_q = None
     if isinstance(gspec, FixedPointFormat):
         quad_q = quantize_quadratic(gspec, problem.smooth)
     inner = pspec is not None and pspec.mode == "inner_solver"
     policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
-    if tape.targets is not None:
-        abs_d, d_dot_d = ray_constants(tape.directions)
-    rays = []  # (x, t, d'(x - w)) of each target-gap step, checked after the loop
+    backtracking = policy.mode == "backtracking"
+    on_ray = tape.targets is not None
+    if on_ray:
+        abs_d, d_dot_d = ray_constants(directions)
+        targets, d_dot_ds = tape.targets.tolist(), d_dot_d.tolist()
+        exact_xs = np.empty((max_iters, n))  # x of each target-gap step, checked after the loop
+    ts, d_dot_xws = [], []  # and its t and d'(x - w)
 
-    xs = [x0]
-    ys = []
-    steps, betas, alphas, eps2s = [], [], [], []
-    eps1s, ress = [], []
-    zero = np.zeros(problem.n)  # eps1/res row of an exact gradient or prox
+    # step k writes row k + 1 of xs (and row k of ys, eps1s, ress) in place;
+    # rows that depend only on the tape or on t are formed after the loop
+    xs = np.empty((max_iters + 1, n))
+    xs[0] = x0
+    if accelerated:
+        ys = np.empty((max_iters, n))
+        ys[0] = x0
+    if relative or quad_q is not None:
+        eps1s = np.empty((max_iters, n))
+    if inner:
+        ress = np.empty((max_iters, n))
+    w = np.empty(n)
+    zero = np.zeros(n)
+    steps, betas, alphas, gaps = [], [], [], []  # steps: backtracking, gaps: inner solver
     status = "iteration-cap"
 
     s = policy.s0
-    x_prev = x0
-    x = x0
     g_x = None  # g(x^k), when backtracking has evaluated it as the accepted z
     alpha_k = 1.0
     try:
-        for k in range(config.max_iters):
-            beta_k, y = 0.0, x
+        for k in range(max_iters):
+            x = y = xs[k]
+            x_next = xs[k + 1]
+            beta_k = 0.0
             if k > 0:
                 alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
                 if accelerated:
                     beta_k = (alpha_prev - 1.0) / alpha_k
-                    y = x + beta_k * (x - x_prev)
+                    y = ys[k]
+                    np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), beta_k, out=y), out=y)
             if quad_q is not None:
                 # the row holds noisy until the loop ends; then the stacked
                 # exact gradients turn every row into eps1 = noisy - grad g(y)
-                noisy = eps1 = quantized_gradient(gspec, quad_q, y)[0]
-            elif tape.kappa is not None:
-                g = problem.grad(y)
-                eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
-                noisy = g + eps1
+                noisy = eps1s[k] = quantized_gradient(gspec, quad_q, y)[0]
             else:
-                noisy, eps1 = problem.grad(y), zero
-            g_next = None
-            if policy.mode == "backtracking":
+                noisy = problem.grad(y)
+                if relative:
+                    np.add(noisy, np.multiply(kappa[k], noisy, out=eps1s[k]), out=noisy)
+                elif kappa is not None:
+                    np.add(noisy, kappa[k], out=noisy)
+            if backtracking:
                 g_y = None if accelerated else g_x  # a basic step probes at x^k
                 s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
-            w = y - s * noisy
-            if tape.targets is not None:
-                x_next, r, ray = ray_solve(
-                    problem.reg, s, w, tape.targets[k], tape.directions[k], abs_d[k], d_dot_d[k]
+                steps.append(s)
+            np.subtract(y, np.multiply(noisy, s, out=w), out=w)
+            g_x = None
+            if on_ray:
+                t, d_dot_xw = ray_solve(
+                    reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], exact_xs[k], x_next
                 )
-                rays.append(ray)
-                gap = None
+                ts.append(t)
+                d_dot_xws.append(d_dot_xw)
             elif inner:
-                x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
-            elif policy.mode == "backtracking":
+                x_next[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
+                gaps.append(gap)
+            elif backtracking:
                 # the accepted candidate is prox(s, w), and g(z) is known
-                x_next, gap, r, g_next = z, 0.0, zero, g_z
+                x_next[:], g_x = z, g_z
             else:
-                x_next, gap, r = problem.prox(s, w), 0.0, zero
-
-            if accelerated:
-                ys.append(y)
-            steps.append(s)
+                reg.prox(s, w, out=x_next)
             betas.append(beta_k)
             alphas.append(alpha_k)
-            eps1s.append(eps1)
-            eps2s.append(gap)
-            ress.append(r)
-            xs.append(x_next)
-            if not np.isfinite(x_next).all():
+            # x'0 is NaN exactly when an entry of x is inf or NaN
+            if math.isnan(x_next.dot(zero)):
                 status = "non-finite-iterate"
                 break
             if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
                 status = "converged"
                 break
-            x_prev, x, g_x = x, x_next, g_next
     finally:
         # every realized gap in one call; the first one outside its window
         # is the run's error, also when a later step raised
-        if rays:
-            eps2s = checked_gaps(problem.reg, steps, rays, tape.directions, d_dot_d, tape.targets)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys) if accelerated else None
+        if ts:
+            rays = (exact_xs[: len(ts)], ts, d_dot_xws)
+            stepsizes = steps if backtracking else np.full(len(ts), s)
+            gaps = checked_gaps(reg, stepsizes, rays, directions, d_dot_d, targets)
+    done = len(betas)
+    xs = xs[: done + 1]
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
-    eps1s = np.asarray(eps1s)
+    ys = ys[:done] if accelerated else None
     if quad_q is not None:
         # the stacked gradients give the bits of problem.grad at each probe
-        eps1s = eps1s - problem.smooth.grads(ys if accelerated else xs[: len(steps)])
+        eps1s = eps1s[:done] - problem.smooth.grads(ys if accelerated else xs[:done])
+    elif relative:
+        eps1s = eps1s[:done]
+    elif kappa is not None:
+        eps1s = kappa[:done]
+    else:
+        eps1s = np.zeros((done, n))
+    if on_ray:
+        ress = np.asarray(ts)[:, None] * directions[:done]
+        ress[np.asarray(targets[:done]) == 0.0] = 0.0  # +0.0, not t*d = -0.0
+    elif inner:
+        ress = ress[:done]
+    else:
+        ress = np.zeros((done, n))
 
     return RunTrace(
         xs=xs,
         ys=ys,
-        steps=np.asarray(steps),
+        steps=np.asarray(steps) if backtracking else np.full(done, s),
         betas=np.asarray(betas),
         alphas=np.asarray(alphas),
         fvals=fvals,
         eps1=eps1s,
-        eps2=np.asarray(eps2s),
-        res=np.asarray(ress),
+        eps2=np.asarray(gaps) if on_ray or inner else np.zeros(done),
+        res=ress,
         status=status,
         meta={"variant": "accelerated" if accelerated else "basic", "seed": config.seed},
     )

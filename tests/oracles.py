@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: golden-section and
 grid minimization, central finite differences, exact second differences of
-quadratics, brute-force sums, and CSV artifacts formatted one cell at a time.
+quadratics, brute-force sums, CSV artifacts formatted one cell at a time, and
+the run loop written with lists, one allocation per row.
 """
 
 import numpy as np
@@ -207,3 +208,154 @@ def comparison_csv_text(series_list, f_gap, baseline_name):
         row += ["" if baseline is None else _fmt(baseline.values[k] - s.values[k]) for s in ours]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _reference_grad(problem, y):
+    quad = problem.smooth
+    g = quad.mat.T @ (quad.mat @ y - quad.vec)
+    return g if quad.half else 2.0 * g
+
+
+def _reference_ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
+    """The list-based loop's ray solve: ``(point, residual, (x, t, d'(x - w)))``."""
+    if s <= 0:
+        raise ValueError("prox stepsize must be positive")
+    if target_eps2 < 0:
+        raise ValueError("target gap must be nonnegative")
+    w = np.asarray(w, dtype=float)
+    x = np.sign(w) * np.maximum(np.abs(w) - s * h.lam, 0.0)
+    if target_eps2 == 0.0:
+        return x, np.zeros_like(w), (x, 0.0, 0.0)
+    d_dot_xw = float(d @ (x - w))
+    curv = d_dot_d / s
+    signed_d = np.sign(x) * d
+    crossing = signed_d < 0.0
+    kinks = -x[crossing] / d[crossing]
+    l1_slope = np.where(x == 0.0, abs_d, signed_d)
+    slope0 = d_dot_xw / s + h.lam * float(l1_slope.sum())
+    aim = 0.95 * target_eps2
+    left, rest, p = 0.0, aim, slope0
+    if kinks.size:
+        k_min = kinks.min()
+        if not (slope0 + 0.5 * curv * k_min) * k_min >= aim:
+            order = np.argsort(kinks)
+            lefts = np.concatenate(([0.0], kinks[order]))
+            jumps = np.concatenate(([0.0], 2.0 * h.lam * abs_d[crossing][order]))
+            slopes = slope0 + curv * lefts + np.cumsum(jumps)
+            widths = np.diff(lefts)
+            phis = np.concatenate(([0.0], np.cumsum((slopes[:-1] + 0.5 * curv * widths) * widths)))
+            i = int(np.searchsorted(phis, aim)) - 1
+            left, rest, p = lefts[i], aim - phis[i], slopes[i]
+    t = left + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
+    residual = t * d
+    return x + residual, residual, (x, t, d_dot_xw)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_run(problem, config, x0, accelerated):
+    """``solvers._run`` as a list-based loop: every row appended as it is
+    made, ``isfinite`` tested at each step, the gradient, prox and ray solve
+    written out here, the stacks formed from the lists at the end.  Returns
+    the same ``RunTrace``, or raises the same error, to the bit."""
+    from proxcert.errors import (
+        FixedPointFormat,
+        GradientErrorSpec,
+        checked_gaps,
+        draw_tape,
+        inner_solver_prox,
+        quantize_quadratic,
+        quantized_gradient,
+        ray_constants,
+    )
+    from proxcert.problems import StepsizePolicy, as_vector, backtrack_stepsize
+    from proxcert.solvers import RunTrace, _next_alpha
+
+    x0 = as_vector(x0, problem.n, "x0")
+    gspec, pspec = config.grad_error, config.prox_error
+    tape = draw_tape(gspec, pspec, problem.n, config.max_iters, config.seed)
+    relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
+    quad_q = quantize_quadratic(gspec, problem.smooth) if isinstance(gspec, FixedPointFormat) else None
+    inner = pspec is not None and pspec.mode == "inner_solver"
+    policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
+    if tape.targets is not None:
+        abs_d, d_dot_d = ray_constants(tape.directions)
+    rays = []
+    xs, ys = [x0], []
+    steps, betas, alphas, eps2s, eps1s, ress = [], [], [], [], [], []
+    zero = np.zeros(problem.n)
+    status = "iteration-cap"
+    s, x_prev, x, g_x, alpha_k = policy.s0, x0, x0, None, 1.0
+    try:
+        for k in range(config.max_iters):
+            beta_k, y = 0.0, x
+            if k > 0:
+                alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
+                if accelerated:
+                    beta_k = (alpha_prev - 1.0) / alpha_k
+                    y = x + beta_k * (x - x_prev)
+            if quad_q is not None:
+                noisy = eps1 = quantized_gradient(gspec, quad_q, y)[0]
+            elif tape.kappa is not None:
+                g = _reference_grad(problem, y)
+                eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
+                noisy = g + eps1
+            else:
+                noisy, eps1 = _reference_grad(problem, y), zero
+            g_next = None
+            if policy.mode == "backtracking":
+                g_y = None if accelerated else g_x
+                s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
+            w = y - s * noisy
+            if tape.targets is not None:
+                x_next, r, ray = _reference_ray_solve(
+                    problem.reg, s, w, tape.targets[k], tape.directions[k], abs_d[k], d_dot_d[k]
+                )
+                rays.append(ray)
+                gap = None
+            elif inner:
+                x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
+            elif policy.mode == "backtracking":
+                x_next, gap, r, g_next = z, 0.0, zero, g_z
+            else:
+                lam_s = s * problem.reg.lam
+                x_next, gap, r = np.sign(w) * np.maximum(np.abs(w) - lam_s, 0.0), 0.0, zero
+            if accelerated:
+                ys.append(y)
+            steps.append(s)
+            betas.append(beta_k)
+            alphas.append(alpha_k)
+            eps1s.append(eps1)
+            eps2s.append(gap)
+            ress.append(r)
+            xs.append(x_next)
+            if not np.isfinite(x_next).all():
+                status = "non-finite-iterate"
+                break
+            if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
+                status = "converged"
+                break
+            x_prev, x, g_x = x, x_next, g_next
+    finally:
+        if rays:
+            stacked = tuple(zip(*rays))
+            eps2s = checked_gaps(problem.reg, steps, stacked, tape.directions, d_dot_d, tape.targets)
+    xs = np.asarray(xs)
+    ys = np.asarray(ys) if accelerated else None
+    fvals = problem.f_values(xs)
+    if status == "non-finite-iterate":
+        fvals[-1] = np.nan
+    eps1s = np.asarray(eps1s)
+    if quad_q is not None:
+        eps1s = eps1s - problem.smooth.grads(ys if accelerated else xs[: len(steps)])
+    return RunTrace(
+        xs=xs,
+        ys=ys,
+        steps=np.asarray(steps),
+        betas=np.asarray(betas),
+        alphas=np.asarray(alphas),
+        fvals=fvals,
+        eps1=eps1s,
+        eps2=np.asarray(eps2s),
+        res=np.asarray(ress),
+        status=status,
+    )

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,49 @@ class TestSolve:
         assert summary["status"] == "oracle-error"
         assert summary["error"].startswith("approx_prox gap")
         assert summary["error"] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prox", ["exact", "target_gap"])
+    def test_failed_rerun_leaves_no_stale_artifacts(self, tmp_path, prox):
+        # a rerun that ends non-finite-iterate (exact prox) or oracle-error
+        # (target gap) into the directory of a good run leaves only its own
+        # config echo and summary, so bounds --from finds no run to certify
+        lasso = "[lasso]\nn = 10\nm = 30\nseed = 7\n"
+        good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+        good.write_text(lasso)
+        bad.write_text(
+            lasso + "\n[solver]\nstepsize = 1000\n\n"
+            f"[errors]\nprox_mode = {prox}\neps0 = {1e-5 if prox == 'target_gap' else 0}\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", str(good), "--out", str(out), "--iters", "50"]) == 0
+        assert run_cli(["solve", "--config", str(bad), "--out", str(out), "--iters", "3000"]) == 3
+        assert sorted(os.listdir(out)) == ["config_echo.ini", "summary.json"]
+        status = {"exact": "non-finite-iterate", "target_gap": "oracle-error"}[prox]
+        assert read_summary(out)["status"] == status
+        assert run_cli(["bounds", "--from", str(out)]) == 2
+
+    @pytest.mark.parametrize("status", ["non-finite-iterate", "oracle-error"])
+    def test_bounds_rejects_a_failed_run(self, tmp_path, toy_config, capsys, status):
+        # a directory whose trace and summary disagree, as a failed rerun
+        # that kept the earlier run's files left it
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(out)]) == 0
+        (out / "summary.json").write_text(json.dumps({"status": status}))
+        assert run_cli(["bounds", "--from", str(out), "--out", str(tmp_path / "b")]) == 2
+        assert f"holds a failed run (status {status})" in capsys.readouterr().err
+
+    def test_diverging_run_certifies_without_warnings(self, tmp_path, capsys):
+        # finite but diverging iterates overflow in the bounds and gaps; that
+        # shows in the artifacts, not as numpy warnings
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text("[lasso]\nn = 10\nm = 30\nseed = 7\n\n[solver]\nstepsize = 1000\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "50"]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert read_summary(out)["status"] == "iteration-cap"
 
     def test_problem_file_input(self, tmp_path):
         from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json

@@ -21,7 +21,7 @@ from proxcert.errors import draw_tape
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
 from proxcert.solvers import alpha_series, reference_solution
 
-from oracles import gap_rounding_floor, grid_min, l1_dual_bound
+from oracles import gap_rounding_floor, grid_min, l1_dual_bound, reference_run
 
 
 def separable_problem(c, lam):
@@ -456,6 +456,78 @@ class TestHotPathBudget:
         shrinks = round(np.log2(s0 / trace.steps[-1]))
         assert trace.num_steps == 100 and shrinks == 4
         assert len(values) == probes + 100 + shrinks
+
+
+REFERENCE_PROBLEMS = {
+    "lasso20x50": lambda: lasso_problem(gen_lasso(n=20, m=50, seed=7)),
+    "lasso500x100": lambda: lasso_problem(gen_lasso(n=100, m=500, seed=3)),
+    "mpc10": lambda: mpc_to_lasso(spacecraft_mpc(n_p=10, n_c=10)),
+}
+NOISE = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
+TARGET_GAP = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+# name -> (stepsize as a multiple of 1/L, backtracking, SolverConfig fields)
+REFERENCE_CASES = {
+    "absolute": (1.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
+    "relative": (1.0, False, dict(
+        grad_error=GradientErrorSpec(model="relative", mode="random", delta=1e-3),
+        prox_error=TARGET_GAP,
+    )),
+    "zero_targets": (1.0, False, dict(prox_error=ProxErrorSpec(
+        mode="target_gap", schedule=[0.0 if k % 3 == 0 else 1e-5 for k in range(60)]
+    ))),
+    "fixed_direction": (1.0, False, dict(
+        grad_error=NOISE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
+    )),
+    "backtracking": (20.0, True, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
+    "quantized": (1.0, False, dict(grad_error=FixedPointFormat.parse("s16.8"))),
+    "inner_solver": (1.0, False, dict(prox_error=ProxErrorSpec(mode="inner_solver", eps0=1e-6))),
+    "abstol": (1.0, False, dict(abstol=1e-6, max_iters=2000)),
+    "diverging": (1000.0, False, dict(grad_error=NOISE, max_iters=2000)),
+    "diverging_target_gap": (1000.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP,
+                                                 max_iters=2000)),
+}
+
+
+class TestReferenceLoop:
+    """Every trace field, to the bit, and every error, word for word, against
+    ``oracles.reference_run``, the list-based loop."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return {name: build() for name, build in REFERENCE_PROBLEMS.items()}
+
+    @pytest.mark.parametrize("problem_name", sorted(REFERENCE_PROBLEMS))
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_matches_reference_loop(self, problems, problem_name, case, variant):
+        problem = problems[problem_name]
+        scale, backtracking, fields = REFERENCE_CASES[case]
+        s0 = scale / problem.lipschitz
+        policy = StepsizePolicy.backtracking(s0) if backtracking else StepsizePolicy.constant(s0)
+        fields = {"max_iters": 60, **fields}
+        cfg = SolverConfig(variant=variant, stepsize=policy, seed=5, **fields)
+        accelerated = variant == "accelerated"
+        x0 = np.ones(problem.n)  # at 0, mpc10's lam holds every step at 0
+        try:
+            expected = reference_run(problem, cfg, x0, accelerated)
+        except OracleError as exc:
+            # a diverged target-gap step has no point in its gap window
+            assert case == "diverging_target_gap"
+            with pytest.raises(OracleError) as err:
+                solvers.run(problem, cfg, x0)
+            assert str(err.value) == str(exc) and " at step " in str(exc)
+            return
+        trace = solvers.run(problem, cfg, x0)
+        assert trace.status == expected.status
+        want = {"abstol": "converged", "diverging": "non-finite-iterate"}
+        assert trace.status == want.get(case, "iteration-cap")
+        for name in ("xs", "ys", "steps", "betas", "alphas", "fvals", "eps1", "eps2", "res"):
+            got, ref = getattr(trace, name), getattr(expected, name)
+            if ref is None:
+                assert got is None, name
+                continue
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+            assert got.tobytes() == ref.tobytes(), name
 
 
 class TestErgodicAverage:
