@@ -35,9 +35,8 @@ class BoundParams:
 
     ``s`` is the effective (constant) stepsize, ``dist0 = ||x* - x0||``.
     ``m_grad`` is the sup of the gradient sup-norm over iterates (1 under the
-    absolute error model).  ``(c1, c2, rho, k0)`` are the quasi-Fejer corollary
-    constants; ``p`` is the Fejer-monotonicity probability (taken as 1 in
-    verified monotone regimes unless overridden).
+    absolute error model).  ``p`` is the Fejer-monotonicity probability
+    (taken as 1 in verified monotone regimes unless overridden).
     """
 
     s: float
@@ -50,10 +49,6 @@ class BoundParams:
     p: float = 1.0
     m_grad: Optional[float] = None
     eps2_mean: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    rho: Optional[float] = None
-    k0: int = 0
 
     def __post_init__(self):
         if self.s <= 0 or self.lipschitz <= 0:
@@ -67,9 +62,8 @@ class BoundParams:
 
     @classmethod
     def from_trace(cls, problem, trace, x_star, model="absolute", **overrides):
-        """Fill trace-derived defaults: min accepted stepsize, realized
-        gradient sup (x1.05 safety), quasi-Fejer constants (L, 1, final step
-        norm, 0)."""
+        """Fill trace-derived defaults: min accepted stepsize and realized
+        gradient sup (x1.05 safety)."""
         s = float(trace.steps.min())
         dist0 = float(np.linalg.norm(x_star - trace.xs[0]))
         if model == "absolute":
@@ -77,28 +71,14 @@ class BoundParams:
         else:
             pts = trace.xs if trace.ys is None else np.vstack([trace.xs, trace.ys])
             m_grad = 1.05 * float(np.abs(problem.smooth.grads(pts)).max())
-        changes = trace.x_change()
-        rho = float(changes[-1]) if len(changes) else 0.0
         params = cls(
             s=s,
             lipschitz=problem.lipschitz,
             dist0=dist0,
             n=problem.n,
             m_grad=m_grad,
-            c1=problem.lipschitz,
-            c2=1.0,
-            rho=rho,
-            k0=0,
         )
         return replace(params, **overrides) if overrides else params
-
-    @property
-    def c_rho(self):
-        """Quasi-Fejer constant sqrt(2 c2 rho / s) + s c1 L rho."""
-        c1 = self.lipschitz if self.c1 is None else self.c1
-        c2 = 1.0 if self.c2 is None else self.c2
-        rho = 0.0 if self.rho is None else self.rho
-        return math.sqrt(2.0 * c2 * rho / self.s) + self.s * c1 * self.lipschitz * rho
 
 
 def u_sequence(trace, x_star):
@@ -158,53 +138,28 @@ def bound_basic_det_series(trace, params, x_star):
     return total / (ks + 1)
 
 
-def bound_basic_det_corollary_series(trace, params, x_star=None, variant="full"):
-    """Quasi-Fejer corollary of the basic theorem.
-
-    ``variant="full"`` keeps the negative terms and the absolutely-summable
-    error recursion (needs x_star and the (c1, c2, rho, k0) constants);
-    ``variant="approx"`` drops second-order terms, leaving the a-priori
-    friendly form.
-    """
-    if variant not in ("full", "approx"):
-        raise ValueError(f"unknown corollary variant {variant!r}")
+def bound_basic_det_corollary_series(trace, params):
+    """A-priori corollary of the basic theorem: the negative terms and the
+    second-order error terms are dropped, and each cross term is bounded by
+    ``dist0 (||eps1^i|| + sqrt(2 eps2^i / s))``."""
     s = params.s
-    t = trace.num_steps
-    ks = np.arange(t)
     w = _w_terms(trace, s)
-    w_from_1 = w.copy()
-    w_from_1[0] = 0.0  # corollary cross sums start at i = 1
-    base = (
+    w[0] = 0.0  # corollary cross sums start at i = 1
+    total = (
         np.cumsum(trace.eps2)
-        + np.cumsum(w_from_1) * params.dist0
+        + np.cumsum(w) * params.dist0
         + params.dist0**2 / (2.0 * s)
     )
-    if variant == "approx":
-        return base / (ks + 1)
-    if x_star is None:
-        raise ValueError("full corollary variant needs x_star")
-    x_star = np.asarray(x_star, dtype=float)
-    res_sq = np.einsum("ij,ij->i", trace.res, trace.res)
-    last_dist_sq = np.einsum("ij,ij->i", x_star - trace.xs[1:], x_star - trace.xs[1:])
-    # E^j = ||r^j|| + s ||eps1^{j-1}||, j >= 1 (step arrays are 0-based)
-    e_seq = trace.res_norms() + s * trace.eps1_norms()
-    cum_e = np.concatenate([[0.0], np.cumsum(e_seq)[:-1]])  # sum_{j=1}^{i} E^j at index i
-    recursion = w_from_1 * (cum_e + ks * params.c_rho)
-    total = base - (np.cumsum(res_sq) + last_dist_sq) / (2.0 * s) + np.cumsum(recursion)
-    values = total / (ks + 1)
-    if params.k0 > 0:
-        values[: params.k0] = np.nan
-    return values
+    return total / np.arange(1, trace.num_steps + 1)
 
 
-def bound_basic_random(params, k, eps2_partial_sum, variant="stated"):
+def bound_basic_random(params, k, eps2_partial_sum):
     """Probabilistic ergodic bound for random errors, at k or an array of k.
 
     ``eps2_partial_sum`` is the sum of the first k proximal errors (realized,
-    or ``k * E[eps2]`` a-priori; one sum per k).  Variants: "stated" (theorem
-    form), "approx" (large-n form dropping the prox term), "sharp"
-    (per-iteration eps2 inside the martingale radius; pass the eps2 sequence
-    instead of the partial sums).  Returns ``(value, probability)``.
+    or ``k * E[eps2]`` a-priori; one sum per k).  The martingale radius
+    carries the gradient-error term ``sqrt(n) m_grad delta`` and the prox
+    term ``sqrt(2 eps0 / s)``.  Returns ``(value, probability)``.
     """
     k = np.asarray(k)
     if np.any(k < 1):
@@ -213,29 +168,20 @@ def bound_basic_random(params, k, eps2_partial_sum, variant="stated"):
         raise ValueError("m_grad is required")
     g, s, d = params.gamma, params.s, params.dist0
     base_term = math.sqrt(params.n) * params.m_grad * abs(params.delta)
-    if variant in ("stated", "approx"):
-        eps_sum = np.asarray(eps2_partial_sum, dtype=float)
-        prox_term = math.sqrt(2.0 * params.eps0 / s) if variant == "stated" else 0.0
-        mid = (g / np.sqrt(k)) * (base_term + prox_term) * d
-    elif variant == "sharp":
-        eps_seq = np.asarray(eps2_partial_sum, dtype=float)
-        eps_sum = np.cumsum(eps_seq)[k - 1]
-        radius = np.sqrt(np.cumsum((base_term + np.sqrt(2.0 * eps_seq / s)) ** 2)[k - 1])
-        mid = g * d * radius / k
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    eps_sum = np.asarray(eps2_partial_sum, dtype=float)
+    prox_term = math.sqrt(2.0 * params.eps0 / s)
+    mid = (g / np.sqrt(k)) * (base_term + prox_term) * d
     value = eps_sum / k + mid + d * d / (2.0 * s * k)
     prob = params.p**k * (1.0 - 2.0 * math.exp(-(g * g) / 2.0))
     return value, prob
 
 
-def bound_basic_random_series(trace, params, variant="stated"):
+def bound_basic_random_series(trace, params):
     """(values, probabilities) arrays over k = 0..T-1 (k = 0 is NaN)."""
     values = np.full(trace.num_steps, np.nan)
     probs = np.full(trace.num_steps, np.nan)
-    arg = trace.eps2 if variant == "sharp" else np.cumsum(trace.eps2)[:-1]
     values[1:], probs[1:] = bound_basic_random(
-        params, np.arange(1, trace.num_steps), arg, variant
+        params, np.arange(1, trace.num_steps), np.cumsum(trace.eps2)[:-1]
     )
     return values, probs
 
@@ -285,17 +231,10 @@ def bound_acc_det_series(trace, params, x_star):
     return _acc_det(trace, params, error_increments(trace, x_star, params.s, accelerated=True))
 
 
-def bound_acc_det_corollary_series(trace, params, x_star=None, variant="full"):
-    """Cauchy-Schwarz form; "approx" replaces ||u^{i+1}|| by dist0."""
-    if variant not in ("full", "approx"):
-        raise ValueError(f"unknown corollary variant {variant!r}")
+def bound_acc_det_corollary_series(trace, params):
+    """A-priori Cauchy-Schwarz form: ``||u^{i+1}||`` replaced by dist0."""
     w = _w_terms(trace, params.s)
-    if variant == "approx":
-        return _acc_det(trace, params, trace.alphas * params.dist0 * w)
-    if x_star is None:
-        raise ValueError("full corollary variant needs x_star")
-    u_norms = np.linalg.norm(u_sequence(trace, x_star), axis=1)
-    return _acc_det(trace, params, trace.alphas * u_norms * w)
+    return _acc_det(trace, params, trace.alphas * params.dist0 * w)
 
 
 def bound_acc_random_series(trace, params, x_star):
@@ -434,12 +373,6 @@ class ValidityReport:
     name: str
     checked: int
     violations: int
-    max_excess: float
-    first_violation: Optional[int]
-
-    @property
-    def ok(self):
-        return self.violations == 0
 
 
 def check_bound_validity(series, observed):
@@ -451,15 +384,10 @@ def check_bound_validity(series, observed):
     gaps = observed.for_target(series.target)
     mask = np.isfinite(series.values) & np.isfinite(gaps)
     excess = gaps[mask] - series.values[mask]
-    violations = int(np.sum(excess > 0))
     return ValidityReport(
         name=series.name,
         checked=int(mask.sum()),
-        violations=violations,
-        max_excess=float(excess.max()) if len(excess) else 0.0,
-        first_violation=int(np.flatnonzero(mask)[np.argmax(excess > 0)])
-        if violations
-        else None,
+        violations=int(np.sum(excess > 0)),
     )
 
 
@@ -488,7 +416,7 @@ def evaluate_all_series(trace, params, x_star, variant):
         out.append(
             BoundSeries(
                 "cor_basic_det",
-                bound_basic_det_corollary_series(trace, params, x_star, "approx"),
+                bound_basic_det_corollary_series(trace, params),
                 ones,
                 "ergodic_incl",
                 False,
@@ -530,7 +458,7 @@ def evaluate_all_series(trace, params, x_star, variant):
         out.append(
             BoundSeries(
                 "cor_acc_det",
-                bound_acc_det_corollary_series(trace, params, x_star, "approx"),
+                bound_acc_det_corollary_series(trace, params),
                 ones,
                 "iterate_next",
                 False,

@@ -359,21 +359,18 @@ class FixedPointFormat:
     width: int
     frac: int
     signed: bool = True
-    rounding: str = "nearest"
 
     def __post_init__(self):
         if not (self.width > self.frac >= 0):
             raise ValueError(f"need W > F >= 0, got W={self.width}, F={self.frac}")
-        if self.rounding not in ("nearest", "floor"):
-            raise ValueError(f"unknown rounding mode {self.rounding!r}")
 
     @classmethod
-    def parse(cls, text, rounding="nearest"):
+    def parse(cls, text):
         m = _FMT_RE.match(text.strip())
         if not m:
             raise ValueError(f"malformed fixed-point format {text!r} (expected e.g. 's8.4')")
         sign, width, frac = m.group(1) == "s", int(m.group(2)), int(m.group(3))
-        return cls(width, frac, signed=sign, rounding=rounding)
+        return cls(width, frac, signed=sign)
 
     def __str__(self):
         return f"{'s' if self.signed else 'u'}{self.width}.{self.frac}"
@@ -396,17 +393,12 @@ class FixedPointFormat:
         return lo, hi
 
     def quantize(self, x):
-        """Round to the nearest representable value; out-of-range saturates.
-
-        Nearest mode rounds ties half away from zero.
-        """
+        """Round to the nearest representable value, ties half away from
+        zero; out-of-range saturates."""
         scalar = np.ndim(x) == 0
         y = np.asarray(x, dtype=float) * 2.0**self.frac
-        if self.rounding == "nearest":
-            # a +-1 factor, unlike copysign(|q|, y), leaves NaNs positive
-            q = np.floor(np.abs(y) + 0.5) * np.copysign(1.0, y)
-        else:
-            q = np.floor(y)
+        # a +-1 factor, unlike copysign(|q|, y), leaves NaNs positive
+        q = np.floor(np.abs(y) + 0.5) * np.copysign(1.0, y)
         if self.signed:
             lo_i, hi_i = -(2.0 ** (self.width - 1)), 2.0 ** (self.width - 1) - 1.0
         else:
@@ -421,15 +413,13 @@ def quantize_quadratic(fmt, quad):
     return QuadraticSmooth(fmt.quantize(quad.mat), fmt.quantize(quad.vec), half=quad.half)
 
 
-def quantized_gradient(fmt, quad_q, x, exact=None):
+def quantized_gradient(fmt, quad_q, x):
     """Gradient of a quadratic smooth term with inputs and output quantized.
 
     Emulates a reduced-precision gradient evaluation: ``quad_q`` comes from
     :func:`quantize_quadratic`, the point is stored in ``fmt`` and the
-    computed gradient is written back in ``fmt``.  Returns
-    ``(noisy_grad, eps1)`` with ``eps1`` measured against ``exact``, the
-    exact gradient at the unquantized point, or None when it is not given
-    (a run forms every step's eps1 at once, after its loop).
+    computed gradient is written back in ``fmt``.  Its error against the
+    exact gradient is formed by the caller (a run forms every step's eps1
+    at once, after its loop).
     """
-    g_q = fmt.quantize(quad_q.grad(fmt.quantize(x)))
-    return g_q, None if exact is None else g_q - exact
+    return fmt.quantize(quad_q.grad(fmt.quantize(x)))

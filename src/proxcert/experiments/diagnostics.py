@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bounds import error_increments
-from ..solvers import SolverConfig, run_accelerated, run_basic, reference_solution
+from ..solvers import SolverConfig, run_accelerated, run_basic
+
+BINS = 10  # equal-probability bins of the martingale diagnostic
 
 
 @dataclass
@@ -26,10 +28,6 @@ class DiagnosticReport:
     status: str  # "pass" | "fail" | "inconclusive"
     details: list = field(default_factory=list)
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
 
 def martingale_diagnostic(
     problem,
@@ -37,23 +35,19 @@ def martingale_diagnostic(
     prox_spec,
     trials,
     k_max,
+    x_star,
     seed=0,
     variant="basic",
-    bins=10,
-    x0=None,
-    x_star=None,
 ):
     """Monte-Carlo zero-drift check of the cumulative error term.
 
-    Pools (T_{k-1}, dT_k) pairs over iterations and trials, bins them into
-    equal-probability bins on T_{k-1}, and flags drift when any bin's mean
-    increment exceeds ``4 / sqrt(bin count)`` increment standard deviations.
-    Fewer than 100 trials or under 30 pairs per bin is inconclusive.
+    Runs start from 0.  Pools (T_{k-1}, dT_k) pairs over iterations and
+    trials, bins them into ``BINS`` equal-probability bins on T_{k-1}, and
+    flags drift when any bin's mean increment exceeds ``4 / sqrt(bin count)``
+    increment standard deviations.  Fewer than 100 trials or under 30 pairs
+    per bin is inconclusive.
     """
-    if x_star is None:
-        x_star, _ = reference_solution(problem)
-    if x0 is None:
-        x0 = np.zeros(problem.n)
+    x0 = np.zeros(problem.n)
     runner = run_accelerated if variant == "accelerated" else run_basic
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     befores, incrs = [], []
@@ -81,10 +75,10 @@ def martingale_diagnostic(
             thresholds={"max_drift_ratio": 0.0, "min_trials": 100, "min_bin_count": 30},
             status="pass",
         )
-    edges = np.quantile(before, np.linspace(0.0, 1.0, bins + 1))
-    which = np.clip(np.searchsorted(edges, before, side="right") - 1, 0, bins - 1)
+    edges = np.quantile(before, np.linspace(0.0, 1.0, BINS + 1))
+    which = np.clip(np.searchsorted(edges, before, side="right") - 1, 0, BINS - 1)
     bin_means, bin_counts = [], []
-    for b in range(bins):
+    for b in range(BINS):
         sel = which == b
         cnt = int(sel.sum())
         bin_counts.append(cnt)
@@ -109,7 +103,7 @@ def martingale_diagnostic(
         statistics=stats,
         thresholds=thresholds,
         status=status,
-        details=[{"bin": b, "count": bin_counts[b], "mean": bin_means[b]} for b in range(bins)],
+        details=[{"bin": b, "count": bin_counts[b], "mean": bin_means[b]} for b in range(BINS)],
     )
 
 

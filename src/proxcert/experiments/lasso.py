@@ -19,9 +19,7 @@ class LassoInstance:
     a: np.ndarray
     y: np.ndarray
     lam: float
-    seed: int
     x_true: np.ndarray
-    noise: float
 
     @property
     def n(self):
@@ -55,12 +53,10 @@ def gen_lasso(n=100, m=500, sparsity=None, noise=0.01, lam=None, seed=0):
         y = y + noise * rng.standard_normal(m)
     if lam is None:
         lam = 0.1 * float(np.abs(a.T @ y).max())
-    return LassoInstance(a=a, y=y, lam=float(lam), seed=seed, x_true=x_true, noise=noise)
+    return LassoInstance(a=a, y=y, lam=float(lam), x_true=x_true)
 
 
 def lasso_problem(instance):
     """CompositeProblem for an instance (1/2-scaled smooth part)."""
     quad = QuadraticSmooth(instance.a, instance.y, half=True)
-    return CompositeProblem.from_quadratic(
-        quad, instance.lam, meta={"instance": instance}
-    )
+    return CompositeProblem.from_quadratic(quad, instance.lam)

@@ -129,7 +129,7 @@ class MpcSpec:
         return self._cache["psi_phi"]
 
     def condensed_weights(self):
-        """``(Q, H, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``.
+        """``(Q, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``.
 
         None of these depend on the state, so the condensations of one
         horizon share them.  g has Hessian 2H, and H is the Gram matrix of
@@ -144,7 +144,7 @@ class MpcSpec:
                 raise ValueError("Phi'QPhi + R is not positive definite")
             root, inv_root = symmetric_sqrt(normal)
             lipschitz = 2.0 * lambda_max_bound(eigs[-1], sum(phi.shape))
-            self._cache["weights"] = (q_full, normal, root, inv_root, lipschitz)
+            self._cache["weights"] = (q_full, root, inv_root, lipschitz)
         return self._cache["weights"]
 
     def output_weight(self):
@@ -234,7 +234,7 @@ def mpc_to_lasso(spec):
     ``problem.meta["offset"]``.
     """
     psi, phi = spec.prediction_matrices()
-    q_full, normal, root, inv_root, lipschitz = spec.condensed_weights()
+    q_full, root, inv_root, lipschitz = spec.condensed_weights()
     target = spec.setpoint_stack() - psi @ spec.x0
     rhs = phi.T @ (q_full @ target)
     vec = inv_root @ rhs
@@ -243,7 +243,7 @@ def mpc_to_lasso(spec):
     return CompositeProblem.from_quadratic(
         quad,
         spec.lam,
-        meta={"offset": offset, "psi": psi, "phi": phi, "normal": normal, "spec": spec},
+        meta={"offset": offset, "spec": spec},
         lipschitz=lipschitz,
     )
 

@@ -111,8 +111,8 @@ class QuadraticSmooth:
         return self.mat.shape[1]
 
     def value(self, x):
-        r = self.mat @ x - self.vec
-        q = float(r @ r)
+        r = self.mat.dot(x) - self.vec
+        q = float(r.dot(r))
         return 0.5 * q if self.half else q
 
     def grad(self, x):

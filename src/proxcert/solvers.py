@@ -10,7 +10,7 @@ residual ``r^{k+1}`` (inexact minus exact prox of the same point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -103,7 +103,6 @@ class RunTrace:
     eps2: np.ndarray
     res: np.ndarray
     status: str = "ok"
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_steps(self):
@@ -185,7 +184,7 @@ def _run(problem, config, x0, accelerated):
             if quad_q is not None:
                 # the row holds noisy until the loop ends; then the stacked
                 # exact gradients turn every row into eps1 = noisy - grad g(y)
-                noisy = eps1s[k] = quantized_gradient(gspec, quad_q, y)[0]
+                noisy = eps1s[k] = quantized_gradient(gspec, quad_q, y)
             else:
                 noisy = problem.grad(y)
                 if relative:
@@ -262,7 +261,6 @@ def _run(problem, config, x0, accelerated):
         eps2=np.asarray(gaps) if on_ray or inner else np.zeros(done),
         res=ress,
         status=status,
-        meta={"variant": "accelerated" if accelerated else "basic", "seed": config.seed},
     )
 
 

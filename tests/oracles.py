@@ -294,7 +294,7 @@ def reference_run(problem, config, x0, accelerated):
                     beta_k = (alpha_prev - 1.0) / alpha_k
                     y = x + beta_k * (x - x_prev)
             if quad_q is not None:
-                noisy = eps1 = quantized_gradient(gspec, quad_q, y)[0]
+                noisy = eps1 = quantized_gradient(gspec, quad_q, y)
             elif tape.kappa is not None:
                 g = _reference_grad(problem, y)
                 eps1 = tape.kappa[k] * g if relative else tape.kappa[k]

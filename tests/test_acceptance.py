@@ -157,10 +157,10 @@ class TestCriterion3:
         violations = 0
         for variant, trace, params in error_sweep_runs[0]:
             if variant == "basic":
-                ours = bound_basic_det_corollary_series(trace, params, x_star, "approx")
+                ours = bound_basic_det_corollary_series(trace, params)
                 base = bound_schmidt_basic_series(trace, params)
             else:
-                ours = bound_acc_det_corollary_series(trace, params, x_star, "approx")
+                ours = bound_acc_det_corollary_series(trace, params)
                 base = bound_schmidt_acc_series(trace, params)
             violations += int(np.sum(ours[5:] > base[5:]))
         ok = violations == 0

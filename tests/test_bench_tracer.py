@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps public ``proxcert`` names; deleting or
-renaming one of them must fail here rather than only in a traced run."""
+"""The benchmark's tracer wraps public ``proxcert`` names and its workloads
+call them, some by position; deleting, renaming or re-signing one of them
+must fail here rather than only in a benchmark run."""
 
 from pathlib import Path
 
@@ -23,3 +24,16 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         t.uninstall()
     assert proxcert.solvers.run_basic is run_basic
     assert proxcert.problems.CompositeProblem.__dict__["f_value"] is f_value
+
+
+def test_coverage_trial_passes_its_checks(monkeypatch, tmp_path, capsys):
+    # one criterion-5 trial of the benchmark's coverage workload, which calls
+    # the bound functions by position; a trial that raises or fails a check
+    # reports False
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    coverage = workloads.Coverage(1, str(tmp_path))
+    [(secs, ok)] = coverage.run_round(lambda: None)
+    assert ok and secs > 0, capsys.readouterr().err
+    assert coverage.trials == 1

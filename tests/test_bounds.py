@@ -146,7 +146,7 @@ class TestBasicDetCorollary:
             small_lasso, SolverConfig(variant="basic", max_iters=30), np.zeros(small_lasso.n)
         )
         params = BoundParams.from_trace(small_lasso, trace, x_star)
-        vals = bound_basic_det_corollary_series(trace, params, variant="approx")
+        vals = bound_basic_det_corollary_series(trace, params)
         ks = np.arange(30)
         expected = params.dist0**2 / (2 * params.s * (ks + 1))
         assert np.allclose(vals, expected, rtol=1e-12)
@@ -154,23 +154,14 @@ class TestBasicDetCorollary:
     def test_full_dominates_theorem_and_approx_relation(self, noisy_runs):
         prob, x_star, f_star, bas, _, params, _ = noisy_runs
         thm = bound_basic_det_series(bas, params, x_star)
-        full = bound_basic_det_corollary_series(bas, params, x_star, "full")
-        approx = bound_basic_det_corollary_series(bas, params, x_star, "approx")
-        # Cauchy-Schwarz + quasi-Fejer only relax the theorem (i >= 1 sums)
-        assert np.all(full[1:] >= thm[1:] - 1e-12)
-        # approx drops the negative terms and the summable recursion
+        approx = bound_basic_det_corollary_series(bas, params)
+        # the corollary drops the theorem's negative terms and bounds its
+        # cross terms by Cauchy-Schwarz
         res_sq = np.einsum("ij,ij->i", bas.res, bas.res)
         last = np.linalg.norm(x_star - bas.xs[1:], axis=1) ** 2
         dropped_neg = (np.cumsum(res_sq) + last) / (2 * params.s)
         ks = np.arange(bas.num_steps)
         assert np.all(approx >= thm - dropped_neg / (ks + 1) - 1e-12)
-
-    def test_k0_precondition(self, noisy_runs):
-        # the full corollary holds only from k0 on; earlier entries are NaN
-        prob, x_star, _, bas, _, params, _ = noisy_runs
-        full = bound_basic_det_corollary_series(bas, replace(params, k0=5), x_star, "full")
-        assert np.all(np.isnan(full[:5]))
-        assert np.all(np.isfinite(full[5:]))
 
     def test_one_over_i_errors_decay_like_log_k_over_k(self):
         # ||eps1^i|| ~ 1/i with residual-scale prox error sqrt(eps2) ~ 1/i
@@ -181,7 +172,7 @@ class TestBasicDetCorollary:
         eps2 = 1.0 / idx**2
         trace = synthetic_trace(eps1n, eps2)
         params = make_params()
-        vals = bound_basic_det_corollary_series(trace, params, variant="approx")
+        vals = bound_basic_det_corollary_series(trace, params)
         ks = np.arange(100, 10_001, 25)
         slope = np.polyfit(np.log(ks), np.log(vals[ks]), 1)[0]
         assert -1.15 <= slope <= -0.85
@@ -206,15 +197,6 @@ class TestBasicRandom:
             bound_basic_random(params, kk, 0.0)[0] - params.dist0**2 / (2 * params.s * kk)
         )
         assert mid(4 * k) == pytest.approx(mid(k) / 2.0, rel=1e-12)
-
-    def test_variants(self):
-        params = make_params(delta=0.1, eps0=1e-4, gamma=2.0, n=100)
-        stated, _ = bound_basic_random(params, 9, 0.0)
-        approx, _ = bound_basic_random(params, 9, 0.0, variant="approx")
-        assert approx < stated
-        eps_seq = np.full(9, 5e-5)
-        sharp, _ = bound_basic_random(params, 9, eps_seq, variant="sharp")
-        assert sharp <= stated + 1e-12
 
     def test_preconditions(self):
         params = make_params()
@@ -267,12 +249,6 @@ class TestAccDet:
         # alpha_0 = 1 makes u^1 = x* - x^1
         assert np.allclose(useq[0], x_star - acc.xs[1], atol=1e-14)
 
-    def test_full_corollary_dominates_theorem(self, noisy_runs):
-        prob, x_star, _, _, acc, _, params_acc = noisy_runs
-        thm = bound_acc_det_series(acc, params_acc, x_star)
-        full = bound_acc_det_corollary_series(acc, params_acc, x_star, "full")
-        assert np.all(full >= thm - 1e-12)
-
     def test_one_over_i_squared_errors_decay(self):
         # ||eps1^i|| ~ 1/i^2, residual-scale sqrt(eps2) ~ 1/i^2
         t = 10_001
@@ -282,7 +258,7 @@ class TestAccDet:
         eps2 = 1.0 / idx**4
         trace = synthetic_trace(eps1n, eps2)
         params = make_params()
-        vals = bound_acc_det_corollary_series(trace, params, variant="approx")
+        vals = bound_acc_det_corollary_series(trace, params)
         ks = np.arange(100, 10_001, 25)
         slope = np.polyfit(np.log(ks), np.log(vals[ks]), 1)[0]
         assert -2.15 <= slope <= -1.80
@@ -349,10 +325,10 @@ class TestSchmidtBaselines:
 
     def test_improvement_over_baseline(self, noisy_runs):
         prob, x_star, _, bas, acc, params, params_acc = noisy_runs
-        cor_b = bound_basic_det_corollary_series(bas, params, x_star, "approx")
+        cor_b = bound_basic_det_corollary_series(bas, params)
         sch_b = bound_schmidt_basic_series(bas, params)
         assert np.all(cor_b[5:] <= sch_b[5:])
-        cor_a = bound_acc_det_corollary_series(acc, params_acc, x_star, "approx")
+        cor_a = bound_acc_det_corollary_series(acc, params_acc)
         sch_a = bound_schmidt_acc_series(acc, params_acc)
         assert np.all(cor_a[5:] <= sch_a[5:])
 
@@ -367,7 +343,7 @@ class TestMonotoneInErrors:
         t2 = synthetic_trace(2 * base1, 2 * base2)
         params = make_params()
         for fn in (
-            lambda t: bound_basic_det_corollary_series(t, params, variant="approx"),
+            lambda t: bound_basic_det_corollary_series(t, params),
             lambda t: bound_schmidt_basic_series(t, params),
             lambda t: bound_schmidt_acc_series(t, params),
         ):
@@ -416,17 +392,26 @@ class TestValidity:
         assert report.violations >= 0
 
 
-def random_bound_per_k(params, k, eps2, variant):
+def random_bound_per_k(params, k, eps2):
     """Basic random theorem at one k from the first k prox errors (loop form)."""
     g, s, d = params.gamma, params.s, params.dist0
     base = math.sqrt(params.n) * params.m_grad * abs(params.delta)
-    eps_seq = eps2[:k]
-    if variant == "sharp":
-        mid = g * d * math.sqrt(float(((base + np.sqrt(2.0 * eps_seq / s)) ** 2).sum())) / k
-    else:
-        prox = math.sqrt(2.0 * params.eps0 / s) if variant == "stated" else 0.0
-        mid = (g / math.sqrt(k)) * (base + prox) * d
-    return float(eps_seq.sum()) / k + mid + d * d / (2.0 * s * k)
+    prox = math.sqrt(2.0 * params.eps0 / s)
+    mid = (g / math.sqrt(k)) * (base + prox) * d
+    return float(eps2[:k].sum()) / k + mid + d * d / (2.0 * s * k)
+
+
+def corollary_per_k(trace, params, k, accelerated):
+    """Basic or accelerated a-priori corollary at one k, summed term by term."""
+    s, d = params.s, params.dist0
+    total = d * d / (2.0 * s)
+    for i in range(k + 1):
+        a = trace.alphas[i] if accelerated else 1.0
+        w = float(np.linalg.norm(trace.eps1[i])) + math.sqrt(2.0 * trace.eps2[i] / s)
+        total += a * a * trace.eps2[i]
+        if accelerated or i >= 1:  # the basic cross sum starts at i = 1
+            total += a * d * w
+    return total / (trace.alphas[k] ** 2 if accelerated else k + 1)
 
 
 class TestVectorizedAgainstPerK:
@@ -442,18 +427,31 @@ class TestVectorizedAgainstPerK:
         assert np.isnan(obs.ergodic[0])
         assert np.array_equal(obs.ergodic[1:], obs.ergodic_incl[:-1])
 
-    @pytest.mark.parametrize("variant", ["stated", "approx", "sharp"])
+    # "stated" names the theorem's form of the bound
+    @pytest.mark.parametrize("variant", ["stated"])
     def test_random_series_matches_per_k_calls(self, noisy_runs, variant):
         _, _, _, bas, _, params, _ = noisy_runs
-        values, probs = bound_basic_random_series(bas, params, variant)
+        values, probs = bound_basic_random_series(bas, params)
         assert np.isnan(values[0]) and np.isnan(probs[0])
         for k in range(1, bas.num_steps):
-            arg = bas.eps2 if variant == "sharp" else bas.eps2[:k].sum()
-            value, prob = bound_basic_random(params, k, arg, variant)
-            expected = random_bound_per_k(params, k, bas.eps2, variant)
+            value, prob = bound_basic_random(params, k, bas.eps2[:k].sum())
+            expected = random_bound_per_k(params, k, bas.eps2)
             assert value == pytest.approx(expected, rel=1e-12)
             assert values[k] == pytest.approx(expected, rel=1e-12)
             assert probs[k] == prob == pytest.approx(1 - 2 * math.exp(-params.gamma**2 / 2))
+
+    @pytest.mark.parametrize("scheme", ["basic", "accelerated"])
+    def test_corollary_series_match_per_k_sums(self, noisy_runs, scheme):
+        _, _, _, bas, acc, params, params_acc = noisy_runs
+        accelerated = scheme == "accelerated"
+        if accelerated:
+            trace, params, series = acc, params_acc, bound_acc_det_corollary_series
+        else:
+            trace, series = bas, bound_basic_det_corollary_series
+        values = series(trace, params)
+        for k in range(trace.num_steps):
+            expected = corollary_per_k(trace, params, k, accelerated)
+            assert values[k] == pytest.approx(expected, rel=1e-12)
 
     def test_stationary_series_matches_per_k_calls(self, noisy_runs):
         _, _, _, bas, _, params, _ = noisy_runs

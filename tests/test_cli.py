@@ -237,7 +237,7 @@ class TestConfigErrors:
 
 
 def test_readme_names_every_config_key():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     para = readme[readme.index("Configuration files are INI"):]
     documented = dict(re.findall(r"`\[(\w+)\]`\s+\(([^)]*)\)", para[: para.index("\n\n")]))
     for sec, keys in DEFAULTS.items():
@@ -398,7 +398,7 @@ class TestVerifyCommand:
         out = tmp_path / "verify"
         code = run_cli(["verify", "--out", str(out), "--trials", "120", "--seed", "2"])
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["status"] == "pass"
         by_name = {s["name"]: s["status"] for s in report["suites"]}
         assert by_name["martingale-biased-control"] == "fail"
@@ -409,7 +409,7 @@ class TestVerifyCommand:
     def test_tiny_trials_inconclusive_not_failure(self, tmp_path):
         out = tmp_path / "verify2"
         code = run_cli(["verify", "--out", str(out), "--trials", "10", "--seed", "2"])
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         by_name = {s["name"]: s["status"] for s in report["suites"]}
         assert by_name["martingale-basic"] == "inconclusive"
         # an inconclusive control cannot certify the suite failed

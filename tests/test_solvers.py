@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -268,8 +270,8 @@ class TestQuantizedRun:
         quad_q = errors.quantize_quadratic(fmt, problem.smooth)
         points = trace.xs[:-1] if trace.ys is None else trace.ys
         for k, y in enumerate(points):
-            g_q, eps1 = errors.quantized_gradient(fmt, quad_q, y, problem.grad(y))
-            assert eps1.tobytes() == trace.eps1[k].tobytes()
+            g_q = errors.quantized_gradient(fmt, quad_q, y)
+            assert (g_q - problem.grad(y)).tobytes() == trace.eps1[k].tobytes()
             w = y - trace.steps[k] * g_q
             assert problem.prox(trace.steps[k], w).tobytes() == trace.xs[k + 1].tobytes()
 
@@ -565,16 +567,12 @@ class TestQuasiFejer:
         )
         trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
         dists = np.linalg.norm(trace.xs - x_star[None, :], axis=1)
-        # ||x^{k+1} - x*|| <= ||x^k - x*|| + ||r^{k+1}|| + s ||eps1^k|| + C_rho
-        from proxcert import BoundParams
-
-        params = BoundParams.from_trace(small_lasso, trace, x_star)
-        bound = (
-            dists[:-1]
-            + trace.res_norms()
-            + trace.steps * trace.eps1_norms()
-            + params.c_rho
-        )
+        # ||x^{k+1} - x*|| <= ||x^k - x*|| + ||r^{k+1}|| + s ||eps1^k|| + C_rho,
+        # C_rho = sqrt(2 rho / s) + s L^2 rho with rho the last step's length
+        s, lip = trace.steps.min(), small_lasso.lipschitz
+        rho = trace.x_change()[-1]
+        c_rho = math.sqrt(2.0 * rho / s) + s * lip * lip * rho
+        bound = dists[:-1] + trace.res_norms() + trace.steps * trace.eps1_norms() + c_rho
         assert np.all(dists[1:] <= bound + 1e-12)
 
 
