@@ -14,12 +14,12 @@ import tempfile
 
 import numpy as np
 
-from .bounds import SERIES_NAMES
+from .bounds import SERIES, SERIES_NAMES
 
 SCHEMA_VERSION = 1
 
 # the probabilistic series, whose probability columns follow the bound columns
-PROB_SERIES = ("thm_basic_rand", "thm_basic_stat", "thm_acc_rand")
+PROB_SERIES = tuple(row.name for row in SERIES if row.probabilistic)
 
 BOUNDS_HEADER = ["iter", "f_gap"] + list(SERIES_NAMES) + [f"prob_{name}" for name in PROB_SERIES]
 

@@ -12,21 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-SERIES_NAMES = (
-    "thm_basic_det",
-    "cor_basic_det",
-    "thm_basic_rand",
-    "thm_basic_stat",
-    "thm_acc_det",
-    "cor_acc_det",
-    "thm_acc_rand",
-    "schmidt_basic",
-    "schmidt_acc",
-)
 
 
 @dataclass
@@ -320,6 +308,50 @@ def bound_schmidt_acc_series(trace, params):
 TARGETS = ("ergodic_incl", "ergodic", "iterate_next", "iterate")
 
 
+@dataclass(frozen=True)
+class SeriesRow:
+    """One entry of the ``SERIES`` catalogue.
+
+    ``evaluate(trace, params, x_star)`` returns the values (deterministic
+    rows), ``(values, probabilities)`` (probabilistic rows), or None when
+    the run's parameters do not define the series.  A gated row takes part
+    in strict validity gating.
+    """
+
+    name: str
+    variant: str
+    target: str
+    gated: bool
+    probabilistic: bool
+    evaluate: Callable
+
+
+# every bound series, in bounds.csv column order; the evaluators look the
+# bound functions up when called, so a rebound module attribute is used
+SERIES = (
+    SeriesRow("thm_basic_det", "basic", "ergodic_incl", True, False,
+              lambda trace, params, x_star: bound_basic_det_series(trace, params, x_star)),
+    SeriesRow("cor_basic_det", "basic", "ergodic_incl", False, False,
+              lambda trace, params, x_star: bound_basic_det_corollary_series(trace, params)),
+    SeriesRow("thm_basic_rand", "basic", "ergodic", False, True,
+              lambda trace, params, x_star: bound_basic_random_series(trace, params)),
+    SeriesRow("thm_basic_stat", "basic", "ergodic", False, True,
+              lambda trace, params, x_star: None if params.eps2_mean is None
+              else bound_basic_stationary_series(trace, params)),
+    SeriesRow("thm_acc_det", "accelerated", "iterate_next", True, False,
+              lambda trace, params, x_star: bound_acc_det_series(trace, params, x_star)),
+    SeriesRow("cor_acc_det", "accelerated", "iterate_next", False, False,
+              lambda trace, params, x_star: bound_acc_det_corollary_series(trace, params)),
+    SeriesRow("thm_acc_rand", "accelerated", "iterate_next", False, True,
+              lambda trace, params, x_star: bound_acc_random_series(trace, params, x_star)),
+    SeriesRow("schmidt_basic", "basic", "ergodic", False, False,
+              lambda trace, params, x_star: bound_schmidt_basic_series(trace, params)),
+    SeriesRow("schmidt_acc", "accelerated", "iterate", False, False,
+              lambda trace, params, x_star: bound_schmidt_acc_series(trace, params)),
+)
+SERIES_NAMES = tuple(row.name for row in SERIES)
+
+
 @dataclass
 class BoundSeries:
     """One named bound evaluated along a trace.
@@ -333,14 +365,9 @@ class BoundSeries:
     values: np.ndarray
     probability: np.ndarray
     target: str
-    a_priori: bool
-    params: BoundParams
+    a_priori: bool = False
+    params: Optional[BoundParams] = None
     gate: bool = True  # participates in strict validity gating
-
-    @property
-    def deterministic(self):
-        finite = self.probability[np.isfinite(self.probability)]
-        return bool(np.all(finite >= 1.0)) if len(finite) else True
 
 
 @dataclass
@@ -398,87 +425,16 @@ def fejer_monotone(trace, x_star):
 
 
 def evaluate_all_series(trace, params, x_star, variant):
-    """All bound series applicable to a run variant, CSV-column order."""
-    t = trace.num_steps
-    ones = np.ones(t)
+    """The ``SERIES`` rows of a run variant, evaluated along the trace, in
+    CSV-column order."""
+    ones = np.ones(trace.num_steps)
     out = []
-    if variant == "basic":
-        out.append(
-            BoundSeries(
-                "thm_basic_det",
-                bound_basic_det_series(trace, params, x_star),
-                ones,
-                "ergodic_incl",
-                False,
-                params,
-            )
-        )
-        out.append(
-            BoundSeries(
-                "cor_basic_det",
-                bound_basic_det_corollary_series(trace, params),
-                ones,
-                "ergodic_incl",
-                False,
-                params,
-                gate=False,
-            )
-        )
-        rnd, rnd_p = bound_basic_random_series(trace, params)
-        out.append(
-            BoundSeries("thm_basic_rand", rnd, rnd_p, "ergodic", True, params, gate=False)
-        )
-        if params.eps2_mean is not None:
-            st, st_p = bound_basic_stationary_series(trace, params)
-            out.append(
-                BoundSeries("thm_basic_stat", st, st_p, "ergodic", True, params, gate=False)
-            )
-        out.append(
-            BoundSeries(
-                "schmidt_basic",
-                bound_schmidt_basic_series(trace, params),
-                ones,
-                "ergodic",
-                False,
-                params,
-                gate=False,
-            )
-        )
-    else:
-        out.append(
-            BoundSeries(
-                "thm_acc_det",
-                bound_acc_det_series(trace, params, x_star),
-                ones,
-                "iterate_next",
-                False,
-                params,
-            )
-        )
-        out.append(
-            BoundSeries(
-                "cor_acc_det",
-                bound_acc_det_corollary_series(trace, params),
-                ones,
-                "iterate_next",
-                False,
-                params,
-                gate=False,
-            )
-        )
-        rnd, rnd_p = bound_acc_random_series(trace, params, x_star)
-        out.append(
-            BoundSeries("thm_acc_rand", rnd, rnd_p, "iterate_next", False, params, gate=False)
-        )
-        out.append(
-            BoundSeries(
-                "schmidt_acc",
-                bound_schmidt_acc_series(trace, params),
-                ones,
-                "iterate",
-                False,
-                params,
-                gate=False,
-            )
-        )
+    for row in SERIES:
+        if row.variant != variant:
+            continue
+        result = row.evaluate(trace, params, x_star)
+        if result is None:
+            continue
+        values, probability = result if row.probabilistic else (result, ones)
+        out.append(BoundSeries(row.name, values, probability, row.target, gate=row.gated))
     return out

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -214,8 +215,8 @@ def _build_error_specs(cfg):
     return grad_spec, prox_spec, grad_model, delta, eps0
 
 
-def _build_solver_config(cfg, problem, default_iters):
-    grad_spec, prox_spec, grad_model, delta, _ = _build_error_specs(cfg)
+def _build_solver_config(cfg, problem, default_iters, error_specs):
+    grad_spec, prox_spec, grad_model, delta, _ = error_specs
     if cfg["solver"]["stepsize"].strip() in ("", "auto"):
         relative = grad_model == "relative" and isinstance(grad_spec, GradientErrorSpec)
         s0 = max_constant_stepsize(problem.lipschitz, delta, relative=relative)
@@ -240,11 +241,11 @@ def _build_solver_config(cfg, problem, default_iters):
         raise ConfigError(str(exc)) from exc
 
 
-def _bound_overrides(cfg):
-    """``(model, overrides)`` of ``BoundParams.from_trace`` from ``[errors]``
-    and ``[bounds]``.  Values ``BoundParams`` rejects are config errors, so a
-    run command checks them before it solves."""
-    grad_spec, prox_spec, grad_model, delta, eps0 = _build_error_specs(cfg)
+def _bound_settings(cfg, error_specs):
+    """``(model, quantized, overrides)`` of ``BoundParams.from_trace`` from
+    the ``[errors]`` specs and ``[bounds]``.  Values ``BoundParams`` rejects
+    are config errors, so a run command checks them before it solves."""
+    grad_spec, prox_spec, grad_model, delta, eps0 = error_specs
     eps2_mean = _get(cfg, "bounds", "eps2_mean")
     if eps2_mean is None and prox_spec.mode == "target_gap" and eps0 > 0:
         eps2_mean = float(truncated_gaussian_mean(0.0, eps0))
@@ -254,16 +255,9 @@ def _bound_overrides(cfg):
         BoundParams(s=1.0, lipschitz=1.0, dist0=0.0, n=1, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    quantized = isinstance(grad_spec, FixedPointFormat)
     # quantization errors are componentwise bounded: absolute-model flavour
-    return ("absolute" if isinstance(grad_spec, FixedPointFormat) else grad_model), overrides
-
-
-def _bound_params(cfg, problem, trace, x_star):
-    model, overrides = _bound_overrides(cfg)
-    if cfg["errors"]["format"].strip() and overrides["delta"] == 0.0 and trace.eps1.size:
-        # the realized machine precision (x1.05 safety)
-        overrides["delta"] = 1.05 * float(np.abs(trace.eps1).max())
-    return BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
+    return ("absolute" if quantized else grad_model), quantized, overrides
 
 
 def problem_from_cfg(cfg):
@@ -318,35 +312,42 @@ def problem_from_cfg(cfg):
 
 # a diverged run's bounds and gaps overflow; that is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def certify(cfg, problem, trace, spec=None, extra=None):
+def certify(cfg, problem, trace, settings, strict, spec=None, extra=None):
     """Check a trace against every bound series and write the run artifacts.
 
-    Computes the reference solution and the bound parameters, writes
-    ``trace.csv``, ``bounds.csv``, ``comparison.csv`` (``lasso``/``mpc``),
-    ``iterates.bin``, ``trace.npz`` and ``summary.json`` (plus the MPC fields
-    when ``spec`` is given and any ``extra`` keys), and returns the exit code:
-    a violation of a gated deterministic series fails only under --strict.
+    ``settings`` is the ``(model, quantized, overrides)`` of
+    ``_bound_settings``.  Computes the reference solution and the bound
+    parameters, writes ``trace.csv``, ``bounds.csv``, ``comparison.csv``
+    (``lasso``/``mpc``), ``iterates.bin``, ``trace.npz`` and ``summary.json``
+    (plus the MPC fields when ``spec`` is given and any ``extra`` keys), and
+    returns the exit code: a violation of a gated series fails only under
+    ``strict``.
     """
     out = cfg["run"]["out"]
-    accelerated = trace.ys is not None
     ref = reference_solution(problem)
     x_star, f_star = ref
-    params = _bound_params(cfg, problem, trace, x_star)
+    model, quantized, overrides = settings
+    if quantized and overrides["delta"] == 0.0 and trace.eps1.size:
+        # the realized machine precision (x1.05 safety)
+        overrides = dict(overrides, delta=1.05 * float(np.abs(trace.eps1).max()))
+    params = BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
-    series = evaluate_all_series(trace, params, x_star, "accelerated" if accelerated else "basic")
-    native_gap = observed.iterate_next if accelerated else observed.ergodic_incl
+    variant = "basic" if trace.ys is None else "accelerated"
+    series = evaluate_all_series(trace, params, x_star, variant)
+    # the gated theorem's target is the run's native gap; comparison.csv
+    # measures every series against the Schmidt et al. baseline
+    native_gap = observed.for_target(next(s.target for s in series if s.gate))
     artifacts.write_trace_csv(os.path.join(out, "trace.csv"), trace, f_star)
     artifacts.write_bounds_csv(os.path.join(out, "bounds.csv"), series, native_gap)
     if cfg["run"]["command"].strip() in ("lasso", "mpc"):
-        baseline = "schmidt_acc" if accelerated else "schmidt_basic"
+        baseline = next(s.name for s in series if s.name.startswith("schmidt_"))
         artifacts.write_comparison_csv(
             os.path.join(out, "comparison.csv"), series, native_gap, baseline
         )
     artifacts.save_iterates_bin(os.path.join(out, "iterates.bin"), trace)
     artifacts.save_trace_npz(os.path.join(out, "trace.npz"), trace)
     reports = [check_bound_validity(s, observed) for s in series]
-    gated = sum(r.violations for r, s in zip(reports, series) if s.gate and s.deterministic)
-    strict = _get_bool(cfg, "run", "strict")
+    gated = sum(r.violations for r, s in zip(reports, series) if s.gate)
     summary = {
         "iterations": trace.num_steps,
         "status": trace.status,
@@ -376,15 +377,11 @@ def certify(cfg, problem, trace, spec=None, extra=None):
     return EXIT_VIOLATION if strict and gated > 0 else EXIT_OK
 
 
-def cmd_run(cfg, command):
-    """``solve``, ``lasso`` and ``mpc``: build, run, certify.
-
-    Default iteration counts: ``solve`` 100, ``lasso`` 300, ``mpc`` 300
-    (basic) or 20 (accelerated).  The ``RUN_ARTIFACTS`` of an earlier run in
-    the out directory are removed before the config echo is written.
-    """
-    cfg["run"]["command"] = command
-    problem, spec = problem_from_cfg(cfg)
+def _prepare_out(cfg):
+    """Create ``[run] out``, remove the ``RUN_ARTIFACTS`` an earlier run left
+    there and write the config echo; returns the directory.  A command calls
+    it once its whole config has been checked, so a rejected config leaves
+    the directory as it was."""
     out = cfg["run"]["out"]
     os.makedirs(out, exist_ok=True)
     for name in RUN_ARTIFACTS:
@@ -392,13 +389,28 @@ def cmd_run(cfg, command):
         if os.path.exists(path):
             os.remove(path)
     echo_config(cfg, os.path.join(out, "config_echo.ini"))
+    return out
+
+
+def cmd_run(cfg, command):
+    """``solve``, ``lasso`` and ``mpc``: build, run, certify.
+
+    Default iteration counts: ``solve`` 100, ``lasso`` 300, ``mpc`` 300
+    (basic) or 20 (accelerated).  Every setting is resolved before
+    ``_prepare_out`` touches the out directory.
+    """
+    cfg["run"]["command"] = command
+    problem, spec = problem_from_cfg(cfg)
+    error_specs = _build_error_specs(cfg)
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
-    config = _build_solver_config(cfg, problem, default_iters)
-    _bound_overrides(cfg)  # bad [bounds] values fail here, not after the solve
+    config = _build_solver_config(cfg, problem, default_iters, error_specs)
+    settings = _bound_settings(cfg, error_specs)
+    strict = _get_bool(cfg, "run", "strict")
     steps = _get(cfg, "mpc", "closed_loop_steps", int) if spec is not None else None
     if steps is not None and steps < 0:
         raise ConfigError(f"[mpc] closed_loop_steps must be nonnegative, got {steps}")
+    out = _prepare_out(cfg)
     summary_path = os.path.join(out, "summary.json")
     try:
         trace = run_solver(problem, config, np.zeros(problem.n))
@@ -416,7 +428,7 @@ def cmd_run(cfg, command):
         norms = artifacts.fmt_column(report.state_norms)
         artifacts.write_csv(os.path.join(out, "closed_loop.csv"), ["step", "state_norm"], [norms])
         extra["closed_loop_status"] = report.status
-    return certify(cfg, problem, trace, spec, extra)
+    return certify(cfg, problem, trace, settings, strict, spec, extra)
 
 
 def cmd_bounds(file_cfg, overrides, from_dir):
@@ -425,10 +437,16 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     The stored config echo is the base layer; a new config file and CLI
     flags override it (so e.g. --gamma re-evaluates the probabilistic
     bounds without re-running the solver).  The artifacts are those of the
-    command that made the run, except the closed loop, which is not rerun.
-    A run whose summary records a failure (``FAILED_STATUSES``) is a
-    configuration error.
+    command that made the run, except the closed loop, which is not rerun;
+    they go to ``--out``, which must be given and must not be ``from_dir``.
+    A run whose summary records a failure (``FAILED_STATUSES``) or whose
+    ``trace.npz`` cannot be read is a configuration error.
     """
+    out = overrides.get(("run", "out"))
+    if out is None:
+        raise ConfigError("bounds needs --out, a directory other than --from")
+    if os.path.realpath(out) == os.path.realpath(from_dir):
+        raise ConfigError(f"bounds --out {out} is the --from directory")
     trace_path = os.path.join(from_dir, "trace.npz")
     echo_path = os.path.join(from_dir, "config_echo.ini")
     if not os.path.exists(trace_path) or not os.path.exists(echo_path):
@@ -442,28 +460,33 @@ def cmd_bounds(file_cfg, overrides, from_dir):
         raise ConfigError(f"{from_dir} has a malformed summary.json: {exc}") from exc
     if status in FAILED_STATUSES:
         raise ConfigError(f"{from_dir} holds a failed run (status {status}), not a certifiable one")
+    try:
+        trace = artifacts.load_trace_npz(trace_path)
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{from_dir} has an unreadable trace.npz: {exc!r}") from exc
     base = load_config(echo_path, strict=False)
     for sec, vals in (file_cfg or {}).items():
         base.setdefault(sec, {}).update(vals)
     cfg = resolve_config(base, overrides)
     problem, spec = problem_from_cfg(cfg)
-    out = cfg["run"]["out"]
-    os.makedirs(out, exist_ok=True)
-    echo_config(cfg, os.path.join(out, "config_echo.ini"))
-    return certify(cfg, problem, artifacts.load_trace_npz(trace_path), spec)
+    if problem.n != trace.n:
+        raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "
+                          f"with n = {problem.n}")
+    settings = _bound_settings(cfg, _build_error_specs(cfg))
+    strict = _get_bool(cfg, "run", "strict")
+    _prepare_out(cfg)
+    return certify(cfg, problem, trace, settings, strict, spec)
 
 
 def cmd_verify(cfg):
     """Martingale + concentration suites; biased-control run must fail."""
-    out = cfg["run"]["out"]
-    os.makedirs(out, exist_ok=True)
-    echo_config(cfg, os.path.join(out, "config_echo.ini"))
     trials = _get(cfg, "verify", "trials", int)
     k_max = _get(cfg, "verify", "k_max", int)
     gammas = _get_floats(cfg, "verify", "gammas")
     if min(trials, k_max) < 1 or not gammas:
         raise ConfigError("[verify] needs trials and k_max of at least 1 and one gamma or more")
     seed = _get_seed(cfg)
+    out = _prepare_out(cfg)
     problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
     x_star, _ = reference_solution(problem)
     gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
@@ -535,18 +558,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
+    # a value flag's dest is the ``section.key`` it sets
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--iters", type=int)
-    common.add_argument("--abstol", type=float)
-    common.add_argument("--delta", type=float)
-    common.add_argument("--eps0", type=float)
-    common.add_argument("--gamma", type=float)
-    common.add_argument("--format", dest="fmt", help="fixed-point format, e.g. s16.8")
-    common.add_argument("--solver-tol", dest="solver_tol", type=float)
+    common.add_argument("--seed", dest="run.seed", type=int)
+    common.add_argument("--iters", dest="run.iters", type=int)
+    common.add_argument("--abstol", dest="run.abstol", type=float)
+    common.add_argument("--delta", dest="errors.delta", type=float)
+    common.add_argument("--eps0", dest="errors.eps0", type=float)
+    common.add_argument("--gamma", dest="bounds.gamma", type=float)
+    common.add_argument("--format", dest="errors.format", help="fixed-point format, e.g. s16.8")
+    common.add_argument("--solver-tol", dest="errors.solver_tol", type=float)
     common.add_argument("--strict", action="store_true", default=None)
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--trials", type=int)
+    common.add_argument("--out", dest="run.out", help="output directory")
+    common.add_argument("--trials", dest="verify.trials", type=int)
     for name in ("solve", "mpc", "lasso", "verify"):
         sub.add_parser(name, parents=[common])
     p_bounds = sub.add_parser("bounds", parents=[common])
@@ -557,18 +581,8 @@ def build_parser():
 
 
 def _overrides_from_args(args):
-    ov = {
-        ("run", "seed"): args.seed,
-        ("run", "iters"): args.iters,
-        ("run", "abstol"): args.abstol,
-        ("run", "out"): args.out,
-        ("errors", "delta"): args.delta,
-        ("errors", "eps0"): args.eps0,
-        ("errors", "format"): args.fmt,
-        ("errors", "solver_tol"): args.solver_tol,
-        ("bounds", "gamma"): args.gamma,
-        ("verify", "trials"): args.trials,
-    }
+    """CLI overrides keyed ``(section, key)``; unset flags are None."""
+    ov = {tuple(dest.split(".")): value for dest, value in vars(args).items() if "." in dest}
     if args.strict:
         ov[("run", "strict")] = "true"
     if getattr(args, "values", None):
@@ -584,12 +598,13 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        cfg = resolve_config(file_cfg, _overrides_from_args(args))
+        overrides = _overrides_from_args(args)
+        cfg = resolve_config(file_cfg, overrides)
         t0 = time.perf_counter()
         if args.command in ("solve", "mpc", "lasso"):
             code = cmd_run(cfg, args.command)
         elif args.command == "bounds":
-            code = cmd_bounds(file_cfg, _overrides_from_args(args), args.from_dir)
+            code = cmd_bounds(file_cfg, overrides, args.from_dir)
         elif args.command == "verify":
             code = cmd_verify(cfg)
         elif args.command == "quantize":

@@ -31,6 +31,8 @@ from proxcert.bounds import (
 )
 from proxcert.solvers import RunTrace, alpha_series
 
+from oracles import BOUNDS_HEADER
+
 
 def make_params(**kw):
     defaults = dict(s=1.0, lipschitz=1.0, dist0=1.0, n=2, m_grad=1.0)
@@ -390,6 +392,62 @@ class TestValidity:
         report = check_bound_validity(series, ObservedGaps.from_trace(prob, bas, f_star))
         assert report.checked == bas.num_steps - 1
         assert report.violations >= 0
+
+
+class TestSeriesCatalogue:
+    EXPECTED = {  # (name, target) in bounds.csv column order
+        "basic": [("thm_basic_det", "ergodic_incl"), ("cor_basic_det", "ergodic_incl"),
+                  ("thm_basic_rand", "ergodic"), ("thm_basic_stat", "ergodic"),
+                  ("schmidt_basic", "ergodic")],
+        "accelerated": [("thm_acc_det", "iterate_next"), ("cor_acc_det", "iterate_next"),
+                        ("thm_acc_rand", "iterate_next"), ("schmidt_acc", "iterate")],
+    }
+
+    @pytest.mark.parametrize("eps2_mean", [None, 4e-6])
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_rows_targets_and_gates(self, noisy_runs, variant, eps2_mean):
+        _, x_star, _, bas, acc, params, params_acc = noisy_runs
+        trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
+        series = evaluate_all_series(trace, replace(params, eps2_mean=eps2_mean), x_star, variant)
+        expected = [e for e in self.EXPECTED[variant]
+                    if eps2_mean is not None or e[0] != "thm_basic_stat"]
+        assert [(s.name, s.target) for s in series] == expected
+        columns = BOUNDS_HEADER.split(",")
+        names = [s.name for s in series]
+        assert names == sorted(names, key=columns.index)
+        assert {s.name for s in series if s.gate} == {"thm_basic_det", "thm_acc_det"} & set(names)
+        for s in series:  # only the prob_* columns' series are probabilistic
+            finite = s.probability[np.isfinite(s.probability)]
+            assert np.all(finite == 1.0) == (f"prob_{s.name}" not in columns), s.name
+
+    @pytest.mark.parametrize(
+        "name, variant",
+        [("bound_basic_det_series", "basic"), ("bound_basic_det_corollary_series", "basic"),
+         ("bound_basic_random_series", "basic"), ("bound_basic_stationary_series", "basic"),
+         ("bound_schmidt_basic_series", "basic"), ("bound_acc_det_series", "accelerated"),
+         ("bound_acc_det_corollary_series", "accelerated"),
+         ("bound_acc_random_series", "accelerated"),
+         ("bound_schmidt_acc_series", "accelerated")],
+    )
+    def test_rows_call_the_module_attribute(self, noisy_runs, monkeypatch, name, variant):
+        # a rebound bounds.bound_*_series (as a tracer installs) is the one called
+        import proxcert.bounds as bounds
+
+        _, x_star, _, bas, acc, params, params_acc = noisy_runs
+        trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
+        params = replace(params, eps2_mean=4e-6)
+        before = evaluate_all_series(trace, params, x_star, variant)
+        orig = getattr(bounds, name)
+
+        def doubled(*args):
+            result = orig(*args)
+            return (2 * result[0], result[1]) if isinstance(result, tuple) else 2 * result
+
+        monkeypatch.setattr(bounds, name, doubled)
+        after = evaluate_all_series(trace, params, x_star, variant)
+        changed = [a.name for a, b in zip(after, before)
+                   if not np.array_equal(a.values, b.values, equal_nan=True)]
+        assert len(changed) == 1
 
 
 def random_bound_per_k(params, k, eps2):

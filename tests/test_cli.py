@@ -25,6 +25,10 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+def dir_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 @pytest.fixture()
 def toy_config(tmp_path):
     cfg = tmp_path / "run.ini"
@@ -236,6 +240,24 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+    def test_rejected_config_leaves_out_untouched(self, tmp_path, toy_config):
+        # every setting is checked before the out directory is changed
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(out)]) == 0
+        before = dir_bytes(out)
+        for command, ini in [
+            ("solve", "[bounds]\ngamma = 0\n"),
+            ("solve", "[solver]\nstepsize = -1\n"),
+            ("solve", "[run]\nstrict = maybe\n"),
+            ("mpc", "[mpc]\nclosed_loop_steps = -1\n"),
+            ("verify", "[verify]\ntrials = 0\n"),
+        ]:
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(ini)
+            assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2, ini
+            assert dir_bytes(out) == before, ini
+
+
 def test_readme_names_every_config_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     para = readme[readme.index("Configuration files are INI"):]
@@ -391,6 +413,59 @@ class TestBoundsCommand:
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2
+
+    def test_out_holds_only_the_new_certification(self, tmp_path, toy_config):
+        # an earlier mpc run's comparison.csv and closed_loop.csv do not
+        # survive next to a solve run's certification
+        old, src = tmp_path / "old", tmp_path / "src"
+        loop = tmp_path / "loop.ini"
+        loop.write_text("[mpc]\nclosed_loop_steps = 3\n")
+        assert run_cli(["mpc", "--config", str(loop), "--iters", "20", "--out", str(old)]) == 0
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        assert run_cli(["bounds", "--from", str(src), "--out", str(old)]) == 0
+        assert sorted(os.listdir(old)) == sorted(os.listdir(src))
+
+    @pytest.mark.parametrize("out", ["missing", "from_dir", "from_dir_dot"])
+    def test_out_must_be_given_and_not_the_run(self, tmp_path, toy_config, capsys, out):
+        # the run was made in run_a and moved; its echo still names run_a
+        run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(run_a)]) == 0
+        run_a.rename(run_b)
+        before = dir_bytes(run_b)
+        flags = {"missing": [], "from_dir": ["--out", str(run_b)],
+                 "from_dir_dot": ["--out", str(run_b / ".")]}[out]
+        capsys.readouterr()
+        assert run_cli(["bounds", "--from", str(run_b)] + flags) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert dir_bytes(run_b) == before
+        assert not run_a.exists()
+
+    def test_problem_of_another_size_exits_2(self, tmp_path, toy_config, capsys):
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        other = tmp_path / "n30.ini"
+        other.write_text("[lasso]\nn = 30\n")
+        capsys.readouterr()
+        args = ["bounds", "--from", str(src), "--out", str(dst), "--config", str(other)]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("damage", ["garbage_bytes", "no_eps2"])
+    def test_unreadable_trace_exits_2(self, tmp_path, toy_config, capsys, damage):
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        trace = src / "trace.npz"
+        if damage == "garbage_bytes":
+            trace.write_bytes(b"not an npz archive")
+        else:
+            with np.load(trace) as data:
+                kept = {k: data[k] for k in data.files if k != "eps2"}
+            np.savez(trace, **kept)
+        capsys.readouterr()
+        assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not dst.exists()
 
 
 class TestVerifyCommand:
