@@ -55,10 +55,10 @@ class ConfigError(ValueError):
     pass
 
 
-# what a run command writes into its out directory besides the config echo;
-# a rerun removes them first, so a failed one leaves no earlier run's files
+# what a run command or verify writes into its out directory besides the config
+# echo; a rerun removes them first, so a failed one leaves no earlier run's files
 RUN_ARTIFACTS = ("trace.csv", "bounds.csv", "comparison.csv", "iterates.bin", "trace.npz",
-                 "closed_loop.csv", "summary.json")
+                 "closed_loop.csv", "summary.json", "report.json", "report.txt")
 FAILED_STATUSES = ("non-finite-iterate", "oracle-error")
 
 
@@ -440,7 +440,8 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     command that made the run, except the closed loop, which is not rerun;
     they go to ``--out``, which must be given and must not be ``from_dir``.
     A run whose summary records a failure (``FAILED_STATUSES``) or whose
-    ``trace.npz`` cannot be read is a configuration error.
+    ``trace.npz`` cannot be read, or a ``[solver] variant`` other than the
+    stored trace's, is a configuration error.
     """
     out = overrides.get(("run", "out"))
     if out is None:
@@ -468,6 +469,9 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     for sec, vals in (file_cfg or {}).items():
         base.setdefault(sec, {}).update(vals)
     cfg = resolve_config(base, overrides)
+    variant = "basic" if trace.ys is None else "accelerated"
+    if cfg["solver"]["variant"].strip() != variant:
+        raise ConfigError(f"{from_dir} holds a {variant} run; [solver] variant cannot change it")
     problem, spec = problem_from_cfg(cfg)
     if problem.n != trace.n:
         raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "

@@ -20,21 +20,136 @@ import numpy as np
 from .problems import OracleError, QuadraticSmooth, as_vector
 
 
+# Cephes normal-distribution coefficients (S. L. Moshier, 1989), as scipy ships them
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+# ndtri, central branch exp(-2) < y <= 1 - exp(-2)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# ndtri tails, in z = 1/x with x = sqrt(-2 log y): (P1, Q1) for x < 8, (P2, Q2) beyond
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+# erf for |x| < 1
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+# erfc for 1 <= z: (EP, EQ) for z < 8, (ER, ES) beyond
+_EP = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+       4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+       9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_EQ = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+       9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+       1.65666309194161350182E3, 5.57535340817727675546E2)
+_ER = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+       6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ES = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+       1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+
+
+def _polevl(x, coef):
+    """Cephes ``polevl``: Horner from ``coef[0]``, on a float or an array."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes ``p1evl``: ``polevl`` with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x):
+    """Cephes ``erf`` for ``|x| < 1``."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _ndtr(a):
+    """Cephes ``ndtr``, the standard normal CDF of a float, bit for bit."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    # y = erfc(z) / 2
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        p, q = (_EP, _EQ) if z < 8.0 else (_ER, _ES)
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _p1evl(z, q))
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri_central(y):
+    """``ndtri`` on ``exp(-2) < y <= 1 - exp(-2)``."""
+    y = y - 0.5
+    y2 = y * y
+    return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+
+
+def _libm_log(a):
+    """libm's ``log`` element by element; ``np.log`` can differ in the last bit."""
+    return np.array([math.log(v) for v in a.tolist()])
+
+
+def _ndtri(y):
+    """Cephes ``ndtri``, the inverse normal CDF, of an array in [0, 1], bit for bit."""
+    # Cephes flips y > 1 - exp(-2) to 1 - y before its central test; no
+    # flipped y passes it, as 1 - (1 - exp(-2)) == exp(-2) in doubles
+    central = (y > _EXP_M2) & (y <= 1.0 - _EXP_M2)
+    if central.all():
+        return _ndtri_central(y)
+    upper = y > 1.0 - _EXP_M2
+    x = np.full_like(y, np.inf)  # stays at y = 0 and y = 1
+    x[central] = _ndtri_central(y[central])
+    # tails in t = min(y, 1 - y), negated below 1/2
+    t = np.where(upper, 1.0 - y, y)
+    tail = ~central & (t > 0.0)
+    r = np.sqrt(-2.0 * _libm_log(t[tail]))
+    z = 1.0 / r
+    x1 = np.where(r < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1),
+                  z * _polevl(z, _P2) / _p1evl(z, _Q2))
+    x[tail] = r - _libm_log(r) / r - x1
+    return np.where(upper | central, x, -x)
+
+
 def sample_truncated_gaussian(lo, hi, shape, rng):
     """Standard normal conditioned on [lo, hi], drawn by inverse CDF.
 
     The inverse-CDF route has bounded runtime at arbitrarily narrow
-    truncations, unlike rejection sampling.  ``scipy.special`` is imported
-    here, at the first draw, so that runs without random errors never load
-    scipy.
+    truncations, unlike rejection sampling.  ``_ndtr``/``_ndtri`` port the
+    Cephes ``ndtr``/``ndtri`` and give scipy's bits without loading scipy;
+    the tails call libm's ``log`` (``math.log``): ``np.log`` can differ in
+    the last bit, and the port with it by a few ulps.
     """
-    from scipy.special import ndtr, ndtri
-
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    p_lo, p_hi = ndtr(lo), ndtr(hi)
-    u = rng.uniform(p_lo, p_hi, size=shape)
-    return np.clip(ndtri(u), lo, hi)
+    u = rng.uniform(_ndtr(lo), _ndtr(hi), size=shape)
+    return np.clip(_ndtri(u), lo, hi)
 
 
 def truncated_gaussian_mean(lo, hi):

@@ -451,6 +451,23 @@ class TestBoundsCommand:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not dst.exists()
 
+    @pytest.mark.parametrize("stored, asked", [("basic", "accelerated"),
+                                               ("accelerated", "basic")])
+    def test_variant_other_than_the_trace_exits_2(self, tmp_path, toy_config, capsys,
+                                                  stored, asked):
+        # the stored trace fixes the variant (no ys: basic); an echo saying
+        # otherwise would label one variant's bounds with the other's name
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        run_ini, bounds_ini = tmp_path / "run.ini", tmp_path / "bounds.ini"
+        run_ini.write_text(toy_config.read_text() + f"\n[solver]\nvariant = {stored}\n")
+        bounds_ini.write_text(f"[solver]\nvariant = {asked}\n")
+        assert run_cli(["solve", "--config", str(run_ini), "--out", str(src)]) == 0
+        capsys.readouterr()
+        args = ["bounds", "--from", str(src), "--out", str(dst), "--config", str(bounds_ini)]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not dst.exists()
+
     @pytest.mark.parametrize("damage", ["garbage_bytes", "no_eps2"])
     def test_unreadable_trace_exits_2(self, tmp_path, toy_config, capsys, damage):
         src, dst = tmp_path / "src", tmp_path / "dst"
@@ -490,6 +507,16 @@ class TestVerifyCommand:
         # an inconclusive control cannot certify the suite failed
         assert code in (0, 5)
 
+    def test_run_into_a_verify_directory_drops_its_reports(self, tmp_path, toy_config):
+        # a run's config echo says command = solve; verify's reports would
+        # sit next to it as if that run had made them
+        out = tmp_path / "v"
+        run_cli(["verify", "--out", str(out), "--trials", "10", "--seed", "2"])
+        assert (out / "report.json").exists() and (out / "report.txt").exists()
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(out),
+                        "--iters", "20"]) == 0
+        assert not (out / "report.json").exists() and not (out / "report.txt").exists()
+
     def test_diagnostic_failure_exits_5(self, tmp_path, monkeypatch):
         import proxcert.cli as cli
         from proxcert.experiments import DiagnosticReport
@@ -516,18 +543,22 @@ assert main(["bounds", "--from", out + "/mpc", "--out", out + "/bounds"]) == 0
 loaded.append("scipy" in sys.modules)
 assert main(["solve", "--eps0", "1e-4", "--out", out + "/solve", "--iters", "100"]) == 0
 loaded.append("scipy" in sys.modules)
+assert main(["lasso", "--delta", "1e-3", "--out", out + "/lasso", "--iters", "100"]) == 0
+loaded.append("scipy" in sys.modules)
+assert main(["verify", "--trials", "20", "--out", out + "/verify"]) == 0
+loaded.append("scipy" in sys.modules)
 print(loaded)
 """
 
 
 class TestColdStart:
-    def test_scipy_loads_only_with_a_random_draw(self, tmp_path):
-        # a fresh interpreter: exact and quantized commands load no scipy,
-        # a target-gap run's first truncated-Gaussian draw does
+    def test_no_command_loads_scipy(self, tmp_path):
+        # a fresh interpreter: exact, quantized and random-error commands
+        # alike run without scipy, which only the tests use as an oracle
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
             [sys.executable, "-c", COLD_START, str(tmp_path)],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert done.stdout.splitlines()[-1] == "[False, True]"
+        assert done.stdout.splitlines()[-1] == "[False, False, False, False]"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad as quadrature
+from scipy.special import ndtr, ndtri
 
 from proxcert import (
     CompositeProblem,
@@ -17,6 +18,8 @@ from proxcert import (
     sample_truncated_gaussian,
 )
 from proxcert.errors import (
+    _ndtr,
+    _ndtri,
     draw_tape,
     inner_solver_prox,
     quantize_quadratic,
@@ -49,6 +52,65 @@ class TestTruncatedGaussian:
     def test_invalid_interval(self, rng):
         with pytest.raises(ValueError):
             sample_truncated_gaussian(1.0, 1.0, 3, rng)
+
+
+def same_bits(a, b):
+    bits = lambda v: np.asarray(v, float).view(np.uint64)
+    return np.array_equal(bits(a), bits(b))
+
+
+def scipy_truncated_gaussian(lo, hi, shape, rng):
+    """The scipy formula the Cephes port replaced, as the bit-level oracle."""
+    u = rng.uniform(ndtr(lo), ndtr(hi), size=shape)
+    return np.clip(ndtri(u), lo, hi)
+
+
+def around(values, ulps=20):
+    """Each value and its neighbours up to ``ulps`` floats away."""
+    steps = np.arange(-ulps, ulps + 1)
+    return np.concatenate([v + steps * np.spacing(v) for v in values])
+
+
+# every interval the package, the tests and the benchmark draw from, plus
+# wide ones that reach both tails and one tail only
+INTERVALS = [(-1e-3, 1e-3), (0.0, 1e-6), (0.0, 1e-4), (0.0, 1e-3), (0.0, 1e-8), (-0.22, 0.22),
+             (0.0, 1e-5), (-1e-6, 1e-6), (-0.1, 0.1), (-0.5, 0.5), (-0.3, 0.3), (0.0, 8.0),
+             (0.0, 1e-12), (0.0, 2e-3), (-2.2e-12, 2.2e-12), (-0.2, 0.2), (-0.05, 0.05),
+             (-2.2e-4, 2.2e-4), (-3.0, 3.0), (-40.0, -5.0), (1.0, 5.0)]
+
+
+class TestCephesPort:
+    """``_ndtr``/``_ndtri`` against scipy bit for bit: a wrong digit in a
+    coefficient table or a Horner step in another order shows here."""
+
+    def test_ndtri_matches_scipy(self, rng):
+        e = np.exp(-2.0)
+        y = np.concatenate([
+            rng.uniform(0.0, 1.0, 100_000),
+            0.5 + rng.uniform(-1e-6, 1e-6, 20_000),
+            rng.uniform(e, 1.0 - e, 50_000),
+            10.0 ** rng.uniform(-300.0, np.log10(e), 100_000),  # lower tail, both fits
+            1.0 - 10.0 ** rng.uniform(-16.0, np.log10(e), 100_000),  # upper tail
+            around([e, 1.0 - e, np.exp(-32.0), 1.0 - np.exp(-32.0), 0.5]),
+            [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53],
+        ])
+        assert same_bits(_ndtri(y), ndtri(y))
+
+    def test_ndtr_matches_scipy(self):
+        # |x| = |a|/sqrt(2) crosses the erf/erfc split at a = 1, erfc's
+        # 1 - erf range ends at sqrt(2), its fits switch at 8 sqrt(2) and it
+        # underflows past sqrt(2 MAXLOG)
+        edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 709.782712893384)])
+        a = np.concatenate([np.linspace(-40.0, 40.0, 160_001), around(edges), -around(edges),
+                            [0.0, -0.0, np.inf, -np.inf]])
+        assert same_bits([_ndtr(v) for v in a.tolist()], ndtr(a))
+
+    @pytest.mark.parametrize("lo, hi", INTERVALS)
+    def test_draws_match_the_scipy_formula(self, lo, hi):
+        for seed in range(5):
+            draws = sample_truncated_gaussian(lo, hi, (30, 20), np.random.default_rng(seed))
+            oracle = scipy_truncated_gaussian(lo, hi, (30, 20), np.random.default_rng(seed))
+            assert same_bits(draws, oracle)
 
 
 class TestTruncatedGaussianMean:
