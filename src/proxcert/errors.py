@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .problems import OracleError, QuadraticSmooth, as_vector
+from .problems import OracleError, as_vector
 
 
 # Cephes normal-distribution coefficients (S. L. Moshier, 1989), as scipy ships them
@@ -461,6 +461,13 @@ def inner_solver_prox(h, s, w, tol):
 
 
 _FMT_RE = re.compile(r"^([su])(\d+)\.(\d+)$")
+# widest format of the exact domain: at W <= 64 no value, product or sum of
+# quantized_gradient leaves float64's normal range, where scaling by a power
+# of two commutes with rounding
+MAX_WIDTH = 64
+# the rounding kernel's operands are 0-d arrays: a ufunc takes one about
+# 0.25 us faster than a Python float, which it converts on every call
+_ONE, _HALF = np.array(1.0), np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -468,7 +475,8 @@ class FixedPointFormat:
     """Fixed-point number format: total width W bits, F of them fractional.
 
     Unsigned dynamic range is [0, 2^I - 2^-F] with I = W - F; the signed
-    (two's complement) range is [-2^(I-1), 2^(I-1) - 2^-F].
+    (two's complement) range is [-2^(I-1), 2^(I-1) - 2^-F].  A value is held
+    as an integer count of ulps (2^-F); W is at most :data:`MAX_WIDTH`.
     """
 
     width: int
@@ -478,6 +486,16 @@ class FixedPointFormat:
     def __post_init__(self):
         if not (self.width > self.frac >= 0):
             raise ValueError(f"need W > F >= 0, got W={self.width}, F={self.frac}")
+        if self.width > MAX_WIDTH:
+            raise ValueError(f"fixed-point format {self} is wider than {MAX_WIDTH} bits")
+        if self.signed:
+            lo, hi = -(2.0 ** (self.width - 1)), 2.0 ** (self.width - 1) - 1.0
+        else:
+            lo, hi = 0.0, 2.0**self.width - 1.0
+        # 2^F, 2^-F and the saturation limits in ulps, as kernel operands
+        for name, value in (("_scale", 2.0**self.frac), ("_ulp", 2.0**-self.frac),
+                            ("_lo", lo), ("_hi", hi)):
+            object.__setattr__(self, name, np.array(value))
 
     @classmethod
     def parse(cls, text):
@@ -507,34 +525,64 @@ class FixedPointFormat:
             hi = 2.0**self.integer_bits - self.ulp
         return lo, hi
 
+    def round_ulps(self, a):
+        """Round the float64 array ``a``, a value in ulps, in place to the
+        nearest integer, ties half away from zero, and saturate it at the
+        format's limits; returns ``a``."""
+        # a +-1 factor, unlike copysign(|q|, a), leaves NaNs positive
+        sign = np.copysign(_ONE, a)
+        np.floor(np.add(np.abs(a, out=a), _HALF, out=a), out=a)
+        a *= sign
+        # maximum(lo, a) keeps a's -0.0 against lo = 0.0, as a clip does
+        return np.minimum(np.maximum(self._lo, a, out=a), self._hi, out=a)
+
     def quantize(self, x):
         """Round to the nearest representable value, ties half away from
         zero; out-of-range saturates."""
-        scalar = np.ndim(x) == 0
-        y = np.asarray(x, dtype=float) * 2.0**self.frac
-        # a +-1 factor, unlike copysign(|q|, y), leaves NaNs positive
-        q = np.floor(np.abs(y) + 0.5) * np.copysign(1.0, y)
-        if self.signed:
-            lo_i, hi_i = -(2.0 ** (self.width - 1)), 2.0 ** (self.width - 1) - 1.0
-        else:
-            lo_i, hi_i = 0.0, 2.0**self.width - 1.0
-        # maximum(lo, q) keeps q's -0.0 against lo = 0.0, as a clip does
-        q = np.minimum(np.maximum(lo_i, q), hi_i) * 2.0 ** (-self.frac)
-        return float(q) if scalar else q
+        q = self.round_ulps(np.multiply(x, self._scale, out=np.empty_like(x, dtype=float)))
+        q *= self._ulp
+        return q if q.ndim else float(q)
+
+
+class QuantizedQuadratic(NamedTuple):
+    """A quadratic's matrix M_q and offset v_q stored in a fixed-point format,
+    with the binary points folded into two scaled copies of M_q.
+
+    ``lo = M_q 2^-F`` takes a point in ulps to ``M_q x`` in value units;
+    ``hi = c 2^F M_q`` (c = 1 half-scaled, 2 unscaled) takes a residual in
+    value units to the gradient in ulps; ``vec = v_q``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    vec: np.ndarray
 
 
 def quantize_quadratic(fmt, quad):
-    """``quad`` with its matrix and offset stored in ``fmt``, once per run."""
-    return QuadraticSmooth(fmt.quantize(quad.mat), fmt.quantize(quad.vec), half=quad.half)
+    """``quad`` with its matrix and offset stored in ``fmt``, once per run,
+    as a :class:`QuantizedQuadratic`."""
+    hi = fmt.round_ulps(quad.mat * fmt._scale)  # M_q in ulps: 2^F M_q
+    lo = hi * (fmt._ulp * fmt._ulp)
+    if not quad.half:
+        hi *= 2.0
+    return QuantizedQuadratic(lo, hi, fmt.quantize(quad.vec))
 
 
-def quantized_gradient(fmt, quad_q, x):
+def quantized_gradient(fmt, quad_q, x, out=None):
     """Gradient of a quadratic smooth term with inputs and output quantized.
 
-    Emulates a reduced-precision gradient evaluation: ``quad_q`` comes from
-    :func:`quantize_quadratic`, the point is stored in ``fmt`` and the
-    computed gradient is written back in ``fmt``.  Its error against the
-    exact gradient is formed by the caller (a run forms every step's eps1
-    at once, after its loop).
+    Emulates a reduced-precision evaluation of ``Q(c M_q'(M_q Q(x) - v_q))``
+    on the integer grid: ``x`` is rounded in ulps, the two folded matrices of
+    ``quad_q`` (from :func:`quantize_quadratic`) absorb the scale factors, and
+    the gradient is rounded in ulps and written back in ``fmt`` (into ``out``
+    if given).  Inside the format domain every intermediate is its value-unit
+    counterpart times an exact power of two, so the bits are those of the
+    value-unit formula.  Its error against the exact gradient is formed by the
+    caller (a run forms every step's eps1 at once, after its loop).
     """
-    return fmt.quantize(quad_q.grad(fmt.quantize(x)))
+    lo, hi, vec = quad_q
+    r = lo.dot(fmt.round_ulps(x * fmt._scale))
+    r -= vec
+    g = fmt.round_ulps(hi.T.dot(r, out=out))
+    g *= fmt._ulp
+    return g

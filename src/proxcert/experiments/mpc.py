@@ -9,7 +9,7 @@ horizon (the reference weights are given over a 2-step window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -159,8 +159,13 @@ class MpcSpec:
         return as_vector(self.setpoint, self.model.n_outputs * self.n_p, "setpoint")
 
     def with_state(self, x0):
-        # the copy shares _cache: nothing cached depends on the state
-        return replace(self, x0=x0)
+        """A copy at state ``x0``; the rest of the spec was validated when
+        it was made, so only ``x0`` is checked."""
+        # a shallow copy that shares _cache: nothing cached depends on the state
+        spec = object.__new__(type(self))
+        vars(spec).update(vars(self))
+        spec.x0 = as_vector(x0, self.model.n_states, "x0")
+        return spec
 
 
 def spacecraft_mpc(n_p=10, n_c=None, lam=SPACECRAFT_LAMBDA, x0=None):

@@ -184,7 +184,7 @@ def _run(problem, config, x0, accelerated):
             if quad_q is not None:
                 # the row holds noisy until the loop ends; then the stacked
                 # exact gradients turn every row into eps1 = noisy - grad g(y)
-                noisy = eps1s[k] = quantized_gradient(gspec, quad_q, y)
+                noisy = quantized_gradient(gspec, quad_q, y, out=eps1s[k])
             else:
                 noisy = problem.grad(y)
                 if relative:

@@ -216,6 +216,25 @@ def _reference_grad(problem, y):
     return g if quad.half else 2.0 * g
 
 
+def reference_quantize(fmt, x):
+    """``fmt.quantize`` in value units, as the formula that
+    ``test_bits_match_where_signbit_and_clip`` pins: round ``|x| 2^F`` half
+    up, restore the sign with a ``where(signbit)`` product, clip to the
+    dynamic range in ulps and scale back."""
+    y = np.asarray(x, dtype=float) * 2.0**fmt.frac
+    q = np.floor(np.abs(y) + 0.5) * np.where(np.signbit(y), -1.0, 1.0)
+    lo, hi = fmt.dynamic_range()
+    return np.clip(q, lo * 2.0**fmt.frac, hi * 2.0**fmt.frac) * 2.0**-fmt.frac
+
+
+def reference_quantized_gradient(fmt, mat_q, vec_q, half, x):
+    """``Q(c M_q'(M_q Q(x) - v_q))`` in value units, c = 1 half-scaled and 2
+    unscaled, with ``M_q``, ``v_q`` already quantized by
+    :func:`reference_quantize`; no binary point is folded anywhere."""
+    g = mat_q.T.dot(mat_q.dot(reference_quantize(fmt, x)) - vec_q)
+    return reference_quantize(fmt, g if half else 2.0 * g)
+
+
 def _reference_ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
     """The list-based loop's ray solve: ``(point, residual, (x, t, d'(x - w)))``."""
     if s <= 0:
@@ -263,8 +282,6 @@ def reference_run(problem, config, x0, accelerated):
         checked_gaps,
         draw_tape,
         inner_solver_prox,
-        quantize_quadratic,
-        quantized_gradient,
         ray_constants,
     )
     from proxcert.problems import StepsizePolicy, as_vector, backtrack_stepsize
@@ -274,7 +291,10 @@ def reference_run(problem, config, x0, accelerated):
     gspec, pspec = config.grad_error, config.prox_error
     tape = draw_tape(gspec, pspec, problem.n, config.max_iters, config.seed)
     relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
-    quad_q = quantize_quadratic(gspec, problem.smooth) if isinstance(gspec, FixedPointFormat) else None
+    quantized = isinstance(gspec, FixedPointFormat)
+    if quantized:
+        quad = problem.smooth
+        mat_q, vec_q = reference_quantize(gspec, quad.mat), reference_quantize(gspec, quad.vec)
     inner = pspec is not None and pspec.mode == "inner_solver"
     policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
     if tape.targets is not None:
@@ -293,8 +313,8 @@ def reference_run(problem, config, x0, accelerated):
                 if accelerated:
                     beta_k = (alpha_prev - 1.0) / alpha_k
                     y = x + beta_k * (x - x_prev)
-            if quad_q is not None:
-                noisy = eps1 = quantized_gradient(gspec, quad_q, y)
+            if quantized:
+                noisy = eps1 = reference_quantized_gradient(gspec, mat_q, vec_q, quad.half, y)
             elif tape.kappa is not None:
                 g = _reference_grad(problem, y)
                 eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
@@ -345,7 +365,7 @@ def reference_run(problem, config, x0, accelerated):
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
     eps1s = np.asarray(eps1s)
-    if quad_q is not None:
+    if quantized:
         eps1s = eps1s - problem.smooth.grads(ys if accelerated else xs[: len(steps)])
     return RunTrace(
         xs=xs,

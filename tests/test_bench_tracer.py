@@ -37,3 +37,16 @@ def test_coverage_trial_passes_its_checks(monkeypatch, tmp_path, capsys):
     [(secs, ok)] = coverage.run_round(lambda: None)
     assert ok and secs > 0, capsys.readouterr().err
     assert coverage.trials == 1
+
+
+def test_closed_loop_episode_passes_its_checks(monkeypatch, tmp_path, capsys):
+    # one episode of the benchmark's closed_loop workload, which stamps each
+    # control step by rebinding experiments.mpc.mpc_to_lasso: every step must
+    # call it once, with the spec as its one positional argument
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    closed_loop = workloads.ClosedLoop(1, str(tmp_path))
+    steps = closed_loop.run_round(lambda: None)
+    assert len(steps) == closed_loop.STEPS
+    assert all(ok and secs > 0 for secs, ok in steps), capsys.readouterr().err

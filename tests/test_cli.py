@@ -251,6 +251,8 @@ class TestConfigErrors:
             ("solve", "[run]\nstrict = maybe\n"),
             ("mpc", "[mpc]\nclosed_loop_steps = -1\n"),
             ("verify", "[verify]\ntrials = 0\n"),
+            ("solve", "[errors]\nformat = s2000.1500\n"),  # wider than float64 can hold
+            ("lasso", "[errors]\nformat = s1100.600\n"),
         ]:
             cfg = tmp_path / "bad.ini"
             cfg.write_text(ini)
@@ -282,6 +284,16 @@ class TestQuantizeCommand:
 
     def test_malformed_format_exits_2(self):
         assert run_cli(["quantize", "--format", "s4.8"]) == 2
+
+    @pytest.mark.parametrize("text", ["s2000.1500", "s1100.600", "u65.8"])
+    def test_too_wide_format_exits_2(self, capsys, text):
+        assert run_cli(["quantize", "--format", text, "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: fixed-point format {text} is wider than 64 bits\n"
+
+    def test_widest_format(self, capsys):
+        assert run_cli(["quantize", "--format", "s64.60", "1.5", "inf"]) == 0
+        assert "[-8, 8]" in capsys.readouterr().out
 
     def test_custom_values(self, capsys):
         assert run_cli(["quantize", "--format", "s8.4", "1.3"]) == 0

@@ -26,7 +26,7 @@ from proxcert.errors import (
     truncated_gaussian_mean,
 )
 
-from oracles import l1_ray_point
+from oracles import l1_ray_point, reference_quantize, reference_quantized_gradient
 
 
 class TestTruncatedGaussian:
@@ -288,10 +288,7 @@ class TestQuantize:
                 -ticks * fmt.ulp,
             )
         )
-        y = x * 2.0**fmt.frac
-        q = np.floor(np.abs(y) + 0.5) * np.where(np.signbit(y), -1.0, 1.0)
-        lo, hi = fmt.dynamic_range()
-        ref = np.clip(q, lo * 2.0**fmt.frac, hi * 2.0**fmt.frac) * 2.0**-fmt.frac
+        ref = reference_quantize(fmt, x)
         assert fmt.quantize(x).view(np.uint64).tolist() == ref.view(np.uint64).tolist()
         for v, r in zip(x, ref):
             assert np.float64(fmt.quantize(float(v))).tobytes() == r.tobytes()
@@ -300,6 +297,9 @@ class TestQuantize:
         for bad in ("s4.8", "x8.4", "s8", "8.4", "s0.0"):
             with pytest.raises(ValueError):
                 FixedPointFormat.parse(bad)
+        for wide in ("s65.1", "u1100.600", "s2000.1500"):
+            with pytest.raises(ValueError, match=f"format {wide} is wider than 64 bits"):
+                FixedPointFormat.parse(wide)
 
     def test_parse_roundtrip(self):
         fmt = FixedPointFormat.parse("u16.8")
@@ -348,6 +348,35 @@ class TestQuantizedGradient:
             ref = q(mat).T @ (q(mat) @ q(x) - q(vec))
             ref = q(ref if half else 2.0 * ref)
             assert np.array_equal(quantized_gradient(fmt, quad_q, x), ref)
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("text", ["s6.3", "s8.4", "u8.4", "s12.6", "s16.8", "s24.12", "s60.48"])
+    def test_bits_match_value_unit_formula(self, rng, text, half):
+        # the gradient on the integer grid, with the binary points folded into
+        # the matrices, gives the bits of the value-unit formula: in range,
+        # saturating, at +-inf, and at NaNs of both signs
+        fmt = FixedPointFormat.parse(text)
+        mat, vec = 3 * rng.standard_normal((9, 5)), rng.standard_normal(9)
+        quad = QuadraticSmooth(mat, vec, half=half)
+        quad_q = quantize_quadratic(fmt, quad)
+        mat_q, vec_q = reference_quantize(fmt, mat), reference_quantize(fmt, vec)
+        with np.errstate(invalid="ignore"):
+            neg_nan = (np.array([np.inf]) - np.inf)[0]
+        points = [rng.standard_normal(5) * scale for scale in (0.1, 1.0, 10.0) for _ in range(5)]
+        points += [
+            np.array([1e6, -1e6, 0.0, -0.0, 1.0]),
+            np.array([np.inf, -np.inf, 1.0, -2.0, 0.5]),
+            np.array([0.25, np.nan, 1.0, -2.0, 0.5]),
+            np.array([neg_nan, 0.0, -0.0, 3.0, -1.0]),
+            np.zeros(5),
+            -np.zeros(5),
+        ]
+        out = np.empty(5)
+        for x in points:
+            ref = reference_quantized_gradient(fmt, mat_q, vec_q, half, x)
+            assert quantized_gradient(fmt, quad_q, x).tobytes() == ref.tobytes(), x
+            assert quantized_gradient(fmt, quad_q, x, out=out) is out
+            assert out.tobytes() == ref.tobytes(), x
 
 
 class TestApproxProx:

@@ -165,6 +165,14 @@ class TestCondensation:
             assert cached.meta["offset"] == fresh.meta["offset"]
             assert cached.smooth.mat is first.smooth.mat
 
+    def test_with_state_checks_only_the_state(self):
+        spec = spacecraft_mpc(n_p=2)
+        moved = spec.with_state([0.5] * 7)
+        assert moved.x0.tolist() == [0.5] * 7 and spec.x0.tolist() == [0.0] * 7
+        assert moved._cache is spec._cache and (moved.n_p, moved.lam) == (spec.n_p, spec.lam)
+        with pytest.raises(ValueError, match="x0 has dimension 6"):
+            spec.with_state(np.zeros(6))
+
     def test_lipschitz_reported_for_documented_horizons(self):
         # the paper reports 8388 for the quadratic term; computed constants
         # for the documented horizon pairings are asserted below (see the

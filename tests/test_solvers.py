@@ -422,7 +422,7 @@ class TestHotPathBudget:
 
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     def test_quantized_run(self, small_lasso, monkeypatch, variant):
-        quantizes = counted(monkeypatch, FixedPointFormat, "quantize")
+        roundings = counted(monkeypatch, FixedPointFormat, "round_ulps")
         grads = counted(monkeypatch, CompositeProblem, "grad")
         stacked = counted(monkeypatch, QuadraticSmooth, "grads")
         cfg = SolverConfig(
@@ -431,7 +431,8 @@ class TestHotPathBudget:
         (run_accelerated if variant == "accelerated" else run_basic)(
             small_lasso, cfg, np.zeros(small_lasso.n)
         )
-        assert len(quantizes) == 2 * 40 + 2
+        # two roundings per gradient, plus M and v once per run
+        assert len(roundings) == 2 * 40 + 2
         # no exact gradient per step: one stacked call forms all 40 eps1 rows
         assert (len(grads), len(stacked)) == (0, 1)
         assert stacked[0][1].shape == (40, small_lasso.n)
@@ -482,6 +483,7 @@ REFERENCE_CASES = {
     )),
     "backtracking": (20.0, True, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
     "quantized": (1.0, False, dict(grad_error=FixedPointFormat.parse("s16.8"))),
+    "quantized_saturating": (1.0, False, dict(grad_error=FixedPointFormat.parse("s6.3"))),
     "inner_solver": (1.0, False, dict(prox_error=ProxErrorSpec(mode="inner_solver", eps0=1e-6))),
     "abstol": (1.0, False, dict(abstol=1e-6, max_iters=2000)),
     "diverging": (1000.0, False, dict(grad_error=NOISE, max_iters=2000)),
