@@ -7,7 +7,6 @@ from .problems import (
     QuadraticSmooth,
     StepsizePolicy,
     backtrack_stepsize,
-    lqr_closed_form,
     max_constant_stepsize,
     problem_from_json,
     problem_to_json,
@@ -39,7 +38,6 @@ __all__ = [
     "QuadraticSmooth",
     "StepsizePolicy",
     "backtrack_stepsize",
-    "lqr_closed_form",
     "max_constant_stepsize",
     "problem_from_json",
     "problem_to_json",

@@ -550,7 +550,8 @@ def cmd_quantize(cfg):
     values = _get_floats(cfg, "quantize", "values", finite=False)  # inf shows saturation
     print(f"{'input':>18}  {'quantized':>18}")
     for v in values:
-        print(f"{v:>18.10g}  {fmt.quantize(v):>18.10g}")
+        # + 0.0 prints a rounded-away negative input as 0: the format has no -0
+        print(f"{v:>18.10g}  {fmt.quantize(v) + 0.0:>18.10g}")
     return EXIT_OK
 
 

@@ -509,21 +509,12 @@ class FixedPointFormat:
         return f"{'s' if self.signed else 'u'}{self.width}.{self.frac}"
 
     @property
-    def integer_bits(self):
-        return self.width - self.frac
-
-    @property
     def ulp(self):
         return 2.0 ** (-self.frac)
 
     def dynamic_range(self):
-        if self.signed:
-            lo = -(2.0 ** (self.integer_bits - 1))
-            hi = 2.0 ** (self.integer_bits - 1) - self.ulp
-        else:
-            lo = 0.0
-            hi = 2.0**self.integer_bits - self.ulp
-        return lo, hi
+        """``(lo, hi)``: the saturation limits of :meth:`round_ulps`, in value units."""
+        return float(self._lo * self._ulp), float(self._hi * self._ulp)
 
     def round_ulps(self, a):
         """Round the float64 array ``a``, a value in ulps, in place to the

@@ -4,7 +4,6 @@ from .mpc import (
     build_prediction_matrices,
     mpc_closed_loop,
     mpc_to_lasso,
-    rollout_objective,
     spacecraft_model,
     spacecraft_mpc,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "build_prediction_matrices",
     "mpc_closed_loop",
     "mpc_to_lasso",
-    "rollout_objective",
     "spacecraft_model",
     "spacecraft_mpc",
     "LassoInstance",

@@ -200,35 +200,6 @@ def build_prediction_matrices(spec):
     return psi, phi
 
 
-def simulate_outputs(spec, u_moves, x0=None):
-    """Rollout oracle: propagate the dynamics and stack the outputs.
-
-    Moves beyond the control horizon are zero, matching the Phi structure.
-    """
-    model = spec.model
-    x = as_vector(x0 if x0 is not None else spec.x0, model.n_states, "x0")
-    u_moves = as_vector(u_moves, spec.n_moves, "U")
-    p = model.n_inputs
-    outputs = []
-    for step in range(spec.n_p):
-        u = u_moves[step * p : (step + 1) * p] if step < spec.n_c else np.zeros(p)
-        x = model.a @ x + model.b @ u
-        outputs.append(model.c @ x)
-    return np.concatenate(outputs)
-
-
-def rollout_objective(spec, u_moves, x0=None, include_reg=False):
-    """Quadratic MPC objective evaluated by explicit simulation."""
-    y = simulate_outputs(spec, u_moves, x0)
-    err = spec.setpoint_stack() - y
-    q_full = np.tile(spec.q_step, spec.n_p)
-    r_full = np.tile(spec.r_step, spec.n_c)
-    val = float(err @ (q_full * err)) + float(u_moves @ (r_full * u_moves))
-    if include_reg:
-        val += spec.lam * float(np.abs(u_moves).sum())
-    return val
-
-
 def mpc_to_lasso(spec):
     """Condense the regularized MPC problem into a composite LASSO.
 

@@ -266,10 +266,6 @@ class CompositeProblem:
         c = 1.0 if quad.half else 2.0
         return c * (m + n + 1) * np.finfo(float).eps * float(ax @ (ax + np.abs(quad.vec)))
 
-    def dual_lower_bound(self, x):
-        """The lower bound on min f behind ``duality_gap(x)``."""
-        return self.f_value(x) - self.duality_gap(x)
-
     def prox(self, s, y):
         return self.reg.prox(s, y)
 
@@ -335,26 +331,6 @@ def max_constant_stepsize(lipschitz, delta=0.0, relative=False):
     relative gradient-error model."""
     L = lipschitz * (1.0 + delta) if relative else lipschitz
     return 1.0 / L
-
-
-def lqr_closed_form(mpc, x0):
-    """Closed-form quadratic (l2-regularized) control solution.
-
-    Solves the weighted stationarity system
-    ``(Phi' Q Phi + R) U = Phi' Q (Rs - Psi x0)``.
-    """
-    psi, phi = mpc.prediction_matrices()
-    q_full = mpc.output_weight()
-    r_full = mpc.input_weight()
-    rs = mpc.setpoint_stack()
-    x0 = as_vector(x0, psi.shape[1], "x0")
-    normal = phi.T @ q_full @ phi + r_full
-    try:
-        np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError("normal matrix is not positive definite") from exc
-    rhs = phi.T @ (q_full @ (rs - psi @ x0))
-    return np.linalg.solve(normal, rhs)
 
 
 def problem_to_json(problem):

@@ -129,46 +129,113 @@ class RunTrace:
         return csum / counts
 
 
+def _gradient_oracle(problem, gspec, kappa, max_iters):
+    """``(step, eps1)`` of the run's gradient-error kind: ``step(k, y)`` is the
+    noisy gradient of step k at its probe y, and ``eps1(probes)`` stacks the
+    eps1 rows of the steps that probed at ``probes``."""
+    if isinstance(gspec, FixedPointFormat):
+        quad_q, rows = quantize_quadratic(gspec, problem.smooth), np.empty((max_iters, problem.n))
+        # a row holds the noisy gradient until the stacked exact gradients,
+        # the bits of problem.grad at each probe, turn it into eps1
+        return (lambda k, y: quantized_gradient(gspec, quad_q, y, out=rows[k]),
+                lambda probes: rows[: len(probes)] - problem.smooth.grads(probes))
+    if kappa is None:
+        return lambda k, y: problem.grad(y), lambda probes: np.zeros((len(probes), problem.n))
+    if gspec.model == "absolute":
+        def step(k, y):
+            noisy = problem.grad(y)
+            return np.add(noisy, kappa[k], out=noisy)
+        return step, lambda probes: kappa[: len(probes)]
+    rows = np.empty((max_iters, problem.n))
+
+    def step(k, y):
+        noisy = problem.grad(y)
+        return np.add(noisy, np.multiply(kappa[k], noisy, out=rows[k]), out=noisy)
+    return step, lambda probes: rows[: len(probes)]
+
+
+def _prox_oracle(problem, pspec, tape, max_iters, accepted):
+    """``(step, finish)`` of the run's prox-error kind: ``step(k, s, w, out)``
+    writes step k's inexact prox of ``s h`` at ``w`` into ``out``, and
+    ``finish(steps)``, given the stepsizes, returns the ``(eps2, res)`` rows of
+    the steps done.  The exact prox is ``accepted`` when that is not None."""
+    reg, n = problem.reg, problem.n
+    if tape.targets is not None:
+        directions = tape.directions
+        abs_d, d_dot_d = ray_constants(directions)
+        targets, d_dot_ds = tape.targets.tolist(), d_dot_d.tolist()
+        exact_xs = np.empty((max_iters, n))  # the x of each step, checked by finish
+        ts, d_dot_xws = [], []  # and its t and d'(x - w)
+
+        def step(k, s, w, out):
+            t, d_dot_xw = ray_solve(
+                reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], exact_xs[k], out
+            )
+            ts.append(t)
+            d_dot_xws.append(d_dot_xw)
+
+        def finish(steps):
+            # every realized gap in one call; the first one outside its
+            # window is the run's error, also when a later step raised
+            done = len(ts)
+            rays = (exact_xs[:done], ts, d_dot_xws)
+            gaps = checked_gaps(reg, steps, rays, directions, d_dot_d, targets) if done else []
+            res = np.asarray(ts)[:, None] * directions[:done]
+            res[np.asarray(targets[:done]) == 0.0] = 0.0  # +0.0, not t*d = -0.0
+            return np.asarray(gaps), res
+        return step, finish
+    if pspec is not None and pspec.mode == "inner_solver":
+        ress, gaps = np.empty((max_iters, n)), []
+
+        def step(k, s, w, out):
+            out[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
+            gaps.append(gap)
+        return step, lambda steps: (np.asarray(gaps), ress[: len(gaps)])
+    exact = accepted or (lambda k, s, w, out: reg.prox(s, w, out=out))
+    return exact, lambda steps: (np.zeros(len(steps)), np.zeros((len(steps), n)))
+
+
+def _stepsize_oracle(problem, policy, accelerated):
+    """``(stepsize, accepted)`` of the policy (None: constant 1/L): ``stepsize(y,
+    noisy)`` is the step's s; for backtracking, ``accepted(k, s, w, out)`` writes
+    the accepted candidate, ``prox(s, w)``, into ``out`` (else None)."""
+    if policy is None or policy.mode == "constant":
+        s0 = 1.0 / problem.lipschitz if policy is None else policy.s0
+        return (lambda y, noisy: s0), None
+    s, z, g_z, g_x = policy.s0, None, None, None  # g_x: g(x^k), when x^k is the accepted z
+
+    def stepsize(y, noisy):
+        nonlocal s, z, g_z, g_x
+        g_y = None if accelerated else g_x  # a basic step probes at x^k
+        s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
+        g_x = None
+        return s
+
+    def accepted(k, s, w, out):
+        nonlocal g_x
+        out[:], g_x = z, g_z
+    return stepsize, accepted
+
+
 # overflow during divergence is an expected, reported outcome
 @np.errstate(over="ignore", invalid="ignore")
 def _run(problem, config, x0, accelerated):
-    n, max_iters, reg = problem.n, config.max_iters, problem.reg
+    n, max_iters = problem.n, config.max_iters
     x0 = as_vector(x0, n, "x0")
-    gspec, pspec = config.grad_error, config.prox_error
-    tape = draw_tape(gspec, pspec, n, max_iters, config.seed)
-    kappa, directions = tape.kappa, tape.directions
-    relative = kappa is not None and gspec.model == "relative"
-    quad_q = None
-    if isinstance(gspec, FixedPointFormat):
-        quad_q = quantize_quadratic(gspec, problem.smooth)
-    inner = pspec is not None and pspec.mode == "inner_solver"
-    policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
-    backtracking = policy.mode == "backtracking"
-    on_ray = tape.targets is not None
-    if on_ray:
-        abs_d, d_dot_d = ray_constants(directions)
-        targets, d_dot_ds = tape.targets.tolist(), d_dot_d.tolist()
-        exact_xs = np.empty((max_iters, n))  # x of each target-gap step, checked after the loop
-    ts, d_dot_xws = [], []  # and its t and d'(x - w)
+    tape = draw_tape(config.grad_error, config.prox_error, n, max_iters, config.seed)
+    gradient, eps1 = _gradient_oracle(problem, config.grad_error, tape.kappa, max_iters)
+    stepsize, accepted = _stepsize_oracle(problem, config.stepsize, accelerated)
+    prox, finish = _prox_oracle(problem, config.prox_error, tape, max_iters, accepted)
 
-    # step k writes row k + 1 of xs (and row k of ys, eps1s, ress) in place;
-    # rows that depend only on the tape or on t are formed after the loop
+    # step k writes row k + 1 of xs (and row k of ys) in place
     xs = np.empty((max_iters + 1, n))
     xs[0] = x0
     if accelerated:
         ys = np.empty((max_iters, n))
         ys[0] = x0
-    if relative or quad_q is not None:
-        eps1s = np.empty((max_iters, n))
-    if inner:
-        ress = np.empty((max_iters, n))
-    w = np.empty(n)
-    zero = np.zeros(n)
-    steps, betas, alphas, gaps = [], [], [], []  # steps: backtracking, gaps: inner solver
+    w, zero = np.empty(n), np.zeros(n)
+    steps, betas, alphas = [], [], []
     status = "iteration-cap"
-
-    s = policy.s0
-    g_x = None  # g(x^k), when backtracking has evaluated it as the accepted z
     alpha_k = 1.0
     try:
         for k in range(max_iters):
@@ -181,36 +248,11 @@ def _run(problem, config, x0, accelerated):
                     beta_k = (alpha_prev - 1.0) / alpha_k
                     y = ys[k]
                     np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), beta_k, out=y), out=y)
-            if quad_q is not None:
-                # the row holds noisy until the loop ends; then the stacked
-                # exact gradients turn every row into eps1 = noisy - grad g(y)
-                noisy = quantized_gradient(gspec, quad_q, y, out=eps1s[k])
-            else:
-                noisy = problem.grad(y)
-                if relative:
-                    np.add(noisy, np.multiply(kappa[k], noisy, out=eps1s[k]), out=noisy)
-                elif kappa is not None:
-                    np.add(noisy, kappa[k], out=noisy)
-            if backtracking:
-                g_y = None if accelerated else g_x  # a basic step probes at x^k
-                s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
-                steps.append(s)
+            noisy = gradient(k, y)
+            s = stepsize(y, noisy)
+            steps.append(s)
             np.subtract(y, np.multiply(noisy, s, out=w), out=w)
-            g_x = None
-            if on_ray:
-                t, d_dot_xw = ray_solve(
-                    reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], exact_xs[k], x_next
-                )
-                ts.append(t)
-                d_dot_xws.append(d_dot_xw)
-            elif inner:
-                x_next[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
-                gaps.append(gap)
-            elif backtracking:
-                # the accepted candidate is prox(s, w), and g(z) is known
-                x_next[:], g_x = z, g_z
-            else:
-                reg.prox(s, w, out=x_next)
+            prox(k, s, w, x_next)
             betas.append(beta_k)
             alphas.append(alpha_k)
             # x'0 is NaN exactly when an entry of x is inf or NaN
@@ -221,46 +263,16 @@ def _run(problem, config, x0, accelerated):
                 status = "converged"
                 break
     finally:
-        # every realized gap in one call; the first one outside its window
-        # is the run's error, also when a later step raised
-        if ts:
-            rays = (exact_xs[: len(ts)], ts, d_dot_xws)
-            stepsizes = steps if backtracking else np.full(len(ts), s)
-            gaps = checked_gaps(reg, stepsizes, rays, directions, d_dot_d, targets)
+        eps2, res = finish(steps)
     done = len(betas)
     xs = xs[: done + 1]
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
     ys = ys[:done] if accelerated else None
-    if quad_q is not None:
-        # the stacked gradients give the bits of problem.grad at each probe
-        eps1s = eps1s[:done] - problem.smooth.grads(ys if accelerated else xs[:done])
-    elif relative:
-        eps1s = eps1s[:done]
-    elif kappa is not None:
-        eps1s = kappa[:done]
-    else:
-        eps1s = np.zeros((done, n))
-    if on_ray:
-        ress = np.asarray(ts)[:, None] * directions[:done]
-        ress[np.asarray(targets[:done]) == 0.0] = 0.0  # +0.0, not t*d = -0.0
-    elif inner:
-        ress = ress[:done]
-    else:
-        ress = np.zeros((done, n))
-
     return RunTrace(
-        xs=xs,
-        ys=ys,
-        steps=np.asarray(steps) if backtracking else np.full(done, s),
-        betas=np.asarray(betas),
-        alphas=np.asarray(alphas),
-        fvals=fvals,
-        eps1=eps1s,
-        eps2=np.asarray(gaps) if on_ray or inner else np.zeros(done),
-        res=ress,
-        status=status,
+        xs=xs, ys=ys, steps=np.asarray(steps), betas=np.asarray(betas), alphas=np.asarray(alphas),
+        fvals=fvals, eps1=eps1(ys if accelerated else xs[:done]), eps2=eps2, res=res, status=status,
     )
 
 

@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's own code paths: golden-section and
 grid minimization, central finite differences, exact second differences of
-quadratics, brute-force sums, CSV artifacts formatted one cell at a time, and
-the run loop written with lists, one allocation per row.
+quadratics, brute-force sums, the MPC objective by explicit simulation and
+its unregularized minimizer in closed form, CSV artifacts formatted one cell
+at a time, and the run loop written with lists, one allocation per row.
 """
 
 import numpy as np
+
+from proxcert.problems import OracleError, as_vector
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,6 +72,50 @@ def quadratic_hessian(f, n):
         for j in range(i, n):
             hess[i, j] = hess[j, i] = f(eye[i] + eye[j]) - fi[i] - fi[j] + f0
     return hess
+
+
+def simulate_outputs(spec, u_moves):
+    """Rollout oracle: propagate the dynamics from ``spec.x0`` and stack the
+    outputs.  Moves beyond the control horizon are zero, matching the Phi
+    structure."""
+    model = spec.model
+    x = spec.x0
+    u_moves = as_vector(u_moves, spec.n_moves, "U")
+    p = model.n_inputs
+    outputs = []
+    for step in range(spec.n_p):
+        u = u_moves[step * p : (step + 1) * p] if step < spec.n_c else np.zeros(p)
+        x = model.a @ x + model.b @ u
+        outputs.append(model.c @ x)
+    return np.concatenate(outputs)
+
+
+def rollout_objective(spec, u_moves):
+    """Quadratic MPC objective (no l1 term) evaluated by explicit simulation."""
+    err = spec.setpoint_stack() - simulate_outputs(spec, u_moves)
+    q_full = np.tile(spec.q_step, spec.n_p)
+    r_full = np.tile(spec.r_step, spec.n_c)
+    return float(err @ (q_full * err)) + float(u_moves @ (r_full * u_moves))
+
+
+def lqr_closed_form(mpc, x0):
+    """Closed-form quadratic (l2-regularized) control solution.
+
+    Solves the weighted stationarity system
+    ``(Phi' Q Phi + R) U = Phi' Q (Rs - Psi x0)``.
+    """
+    psi, phi = mpc.prediction_matrices()
+    q_full = mpc.output_weight()
+    r_full = mpc.input_weight()
+    rs = mpc.setpoint_stack()
+    x0 = as_vector(x0, psi.shape[1], "x0")
+    normal = phi.T @ q_full @ phi + r_full
+    try:
+        np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as exc:
+        raise OracleError("normal matrix is not positive definite") from exc
+    rhs = phi.T @ (q_full @ (rs - psi @ x0))
+    return np.linalg.solve(normal, rhs)
 
 
 def svd_smax_sq(mat):

@@ -47,9 +47,8 @@ from proxcert.experiments import (
     mpc_to_lasso,
     spacecraft_mpc,
 )
-from proxcert.experiments.mpc import rollout_objective
 
-from oracles import quadratic_hessian
+from oracles import quadratic_hessian, rollout_objective
 
 
 def report(num, ok, detail=""):

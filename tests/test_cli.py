@@ -299,6 +299,12 @@ class TestQuantizeCommand:
         assert run_cli(["quantize", "--format", "s8.4", "1.3"]) == 0
         assert "1.3125" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["s8.4", "u8.4"])
+    def test_small_negative_input_prints_zero(self, capsys, text):
+        assert run_cli(["quantize", "--format", text, "--", "-0.01", "-1e-300"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert [row.split() for row in rows] == [["-0.01", "0"], ["-1e-300", "0"]]
+
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
         parser = build_parser()
         assert run_cli(["quantize", "--format", "s8.4", "2.71"]) == 0

@@ -263,6 +263,16 @@ class TestQuantize:
         assert fmt.quantize(np.inf) == hi
         u = FixedPointFormat.parse("u8.4")
         assert u.quantize(-1.0) == 0.0
+        # every format up to MAX_WIDTH: the documented range, 2^-F below
+        # 2^I (unsigned) or 2^(I-1) (signed), is what -inf and inf quantize to
+        for width in range(1, 65):
+            for frac in range(width):
+                for signed in (False, True):
+                    fmt = FixedPointFormat(width, frac, signed)
+                    top = 2.0 ** (width - frac - signed)
+                    documented = (-top if signed else 0.0, top - 2.0**-frac)
+                    assert fmt.dynamic_range() == documented, str(fmt)
+                    assert (fmt.quantize(-np.inf), fmt.quantize(np.inf)) == documented, str(fmt)
 
     def test_idempotent(self, rng):
         fmt = FixedPointFormat.parse("s12.6")

@@ -5,7 +5,6 @@ from proxcert import (
     GradientErrorSpec,
     ProxErrorSpec,
     SolverConfig,
-    lqr_closed_form,
     reference_solution,
 )
 from proxcert.experiments import (
@@ -22,13 +21,15 @@ from proxcert.experiments import (
     spacecraft_model,
     spacecraft_mpc,
 )
-from proxcert.experiments.mpc import (
-    SPACECRAFT_LAMBDA,
+from proxcert.experiments.mpc import SPACECRAFT_LAMBDA
+
+from oracles import (
+    grid_min,
+    lqr_closed_form,
+    quadratic_hessian,
     rollout_objective,
     simulate_outputs,
 )
-
-from oracles import grid_min, quadratic_hessian
 
 
 def scalar_spec(a=1.0, b=1.0, n_p=2, n_c=2, q=1.0, r=0.0, lam=0.0, x0=1.0):

@@ -467,14 +467,18 @@ REFERENCE_PROBLEMS = {
     "mpc10": lambda: mpc_to_lasso(spacecraft_mpc(n_p=10, n_c=10)),
 }
 NOISE = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
+RELATIVE = GradientErrorSpec(model="relative", mode="random", delta=1e-3)
 TARGET_GAP = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+INNER = ProxErrorSpec(mode="inner_solver", eps0=1e-6)
+S16_8 = FixedPointFormat.parse("s16.8")
 # name -> (stepsize as a multiple of 1/L, backtracking, SolverConfig fields)
 REFERENCE_CASES = {
     "absolute": (1.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "relative": (1.0, False, dict(
-        grad_error=GradientErrorSpec(model="relative", mode="random", delta=1e-3),
-        prox_error=TARGET_GAP,
-    )),
+    "relative": (1.0, False, dict(grad_error=RELATIVE, prox_error=TARGET_GAP)),
+    "relative_inner_solver": (1.0, False, dict(grad_error=RELATIVE, prox_error=INNER)),
+    "scheduled": (1.0, False, dict(grad_error=GradientErrorSpec(
+        mode="deterministic", schedule=[1e-3 * (-1) ** k / (k + 1) for k in range(60)]
+    ))),
     "zero_targets": (1.0, False, dict(prox_error=ProxErrorSpec(
         mode="target_gap", schedule=[0.0 if k % 3 == 0 else 1e-5 for k in range(60)]
     ))),
@@ -482,9 +486,13 @@ REFERENCE_CASES = {
         grad_error=NOISE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
     )),
     "backtracking": (20.0, True, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "quantized": (1.0, False, dict(grad_error=FixedPointFormat.parse("s16.8"))),
+    "backtracking_exact": (20.0, True, dict(grad_error=NOISE)),
+    "backtracking_inner_solver": (20.0, True, dict(prox_error=INNER)),
+    "backtracking_quantized": (20.0, True, dict(grad_error=S16_8)),
+    "backtracking_relative": (20.0, True, dict(grad_error=RELATIVE)),
+    "quantized": (1.0, False, dict(grad_error=S16_8)),
     "quantized_saturating": (1.0, False, dict(grad_error=FixedPointFormat.parse("s6.3"))),
-    "inner_solver": (1.0, False, dict(prox_error=ProxErrorSpec(mode="inner_solver", eps0=1e-6))),
+    "inner_solver": (1.0, False, dict(prox_error=INNER)),
     "abstol": (1.0, False, dict(abstol=1e-6, max_iters=2000)),
     "diverging": (1000.0, False, dict(grad_error=NOISE, max_iters=2000)),
     "diverging_target_gap": (1000.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP,
@@ -694,7 +702,8 @@ class TestReferenceSolution:
             for x in (np.zeros(n), 0.5 * x_ls, rng.standard_normal(n)):
                 exact = problem.f_value(x) - problem.f_value(x_ls)
                 assert problem.duality_gap(x) == pytest.approx(exact, rel=1e-10, abs=1e-12)
-                assert problem.dual_lower_bound(x) <= problem.f_value(x_ls) + 1e-12
+                lower = problem.f_value(x) - problem.duality_gap(x)
+                assert lower <= problem.f_value(x_ls) + 1e-12
 
     def test_small_optimum_certifies_at_the_rounding_floor(self, monkeypatch):
         # noiseless data and lam = 1e-10: f* is 2e-10 and the rounding of M'r
