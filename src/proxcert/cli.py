@@ -86,7 +86,6 @@ DEFAULTS = {
         "grad_model": "absolute",
         "delta": "0",
         "format": "",
-        "prox_mode": "exact",
         "eps0": "0",
         "solver_tol": "",
         "direction": "random_symmetric",
@@ -98,12 +97,12 @@ DEFAULTS = {
 
 
 def load_config(path, strict=True):
-    """Read an INI config file.  Unknown sections or keys are errors, or,
+    """Read a UTF-8 INI config file.  Unknown sections or keys are errors, or,
     with ``strict=False`` (the echo of a stored run), dropped."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -190,36 +189,39 @@ def _get_seed(cfg):
 
 
 def _build_error_specs(cfg):
-    """``(grad_spec, prox_spec, grad_model, delta, eps0)`` of ``[errors]``;
-    values the specs reject are config errors."""
+    """``(grad_spec, prox_spec)`` of ``[errors]``; values the specs reject
+    are config errors.  The prox kind follows from the tolerances: the inner
+    solver when ``solver_tol`` is set (its eps0), else the target gap when
+    ``eps0 > 0``, else exact."""
     errors = cfg["errors"]
-    grad_model = errors["grad_model"].strip()
     delta = _get(cfg, "errors", "delta")
     fmt_text = errors["format"].strip()
-    prox_mode = errors["prox_mode"].strip()
     eps0 = _get(cfg, "errors", "eps0")
     solver_tol = _get(cfg, "errors", "solver_tol")
+    prox_mode = "target_gap" if eps0 > 0 else "exact"
     if solver_tol is not None:
         prox_mode, eps0 = "inner_solver", solver_tol
-    if prox_mode == "exact" and eps0 > 0:
-        prox_mode = "target_gap"
     try:
-        noise = GradientErrorSpec(model=grad_model, mode="random", delta=delta)
+        noise = GradientErrorSpec(model=errors["grad_model"].strip(), mode="random", delta=delta)
+        grad_spec = noise if delta > 0 else None
         if fmt_text:
             grad_spec = FixedPointFormat.parse(fmt_text)
-        else:
-            grad_spec = noise if delta > 0 else None
         prox_spec = ProxErrorSpec(mode=prox_mode, eps0=eps0, direction=errors["direction"].strip())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grad_spec, prox_spec, grad_model, delta, eps0
+    return grad_spec, prox_spec
 
 
-def _build_solver_config(cfg, problem, default_iters, error_specs):
-    grad_spec, prox_spec, grad_model, delta, _ = error_specs
+def _grad_model(grad_spec):
+    """The bound model of a gradient spec: ``relative`` only for random
+    relative errors; quantization errors are componentwise bounded."""
+    return grad_spec.model if isinstance(grad_spec, GradientErrorSpec) else "absolute"
+
+
+def _build_solver_config(cfg, problem, default_iters, grad_spec, prox_spec):
     if cfg["solver"]["stepsize"].strip() in ("", "auto"):
-        relative = grad_model == "relative" and isinstance(grad_spec, GradientErrorSpec)
-        s0 = max_constant_stepsize(problem.lipschitz, delta, relative=relative)
+        s0 = max_constant_stepsize(problem.lipschitz, _get(cfg, "errors", "delta"),
+                                   relative=_grad_model(grad_spec) == "relative")
     else:
         s0 = _get(cfg, "solver", "stepsize")
     try:
@@ -241,23 +243,20 @@ def _build_solver_config(cfg, problem, default_iters, error_specs):
         raise ConfigError(str(exc)) from exc
 
 
-def _bound_settings(cfg, error_specs):
-    """``(model, quantized, overrides)`` of ``BoundParams.from_trace`` from
-    the ``[errors]`` specs and ``[bounds]``.  Values ``BoundParams`` rejects
-    are config errors, so a run command checks them before it solves."""
-    grad_spec, prox_spec, grad_model, delta, eps0 = error_specs
+def _bound_overrides(cfg, prox_spec):
+    """The ``BoundParams.from_trace`` overrides of ``[errors] delta``, the
+    prox spec's eps0 and ``[bounds]``.  Values ``BoundParams`` rejects are
+    config errors, so a run command checks them before it solves."""
     eps2_mean = _get(cfg, "bounds", "eps2_mean")
-    if eps2_mean is None and prox_spec.mode == "target_gap" and eps0 > 0:
-        eps2_mean = float(truncated_gaussian_mean(0.0, eps0))
-    overrides = dict(delta=delta, eps0=eps0, gamma=_get(cfg, "bounds", "gamma"),
-                     p=_get(cfg, "bounds", "p"), eps2_mean=eps2_mean)
+    if eps2_mean is None and prox_spec.mode == "target_gap":
+        eps2_mean = float(truncated_gaussian_mean(0.0, prox_spec.eps0))
+    overrides = dict(delta=_get(cfg, "errors", "delta"), eps0=prox_spec.eps0, eps2_mean=eps2_mean,
+                     gamma=_get(cfg, "bounds", "gamma"), p=_get(cfg, "bounds", "p"))
     try:
         BoundParams(s=1.0, lipschitz=1.0, dist0=0.0, n=1, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    quantized = isinstance(grad_spec, FixedPointFormat)
-    # quantization errors are componentwise bounded: absolute-model flavour
-    return ("absolute" if quantized else grad_model), quantized, overrides
+    return overrides
 
 
 def problem_from_cfg(cfg):
@@ -286,11 +285,11 @@ def problem_from_cfg(cfg):
         source = "[mpc]"
     elif pfile:
         try:
-            with open(pfile) as fh:
-                text = fh.read()
+            with open(pfile, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read problem file {pfile}: {exc.strerror}") from exc
-        build = lambda: problem_from_json(text)
+        build = lambda: problem_from_json(data)
         source = f"problem file {pfile}"
     else:
         kwargs = dict(
@@ -312,12 +311,12 @@ def problem_from_cfg(cfg):
 
 # a diverged run's bounds and gaps overflow; that is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def certify(cfg, problem, trace, settings, strict, spec=None, extra=None):
+def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=None):
     """Check a trace against every bound series and write the run artifacts.
 
-    ``settings`` is the ``(model, quantized, overrides)`` of
-    ``_bound_settings``.  Computes the reference solution and the bound
-    parameters, writes ``trace.csv``, ``bounds.csv``, ``comparison.csv``
+    ``grad_spec`` is the run's gradient spec and ``overrides`` the
+    ``_bound_overrides`` of its config.  Computes the reference solution and
+    the bound parameters, writes ``trace.csv``, ``bounds.csv``, ``comparison.csv``
     (``lasso``/``mpc``), ``iterates.bin``, ``trace.npz`` and ``summary.json``
     (plus the MPC fields when ``spec`` is given and any ``extra`` keys), and
     returns the exit code: a violation of a gated series fails only under
@@ -326,11 +325,11 @@ def certify(cfg, problem, trace, settings, strict, spec=None, extra=None):
     out = cfg["run"]["out"]
     ref = reference_solution(problem)
     x_star, f_star = ref
-    model, quantized, overrides = settings
-    if quantized and overrides["delta"] == 0.0 and trace.eps1.size:
+    if isinstance(grad_spec, FixedPointFormat) and overrides["delta"] == 0.0 and trace.eps1.size:
         # the realized machine precision (x1.05 safety)
         overrides = dict(overrides, delta=1.05 * float(np.abs(trace.eps1).max()))
-    params = BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
+    params = BoundParams.from_trace(problem, trace, x_star, model=_grad_model(grad_spec),
+                                    **overrides)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
     variant = "basic" if trace.ys is None else "accelerated"
     series = evaluate_all_series(trace, params, x_star, variant)
@@ -401,11 +400,11 @@ def cmd_run(cfg, command):
     """
     cfg["run"]["command"] = command
     problem, spec = problem_from_cfg(cfg)
-    error_specs = _build_error_specs(cfg)
+    grad_spec, prox_spec = _build_error_specs(cfg)
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
-    config = _build_solver_config(cfg, problem, default_iters, error_specs)
-    settings = _bound_settings(cfg, error_specs)
+    config = _build_solver_config(cfg, problem, default_iters, grad_spec, prox_spec)
+    overrides = _bound_overrides(cfg, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     steps = _get(cfg, "mpc", "closed_loop_steps", int) if spec is not None else None
     if steps is not None and steps < 0:
@@ -428,7 +427,7 @@ def cmd_run(cfg, command):
         norms = artifacts.fmt_column(report.state_norms)
         artifacts.write_csv(os.path.join(out, "closed_loop.csv"), ["step", "state_norm"], [norms])
         extra["closed_loop_status"] = report.status
-    return certify(cfg, problem, trace, settings, strict, spec, extra)
+    return certify(cfg, problem, trace, grad_spec, overrides, strict, spec, extra)
 
 
 def cmd_bounds(file_cfg, overrides, from_dir):
@@ -476,10 +475,11 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     if problem.n != trace.n:
         raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "
                           f"with n = {problem.n}")
-    settings = _bound_settings(cfg, _build_error_specs(cfg))
+    grad_spec, prox_spec = _build_error_specs(cfg)
+    overrides = _bound_overrides(cfg, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     _prepare_out(cfg)
-    return certify(cfg, problem, trace, settings, strict, spec)
+    return certify(cfg, problem, trace, grad_spec, overrides, strict, spec)
 
 
 def cmd_verify(cfg):
@@ -536,13 +536,9 @@ def cmd_verify(cfg):
 
 
 def cmd_quantize(cfg):
-    fmt_text = cfg["errors"]["format"].strip()
-    if not fmt_text:
+    fmt, _ = _build_error_specs(cfg)
+    if not isinstance(fmt, FixedPointFormat):
         raise ConfigError("quantize needs --format")
-    try:
-        fmt = FixedPointFormat.parse(fmt_text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     lo, hi = fmt.dynamic_range()
     print(f"format        {fmt}")
     print(f"dynamic range [{lo:.10g}, {hi:.10g}]")

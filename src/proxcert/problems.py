@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import orjson
 
 
 class OracleError(RuntimeError):
@@ -355,7 +354,10 @@ def problem_from_json(doc):
     ``ValueError`` on malformed or non-finite data, an ``n`` that is not a
     positive integer and an ``L`` (given or computed) that is not positive.
     """
-    doc = dict(doc) if isinstance(doc, dict) else orjson.loads(doc)
+    if not isinstance(doc, dict):
+        import orjson  # here only: a process that decodes no problem file never loads it
+
+        doc = orjson.loads(doc)
     n = float(doc["n"])
     if not (n.is_integer() and n >= 1):
         raise ValueError(f"n must be a positive integer, got {doc['n']!r}")

@@ -85,7 +85,7 @@ class TestSolve:
         cfg = tmp_path / "diverge.ini"
         cfg.write_text(
             "[lasso]\nn = 20\nm = 50\nseed = 7\n\n[solver]\nstepsize = 1000\n\n"
-            "[errors]\nprox_mode = target_gap\neps0 = 1e-5\n"
+            "[errors]\neps0 = 1e-5\n"
         )
         out = tmp_path / "o"
         code = run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "5000"])
@@ -105,7 +105,7 @@ class TestSolve:
         good.write_text(lasso)
         bad.write_text(
             lasso + "\n[solver]\nstepsize = 1000\n\n"
-            f"[errors]\nprox_mode = {prox}\neps0 = {1e-5 if prox == 'target_gap' else 0}\n"
+            f"[errors]\neps0 = {1e-5 if prox == 'target_gap' else 0}\n"
         )
         out = tmp_path / "o"
         assert run_cli(["solve", "--config", str(good), "--out", str(out), "--iters", "50"]) == 0
@@ -137,6 +137,24 @@ class TestSolve:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
         assert read_summary(out)["status"] == "iteration-cap"
+
+    @pytest.mark.parametrize("flags, prox", [
+        (["--eps0", "1e-5"], "target_gap"),
+        (["--solver-tol", "1e-6"], "inner_solver"),
+        ([], "exact"),
+    ])
+    def test_prox_kind_follows_the_tolerances(self, tmp_path, toy_config, flags, prox):
+        from proxcert.artifacts import load_trace_npz
+
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(out)] + flags) == 0
+        trace = load_trace_npz(str(out / "trace.npz"))
+        if prox == "target_gap":
+            assert np.all((trace.eps2 > 0) & (trace.eps2 <= 1e-5))
+        elif prox == "inner_solver":
+            assert np.all(trace.eps2 <= 1e-6) and trace.res.any()
+        else:
+            assert not trace.eps2.any() and not trace.res.any()
 
     def test_problem_file_input(self, tmp_path):
         from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json
@@ -212,7 +230,9 @@ class TestConfigErrors:
             ("mpc", "[mpc]\nclosed_loop_steps = -1\n", None),
             ("solve", "[bounds]\neps2_mean = -1\n", None),
             ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
+            ("solve", "[errors]\nprox_mode = exact\n", None),
             ("quantize", "[quantize]\nformat = s8.4\n", None),
+            ("quantize", "[errors]\nformat = s8.4\neps0 = -1\n", None),
             ("solve", "[run]\nseed = -1\n", None),
             ("verify", "[run]\nseed = -1\n", None),
             ("mpc", "[mpc]\nx0 = nan,0,0,0,0,0,0\n", None),
@@ -226,8 +246,8 @@ class TestConfigErrors:
              "negative_stepsize", "zero_gamma", "p_above_1", "zero_trials", "zero_k_max",
              "duplicate_section", "nan_delta", "nan_gamma", "empty_gammas",
              "negative_closed_loop_steps", "negative_eps2_mean", "removed_m_u",
-             "removed_quantize_format", "negative_seed", "negative_verify_seed", "nan_x0",
-             "nan_gammas"],
+             "removed_prox_mode", "removed_quantize_format", "quantize_negative_eps0",
+             "negative_seed", "negative_verify_seed", "nan_x0", "nan_gammas"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -239,6 +259,29 @@ class TestConfigErrors:
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("what", ["config", "problem_file", "stored_echo"])
+    def test_file_not_utf8_exits_2(self, tmp_path, toy_config, capsys, what):
+        # a file that is not UTF-8 is malformed, not a crash, and is reported
+        # before the out directory is touched
+        src, out, bad = tmp_path / "src", tmp_path / "o", tmp_path / "bad.ini"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run")
+        args = ["solve", "--config", str(bad)]
+        if what == "config":
+            bad.write_bytes(b"[run]\nseed = \xff\n")
+        elif what == "problem_file":
+            (tmp_path / "problem.json").write_bytes(b'\xff\xfe{"n": 1, "M": [1], "v": [1]}')
+            bad.write_text(f"[problem]\nfile = {tmp_path / 'problem.json'}\n")
+        else:
+            (src / "config_echo.ini").write_bytes(b"[run]\nseed = \xff\n")
+            args = ["bounds", "--from", str(src)]
+        capsys.readouterr()
+        assert run_cli(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert ("invalid problem file" if what == "problem_file" else "malformed config") in err
+        assert dir_bytes(out) == {"keep.txt": b"earlier run"}
 
     def test_rejected_config_leaves_out_untouched(self, tmp_path, toy_config):
         # every setting is checked before the out directory is changed
@@ -411,15 +454,17 @@ class TestBoundsCommand:
             assert gap == pytest.approx(f_star - lower, rel=0.0, abs=1e-12 * abs(f_star))
 
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
-        # an echo written before [bounds] m_u and [quantize] format were
-        # removed still loads, and gives the same artifacts as a current one
+        # an echo written before [bounds] m_u, [quantize] format and [errors]
+        # prox_mode were removed still loads, and gives the same artifacts as
+        # a current one
         src = tmp_path / "src"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
         echo = (src / "config_echo.ini").read_text()
         echo = echo.replace("[bounds]\n", "[bounds]\nm_u = \n")
         echo = echo.replace("[quantize]\n", "[quantize]\nformat = \n")
-        assert "m_u = " in echo and echo.count("format = ") == 2
+        echo = echo.replace("[errors]\n", "[errors]\nprox_mode = exact\n")
+        assert "m_u = " in echo and echo.count("format = ") == 2 and "prox_mode" in echo
         (src / "config_echo.ini").write_text(echo)
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
         old, new = tmp_path / "old", tmp_path / "new"
@@ -580,3 +625,12 @@ class TestColdStart:
             env=env, capture_output=True, text=True, check=True,
         )
         assert done.stdout.splitlines()[-1] == "[False, False, False, False]"
+
+    def test_import_loads_no_orjson(self):
+        # orjson decodes problem files; a process that decodes none skips it
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, proxcert, proxcert.cli; print('orjson' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
