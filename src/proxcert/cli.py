@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import hashlib
 import json
 import math
 import os
@@ -80,7 +81,6 @@ DEFAULTS = {
         "stepsize": "auto",
         "backtracking": "false",
         "eta": "0.5",
-        "momentum": "fista",
     },
     "errors": {
         "grad_model": "absolute",
@@ -234,7 +234,6 @@ def _build_solver_config(cfg, problem, default_iters, grad_spec, prox_spec):
             stepsize=policy,
             max_iters=_get(cfg, "run", "iters", int, default_iters),
             abstol=_get(cfg, "run", "abstol"),
-            momentum=cfg["solver"]["momentum"].strip(),
             grad_error=grad_spec,
             prox_error=prox_spec,
             seed=_get_seed(cfg),
@@ -309,6 +308,15 @@ def problem_from_cfg(cfg):
     return problem, problem.meta.get("spec")
 
 
+def problem_digest(problem):
+    """SHA-256 over M, v and the float64 triple (lam, scale, L) of ``problem``."""
+    quad = problem.smooth
+    digest = hashlib.sha256(np.ascontiguousarray(quad.mat))
+    digest.update(np.ascontiguousarray(quad.vec))
+    digest.update(np.array([problem.reg.lam, 0.5 if quad.half else 1.0, problem.lipschitz]))
+    return digest.hexdigest()
+
+
 # a diverged run's bounds and gaps overflow; that is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=None):
@@ -356,6 +364,7 @@ def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=
         "dist0": params.dist0,
         "stepsize": params.s,
         "lipschitz": problem.lipschitz,
+        "problem_sha256": problem_digest(problem),
         "fejer_monotone": fejer_monotone(trace, x_star),
         "violations": {r.name: r.violations for r in reports},
         "gated_violations": gated,
@@ -439,8 +448,8 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     command that made the run, except the closed loop, which is not rerun;
     they go to ``--out``, which must be given and must not be ``from_dir``.
     A run whose summary records a failure (``FAILED_STATUSES``) or whose
-    ``trace.npz`` cannot be read, or a ``[solver] variant`` other than the
-    stored trace's, is a configuration error.
+    ``trace.npz`` cannot be read, or a ``[solver] variant`` or problem (its
+    ``problem_sha256``) other than the stored run's, is a configuration error.
     """
     out = overrides.get(("run", "out"))
     if out is None:
@@ -453,11 +462,14 @@ def cmd_bounds(file_cfg, overrides, from_dir):
         raise ConfigError(f"{from_dir} does not contain a stored run")
     try:
         with open(os.path.join(from_dir, "summary.json")) as fh:
-            status = json.load(fh).get("status")
+            stored = json.load(fh)
+        if not isinstance(stored, dict):
+            raise ValueError("not a JSON object")
     except FileNotFoundError:
-        status = None
+        stored = {}
     except ValueError as exc:
         raise ConfigError(f"{from_dir} has a malformed summary.json: {exc}") from exc
+    status = stored.get("status")
     if status in FAILED_STATUSES:
         raise ConfigError(f"{from_dir} holds a failed run (status {status}), not a certifiable one")
     try:
@@ -475,6 +487,9 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     if problem.n != trace.n:
         raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "
                           f"with n = {problem.n}")
+    digest = problem_digest(problem)  # a summary without one re-certifies unchecked
+    if stored.get("problem_sha256", digest) != digest:
+        raise ConfigError(f"{from_dir} holds a run of another problem than the config's")
     grad_spec, prox_spec = _build_error_specs(cfg)
     overrides = _bound_overrides(cfg, prox_spec)
     strict = _get_bool(cfg, "run", "strict")

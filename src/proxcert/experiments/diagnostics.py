@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bounds import error_increments
-from ..solvers import SolverConfig, run_accelerated, run_basic
+from ..solvers import SolverConfig, run
 
 BINS = 10  # equal-probability bins of the martingale diagnostic
 
@@ -48,7 +48,6 @@ def martingale_diagnostic(
     per bin is inconclusive.
     """
     x0 = np.zeros(problem.n)
-    runner = run_accelerated if variant == "accelerated" else run_basic
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     befores, incrs = [], []
     for trial_seed in seeds:
@@ -59,7 +58,7 @@ def martingale_diagnostic(
             prox_error=prox_spec,
             seed=int(trial_seed),
         )
-        trace = runner(problem, config, x0)
+        trace = run(problem, config, x0)
         incr = error_increments(trace, x_star, trace.steps, variant == "accelerated")
         befores.append(np.concatenate([[0.0], np.cumsum(incr)[:-1]]))  # T_{k-1}
         incrs.append(incr)

@@ -29,37 +29,14 @@ from .errors import (
 )
 from .problems import StepsizePolicy, as_vector, backtrack_stepsize
 
-MOMENTUM_RULES = ("fista", "linear", "none")
-
-
-def _next_alpha(rule, k, alpha_prev):
-    """Momentum parameter alpha_k (k >= 1) from alpha_{k-1}.
-
-    "fista": alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2, which satisfies
-    alpha_k^2 - alpha_k = alpha_{k-1}^2 exactly.
-    "linear": alpha_k = (k+2)/2 (the recursion holds only approximately,
-    off by 1/4).
-    "none": alpha_k = 1, forcing beta_k = 0 (recovers the basic scheme).
-    Every rule starts from alpha_0 = 1.
-    """
-    if rule == "fista":
-        return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
-    if rule == "linear":
-        return (k + 2) / 2.0
-    if rule == "none":
-        return 1.0
-    raise ValueError(f"unknown momentum rule {rule!r}")
-
-
-def alpha_series(rule, kmax):
-    """alpha_0 .. alpha_kmax as an array."""
-    if rule not in MOMENTUM_RULES:
-        raise ValueError(f"unknown momentum rule {rule!r}")
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    for k in range(1, kmax + 1):
-        out[k] = _next_alpha(rule, k, out[k - 1])
-    return out
+def alpha_series(kmax):
+    """FISTA's alpha_0 = 1 .. alpha_kmax, alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2,
+    which satisfies alpha_k^2 - alpha_k = alpha_{k-1}^2 exactly."""
+    a, out = 1.0, [1.0]
+    for _ in range(kmax):
+        a = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a * a))
+        out.append(a)
+    return np.asarray(out)
 
 
 @dataclass(frozen=True)
@@ -68,7 +45,6 @@ class SolverConfig:
     stepsize: Optional[StepsizePolicy] = None  # None -> constant 1/L
     max_iters: int = 100
     abstol: float = 0.0
-    momentum: str = "fista"
     grad_error: Union[GradientErrorSpec, FixedPointFormat, None] = None
     prox_error: Optional[ProxErrorSpec] = None
     seed: int = 0
@@ -80,8 +56,6 @@ class SolverConfig:
             raise ValueError("iteration cap must be at least 1")
         if self.abstol < 0:
             raise ValueError("abstol must be nonnegative")
-        if self.momentum not in MOMENTUM_RULES:
-            raise ValueError(f"unknown momentum rule {self.momentum!r}")
 
 
 @dataclass
@@ -234,27 +208,23 @@ def _run(problem, config, x0, accelerated):
         ys = np.empty((max_iters, n))
         ys[0] = x0
     w, zero = np.empty(n), np.zeros(n)
-    steps, betas, alphas = [], [], []
+    alphas, betas = alpha_series(max_iters - 1), np.zeros(max_iters)
+    if accelerated:
+        betas[1:] = (alphas[:-1] - 1.0) / alphas[1:]
+    steps = []
     status = "iteration-cap"
-    alpha_k = 1.0
     try:
         for k in range(max_iters):
             x = y = xs[k]
             x_next = xs[k + 1]
-            beta_k = 0.0
-            if k > 0:
-                alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
-                if accelerated:
-                    beta_k = (alpha_prev - 1.0) / alpha_k
-                    y = ys[k]
-                    np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), beta_k, out=y), out=y)
+            if accelerated and k > 0:
+                y = ys[k]
+                np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), betas[k], out=y), out=y)
             noisy = gradient(k, y)
             s = stepsize(y, noisy)
             steps.append(s)
             np.subtract(y, np.multiply(noisy, s, out=w), out=w)
             prox(k, s, w, x_next)
-            betas.append(beta_k)
-            alphas.append(alpha_k)
             # x'0 is NaN exactly when an entry of x is inf or NaN
             if math.isnan(x_next.dot(zero)):
                 status = "non-finite-iterate"
@@ -264,14 +234,14 @@ def _run(problem, config, x0, accelerated):
                 break
     finally:
         eps2, res = finish(steps)
-    done = len(betas)
+    done = len(steps)
     xs = xs[: done + 1]
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
     ys = ys[:done] if accelerated else None
     return RunTrace(
-        xs=xs, ys=ys, steps=np.asarray(steps), betas=np.asarray(betas), alphas=np.asarray(alphas),
+        xs=xs, ys=ys, steps=np.asarray(steps), betas=betas[:done], alphas=alphas[:done],
         fvals=fvals, eps1=eps1(ys if accelerated else xs[:done]), eps2=eps2, res=res, status=status,
     )
 

@@ -7,6 +7,8 @@ its unregularized minimizer in closed form, CSV artifacts formatted one cell
 at a time, and the run loop written with lists, one allocation per row.
 """
 
+import math
+
 import numpy as np
 
 from proxcert.problems import OracleError, as_vector
@@ -332,7 +334,7 @@ def reference_run(problem, config, x0, accelerated):
         ray_constants,
     )
     from proxcert.problems import StepsizePolicy, as_vector, backtrack_stepsize
-    from proxcert.solvers import RunTrace, _next_alpha
+    from proxcert.solvers import RunTrace
 
     x0 = as_vector(x0, problem.n, "x0")
     gspec, pspec = config.grad_error, config.prox_error
@@ -356,7 +358,9 @@ def reference_run(problem, config, x0, accelerated):
         for k in range(config.max_iters):
             beta_k, y = 0.0, x
             if k > 0:
-                alpha_prev, alpha_k = alpha_k, _next_alpha(config.momentum, k, alpha_k)
+                # FISTA: alpha_k^2 - alpha_k = alpha_{k-1}^2
+                alpha_prev = alpha_k
+                alpha_k = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
                 if accelerated:
                     beta_k = (alpha_prev - 1.0) / alpha_k
                     y = x + beta_k * (x - x_prev)

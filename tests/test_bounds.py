@@ -40,7 +40,7 @@ def make_params(**kw):
     return BoundParams(**defaults)
 
 
-def synthetic_trace(eps1_norms, eps2, s=1.0, n=2, rule="fista", x_scale=0.0, seed=0):
+def synthetic_trace(eps1_norms, eps2, s=1.0, n=2, x_scale=0.0, seed=0):
     """Trace skeleton with planted error sequences (iterates optional)."""
     t = len(eps2)
     rng = np.random.default_rng(seed)
@@ -52,7 +52,7 @@ def synthetic_trace(eps1_norms, eps2, s=1.0, n=2, rule="fista", x_scale=0.0, see
         ys=None,
         steps=np.full(t, s),
         betas=np.zeros(t),
-        alphas=alpha_series(rule, t - 1),
+        alphas=alpha_series(t - 1),
         fvals=np.zeros(t + 1),
         eps1=eps1,
         eps2=np.asarray(eps2, dtype=float),

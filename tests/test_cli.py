@@ -231,6 +231,7 @@ class TestConfigErrors:
             ("solve", "[bounds]\neps2_mean = -1\n", None),
             ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
             ("solve", "[errors]\nprox_mode = exact\n", None),
+            ("solve", "[solver]\nmomentum = fista\n", None),
             ("quantize", "[quantize]\nformat = s8.4\n", None),
             ("quantize", "[errors]\nformat = s8.4\neps0 = -1\n", None),
             ("solve", "[run]\nseed = -1\n", None),
@@ -246,8 +247,9 @@ class TestConfigErrors:
              "negative_stepsize", "zero_gamma", "p_above_1", "zero_trials", "zero_k_max",
              "duplicate_section", "nan_delta", "nan_gamma", "empty_gammas",
              "negative_closed_loop_steps", "negative_eps2_mean", "removed_m_u",
-             "removed_prox_mode", "removed_quantize_format", "quantize_negative_eps0",
-             "negative_seed", "negative_verify_seed", "nan_x0", "nan_gammas"],
+             "removed_prox_mode", "removed_momentum", "removed_quantize_format",
+             "quantize_negative_eps0", "negative_seed", "negative_verify_seed", "nan_x0",
+             "nan_gammas"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -454,9 +456,9 @@ class TestBoundsCommand:
             assert gap == pytest.approx(f_star - lower, rel=0.0, abs=1e-12 * abs(f_star))
 
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
-        # an echo written before [bounds] m_u, [quantize] format and [errors]
-        # prox_mode were removed still loads, and gives the same artifacts as
-        # a current one
+        # an echo written before [bounds] m_u, [quantize] format, [errors]
+        # prox_mode and [solver] momentum were removed still loads, and gives
+        # the same artifacts as a current one
         src = tmp_path / "src"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
@@ -464,7 +466,9 @@ class TestBoundsCommand:
         echo = echo.replace("[bounds]\n", "[bounds]\nm_u = \n")
         echo = echo.replace("[quantize]\n", "[quantize]\nformat = \n")
         echo = echo.replace("[errors]\n", "[errors]\nprox_mode = exact\n")
+        echo = echo.replace("[solver]\n", "[solver]\nmomentum = linear\n")
         assert "m_u = " in echo and echo.count("format = ") == 2 and "prox_mode" in echo
+        assert "momentum = linear" in echo
         (src / "config_echo.ini").write_text(echo)
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
         old, new = tmp_path / "old", tmp_path / "new"
@@ -512,6 +516,52 @@ class TestBoundsCommand:
         args = ["bounds", "--from", str(src), "--out", str(dst), "--config", str(other)]
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("case", ["replaced_file", "lasso_seed", "unchanged"])
+    def test_only_the_solved_problem_recertifies(self, tmp_path, capsys, case):
+        # the stored summary's problem_sha256 names the problem the run
+        # solved; another one of the same size is a config error
+        from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json
+
+        src, dst, pfile = tmp_path / "src", tmp_path / "dst", tmp_path / "problem.json"
+        rng = np.random.default_rng(1)
+
+        def write_problem():
+            quad = QuadraticSmooth(rng.standard_normal((8, 5)), rng.standard_normal(8), half=True)
+            pfile.write_text(problem_to_json(CompositeProblem.from_quadratic(quad, 0.1)))
+
+        run_ini, bounds_ini = tmp_path / "run.ini", tmp_path / "bounds.ini"
+        if case == "lasso_seed":
+            run_ini.write_text("[lasso]\nn = 20\nm = 50\nseed = 7\n")
+            bounds_ini.write_text("[lasso]\nseed = 9\n")
+        else:
+            write_problem()
+            run_ini.write_text(f"[problem]\nfile = {pfile}\n")
+            bounds_ini.write_text("")
+        args = ["--config", str(run_ini), "--iters", "30", "--out", str(src)]
+        assert run_cli(["solve"] + args) == 0
+        if case == "replaced_file":
+            write_problem()
+        dst.mkdir()
+        (dst / "keep.txt").write_text("earlier run")
+        capsys.readouterr()
+        args = ["bounds", "--from", str(src), "--out", str(dst), "--config", str(bounds_ini)]
+        if case == "unchanged":
+            assert run_cli(args) == 0
+            assert read_summary(dst)["problem_sha256"] == read_summary(src)["problem_sha256"]
+            return
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert dir_bytes(dst) == {"keep.txt": b"earlier run"}
+
+    def test_summary_not_an_object_exits_2(self, tmp_path, toy_config, capsys):
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        (src / "summary.json").write_text("[]")
+        capsys.readouterr()
+        assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 2
+        assert "malformed summary.json" in capsys.readouterr().err
         assert not dst.exists()
 
     @pytest.mark.parametrize("stored, asked", [("basic", "accelerated"),
