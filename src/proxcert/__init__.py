@@ -5,11 +5,8 @@ from .problems import (
     L1Term,
     OracleError,
     QuadraticSmooth,
-    StepsizePolicy,
-    backtrack_stepsize,
     max_constant_stepsize,
     problem_from_json,
-    problem_to_json,
 )
 from .errors import (
     FixedPointFormat,
@@ -36,11 +33,8 @@ __all__ = [
     "L1Term",
     "OracleError",
     "QuadraticSmooth",
-    "StepsizePolicy",
-    "backtrack_stepsize",
     "max_constant_stepsize",
     "problem_from_json",
-    "problem_to_json",
     "FixedPointFormat",
     "GradientErrorSpec",
     "ProxErrorSpec",

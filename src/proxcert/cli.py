@@ -32,7 +32,7 @@ from .bounds import (
     fejer_monotone,
 )
 from .errors import FixedPointFormat, GradientErrorSpec, ProxErrorSpec, truncated_gaussian_mean
-from .problems import OracleError, StepsizePolicy, max_constant_stepsize, problem_from_json
+from .problems import OracleError, problem_from_json
 from .solvers import SolverConfig, reference_solution, run as run_solver
 from .experiments import (
     azuma_coverage,
@@ -76,12 +76,7 @@ DEFAULTS = {
     "problem": {"file": ""},
     "lasso": {"n": "100", "m": "500", "sparsity": "", "noise": "0.01", "lam": "", "seed": "0"},
     "mpc": {"n_p": "", "n_c": "", "lam": "16.79", "x0": "", "closed_loop_steps": ""},
-    "solver": {
-        "variant": "basic",
-        "stepsize": "auto",
-        "backtracking": "false",
-        "eta": "0.5",
-    },
+    "solver": {"variant": "basic", "stepsize": "auto"},
     "errors": {
         "grad_model": "absolute",
         "delta": "0",
@@ -218,20 +213,14 @@ def _grad_model(grad_spec):
     return grad_spec.model if isinstance(grad_spec, GradientErrorSpec) else "absolute"
 
 
-def _build_solver_config(cfg, problem, default_iters, grad_spec, prox_spec):
-    if cfg["solver"]["stepsize"].strip() in ("", "auto"):
-        s0 = max_constant_stepsize(problem.lipschitz, _get(cfg, "errors", "delta"),
-                                   relative=_grad_model(grad_spec) == "relative")
-    else:
-        s0 = _get(cfg, "solver", "stepsize")
+def _build_solver_config(cfg, default_iters, grad_spec, prox_spec):
+    """The run's ``SolverConfig``; ``[solver] stepsize = auto`` (or empty) leaves
+    the step to the solver, which takes the largest admissible one."""
+    auto = cfg["solver"]["stepsize"].strip() in ("", "auto")
     try:
-        if _get_bool(cfg, "solver", "backtracking"):
-            policy = StepsizePolicy.backtracking(s0, _get(cfg, "solver", "eta"))
-        else:
-            policy = StepsizePolicy.constant(s0)
         return SolverConfig(
             variant=cfg["solver"]["variant"].strip(),
-            stepsize=policy,
+            stepsize=None if auto else _get(cfg, "solver", "stepsize"),
             max_iters=_get(cfg, "run", "iters", int, default_iters),
             abstol=_get(cfg, "run", "abstol"),
             grad_error=grad_spec,
@@ -412,7 +401,7 @@ def cmd_run(cfg, command):
     grad_spec, prox_spec = _build_error_specs(cfg)
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
-    config = _build_solver_config(cfg, problem, default_iters, grad_spec, prox_spec)
+    config = _build_solver_config(cfg, default_iters, grad_spec, prox_spec)
     overrides = _bound_overrides(cfg, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     steps = _get(cfg, "mpc", "closed_loop_steps", int) if spec is not None else None

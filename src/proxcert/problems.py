@@ -1,4 +1,4 @@
-"""Composite problems, exact oracles, and stepsize management.
+"""Composite problems, exact oracles, and the admissible constant stepsize.
 
 A composite problem is ``f(x) = g(x) + h(x)`` with ``g`` smooth convex
 (Lipschitz gradient, constant ``L``) and ``h`` convex, possibly nonsmooth,
@@ -9,7 +9,6 @@ double-precision reference path; error injection lives in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,85 +264,12 @@ class CompositeProblem:
         c = 1.0 if quad.half else 2.0
         return c * (m + n + 1) * np.finfo(float).eps * float(ax @ (ax + np.abs(quad.vec)))
 
-    def prox(self, s, y):
-        return self.reg.prox(s, y)
-
-
-def backtrack_stepsize(problem, s, probe, grad_probe, eta=0.5, max_shrinks=60, g_probe=None):
-    """Procedure-B2 backtracking for the prox-gradient step.
-
-    Shrinks ``s`` by ``eta`` until the candidate ``z = prox_{sh}(probe - s*grad)``
-    satisfies ``g(z) <= g(probe) + grad'(z-probe) + ||z-probe||^2/(2s)``.
-    Returns ``(accepted_s, z, g(z))``.  Never expands the stepsize.  A caller
-    that already knows ``g(probe)`` (the previous call's ``g(z)``, when its
-    ``z`` is the new probe) passes it as ``g_probe``.
-    """
-    if s <= 0:
-        raise ValueError("initial stepsize must be positive")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("shrink factor must lie in (0, 1)")
-    probe = as_vector(probe, problem.n, "probe")
-    grad_probe = as_vector(grad_probe, problem.n, "gradient")
-    if g_probe is None:
-        g_probe = float(problem.smooth.value(probe))
-    for _ in range(max_shrinks + 1):
-        z = problem.prox(s, probe - s * grad_probe)
-        delta = z - probe
-        lhs = float(problem.smooth.value(z))
-        rhs = g_probe + float(grad_probe @ delta) + float(delta @ delta) / (2.0 * s)
-        # relative slack guards exact-arithmetic equality at s = 1/L
-        if np.isfinite(lhs) and lhs <= rhs + 1e-12 * max(1.0, abs(rhs)):
-            return s, z, lhs
-        s *= eta
-    raise OracleError(
-        f"backtracking failed after {max_shrinks} shrinks (non-finite oracle values?)"
-    )
-
-
-@dataclass(frozen=True)
-class StepsizePolicy:
-    """Constant stepsize or monotone backtracking (shrink factor eta)."""
-
-    mode: str
-    s0: float
-    eta: float = 0.5
-
-    def __post_init__(self):
-        if self.mode not in ("constant", "backtracking"):
-            raise ValueError(f"unknown stepsize mode {self.mode!r}")
-        if self.s0 <= 0:
-            raise ValueError("stepsize must be positive")
-        if self.mode == "backtracking" and not 0.0 < self.eta < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
-
-    @classmethod
-    def constant(cls, s):
-        return cls("constant", s)
-
-    @classmethod
-    def backtracking(cls, s0, eta=0.5):
-        return cls("backtracking", s0, eta)
-
 
 def max_constant_stepsize(lipschitz, delta=0.0, relative=False):
     """Largest admissible constant stepsize: 1/L, or 1/((1+delta)L) under the
     relative gradient-error model."""
     L = lipschitz * (1.0 + delta) if relative else lipschitz
     return 1.0 / L
-
-
-def problem_to_json(problem):
-    """Serialize a quadratic+l1 composite problem to the JSON document schema."""
-    quad = problem.smooth
-    doc = {
-        "n": problem.n,
-        "M": [float(t) for t in quad.mat.ravel(order="C")],
-        "v": [float(t) for t in quad.vec],
-        "scale": 0.5 if quad.half else 1.0,
-        "lambda": problem.reg.lam,
-        "L": problem.lipschitz,
-    }
-    return json.dumps(doc)
 
 
 def problem_from_json(doc):

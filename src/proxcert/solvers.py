@@ -27,7 +27,7 @@ from .errors import (
     ray_constants,
     ray_solve,
 )
-from .problems import StepsizePolicy, as_vector, backtrack_stepsize
+from .problems import as_vector, max_constant_stepsize
 
 def alpha_series(kmax):
     """FISTA's alpha_0 = 1 .. alpha_kmax, alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2,
@@ -42,7 +42,7 @@ def alpha_series(kmax):
 @dataclass(frozen=True)
 class SolverConfig:
     variant: str = "basic"
-    stepsize: Optional[StepsizePolicy] = None  # None -> constant 1/L
+    stepsize: Optional[float] = None  # None -> the admissible step, see _stepsize
     max_iters: int = 100
     abstol: float = 0.0
     grad_error: Union[GradientErrorSpec, FixedPointFormat, None] = None
@@ -56,6 +56,8 @@ class SolverConfig:
             raise ValueError("iteration cap must be at least 1")
         if self.abstol < 0:
             raise ValueError("abstol must be nonnegative")
+        if self.stepsize is not None and not self.stepsize > 0:
+            raise ValueError("stepsize must be positive")
 
 
 @dataclass
@@ -128,11 +130,11 @@ def _gradient_oracle(problem, gspec, kappa, max_iters):
     return step, lambda probes: rows[: len(probes)]
 
 
-def _prox_oracle(problem, pspec, tape, max_iters, accepted):
+def _prox_oracle(problem, pspec, tape, max_iters):
     """``(step, finish)`` of the run's prox-error kind: ``step(k, s, w, out)``
     writes step k's inexact prox of ``s h`` at ``w`` into ``out``, and
     ``finish(steps)``, given the stepsizes, returns the ``(eps2, res)`` rows of
-    the steps done.  The exact prox is ``accepted`` when that is not None."""
+    the steps done."""
     reg, n = problem.reg, problem.n
     if tape.targets is not None:
         directions = tape.directions
@@ -165,30 +167,18 @@ def _prox_oracle(problem, pspec, tape, max_iters, accepted):
             out[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
             gaps.append(gap)
         return step, lambda steps: (np.asarray(gaps), ress[: len(gaps)])
-    exact = accepted or (lambda k, s, w, out: reg.prox(s, w, out=out))
-    return exact, lambda steps: (np.zeros(len(steps)), np.zeros((len(steps), n)))
+    return (lambda k, s, w, out: reg.prox(s, w, out=out),
+            lambda steps: (np.zeros(len(steps)), np.zeros((len(steps), n))))
 
 
-def _stepsize_oracle(problem, policy, accelerated):
-    """``(stepsize, accepted)`` of the policy (None: constant 1/L): ``stepsize(y,
-    noisy)`` is the step's s; for backtracking, ``accepted(k, s, w, out)`` writes
-    the accepted candidate, ``prox(s, w)``, into ``out`` (else None)."""
-    if policy is None or policy.mode == "constant":
-        s0 = 1.0 / problem.lipschitz if policy is None else policy.s0
-        return (lambda y, noisy: s0), None
-    s, z, g_z, g_x = policy.s0, None, None, None  # g_x: g(x^k), when x^k is the accepted z
-
-    def stepsize(y, noisy):
-        nonlocal s, z, g_z, g_x
-        g_y = None if accelerated else g_x  # a basic step probes at x^k
-        s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
-        g_x = None
-        return s
-
-    def accepted(k, s, w, out):
-        nonlocal g_x
-        out[:], g_x = z, g_z
-    return stepsize, accepted
+def _stepsize(problem, config):
+    """The run's constant step: ``config.stepsize``, else the largest admissible
+    one, 1/L, or 1/((1+delta)L) under relative gradient errors."""
+    if config.stepsize is not None:
+        return float(config.stepsize)
+    gspec = config.grad_error
+    relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
+    return max_constant_stepsize(problem.lipschitz, gspec.delta if relative else 0.0, relative)
 
 
 # overflow during divergence is an expected, reported outcome
@@ -198,8 +188,8 @@ def _run(problem, config, x0, accelerated):
     x0 = as_vector(x0, n, "x0")
     tape = draw_tape(config.grad_error, config.prox_error, n, max_iters, config.seed)
     gradient, eps1 = _gradient_oracle(problem, config.grad_error, tape.kappa, max_iters)
-    stepsize, accepted = _stepsize_oracle(problem, config.stepsize, accelerated)
-    prox, finish = _prox_oracle(problem, config.prox_error, tape, max_iters, accepted)
+    prox, finish = _prox_oracle(problem, config.prox_error, tape, max_iters)
+    s = _stepsize(problem, config)
 
     # step k writes row k + 1 of xs (and row k of ys) in place
     xs = np.empty((max_iters + 1, n))
@@ -211,7 +201,6 @@ def _run(problem, config, x0, accelerated):
     alphas, betas = alpha_series(max_iters - 1), np.zeros(max_iters)
     if accelerated:
         betas[1:] = (alphas[:-1] - 1.0) / alphas[1:]
-    steps = []
     status = "iteration-cap"
     try:
         for k in range(max_iters):
@@ -221,8 +210,6 @@ def _run(problem, config, x0, accelerated):
                 y = ys[k]
                 np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), betas[k], out=y), out=y)
             noisy = gradient(k, y)
-            s = stepsize(y, noisy)
-            steps.append(s)
             np.subtract(y, np.multiply(noisy, s, out=w), out=w)
             prox(k, s, w, x_next)
             # x'0 is NaN exactly when an entry of x is inf or NaN
@@ -233,6 +220,8 @@ def _run(problem, config, x0, accelerated):
                 status = "converged"
                 break
     finally:
+        # steps 0..k were taken (step k raised, when one did)
+        steps = np.full(k + 1, s)
         eps2, res = finish(steps)
     done = len(steps)
     xs = xs[: done + 1]
@@ -241,7 +230,7 @@ def _run(problem, config, x0, accelerated):
         fvals[-1] = np.nan
     ys = ys[:done] if accelerated else None
     return RunTrace(
-        xs=xs, ys=ys, steps=np.asarray(steps), betas=betas[:done], alphas=alphas[:done],
+        xs=xs, ys=ys, steps=steps, betas=betas[:done], alphas=alphas[:done],
         fvals=fvals, eps1=eps1(ys if accelerated else xs[:done]), eps2=eps2, res=res, status=status,
     )
 
@@ -302,11 +291,7 @@ def reference_solution(problem, max_iters=100_000):
     (noiseless data, a tiny or zero lam) that the rounding of the gap itself
     is larger.  After ``max_iters`` steps, the last point with its gap.
     """
-    config = SolverConfig(
-        variant="accelerated",
-        stepsize=StepsizePolicy.constant(1.0 / problem.lipschitz),
-        max_iters=25,
-    )
+    config = SolverConfig(variant="accelerated", stepsize=1.0 / problem.lipschitz, max_iters=25)
     x = np.zeros(problem.n)
     for _ in range(max(1, max_iters // 25)):
         x = run_accelerated(problem, config, x).xs[-1]

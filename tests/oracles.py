@@ -4,9 +4,11 @@ These deliberately avoid the library's own code paths: golden-section and
 grid minimization, central finite differences, exact second differences of
 quadratics, brute-force sums, the MPC objective by explicit simulation and
 its unregularized minimizer in closed form, CSV artifacts formatted one cell
-at a time, and the run loop written with lists, one allocation per row.
+at a time, problem files written with the standard library's ``json``, and
+the run loop written with lists, one allocation per row.
 """
 
+import json
 import math
 
 import numpy as np
@@ -259,6 +261,21 @@ def comparison_csv_text(series_list, f_gap, baseline_name):
     return "\n".join(lines) + "\n"
 
 
+def problem_to_json(problem):
+    """The JSON document of a quadratic + l1 composite problem, in the schema
+    ``problem_from_json`` reads."""
+    quad = problem.smooth
+    doc = {
+        "n": problem.n,
+        "M": [float(t) for t in quad.mat.ravel(order="C")],
+        "v": [float(t) for t in quad.vec],
+        "scale": 0.5 if quad.half else 1.0,
+        "lambda": problem.reg.lam,
+        "L": problem.lipschitz,
+    }
+    return json.dumps(doc)
+
+
 def _reference_grad(problem, y):
     quad = problem.smooth
     g = quad.mat.T @ (quad.mat @ y - quad.vec)
@@ -333,7 +350,7 @@ def reference_run(problem, config, x0, accelerated):
         inner_solver_prox,
         ray_constants,
     )
-    from proxcert.problems import StepsizePolicy, as_vector, backtrack_stepsize
+    from proxcert.problems import as_vector
     from proxcert.solvers import RunTrace
 
     x0 = as_vector(x0, problem.n, "x0")
@@ -345,7 +362,9 @@ def reference_run(problem, config, x0, accelerated):
         quad = problem.smooth
         mat_q, vec_q = reference_quantize(gspec, quad.mat), reference_quantize(gspec, quad.vec)
     inner = pspec is not None and pspec.mode == "inner_solver"
-    policy = config.stepsize or StepsizePolicy.constant(1.0 / problem.lipschitz)
+    s = config.stepsize
+    if s is None:  # the largest admissible step, 1/((1 + delta) L) under relative errors
+        s = 1.0 / (problem.lipschitz * (1.0 + (gspec.delta if relative else 0.0)))
     if tape.targets is not None:
         abs_d, d_dot_d = ray_constants(tape.directions)
     rays = []
@@ -353,7 +372,7 @@ def reference_run(problem, config, x0, accelerated):
     steps, betas, alphas, eps2s, eps1s, ress = [], [], [], [], [], []
     zero = np.zeros(problem.n)
     status = "iteration-cap"
-    s, x_prev, x, g_x, alpha_k = policy.s0, x0, x0, None, 1.0
+    x_prev, x, alpha_k = x0, x0, 1.0
     try:
         for k in range(config.max_iters):
             beta_k, y = 0.0, x
@@ -372,10 +391,6 @@ def reference_run(problem, config, x0, accelerated):
                 noisy = g + eps1
             else:
                 noisy, eps1 = _reference_grad(problem, y), zero
-            g_next = None
-            if policy.mode == "backtracking":
-                g_y = None if accelerated else g_x
-                s, z, g_z = backtrack_stepsize(problem, s, y, noisy, policy.eta, g_probe=g_y)
             w = y - s * noisy
             if tape.targets is not None:
                 x_next, r, ray = _reference_ray_solve(
@@ -385,8 +400,6 @@ def reference_run(problem, config, x0, accelerated):
                 gap = None
             elif inner:
                 x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
-            elif policy.mode == "backtracking":
-                x_next, gap, r, g_next = z, 0.0, zero, g_z
             else:
                 lam_s = s * problem.reg.lam
                 x_next, gap, r = np.sign(w) * np.maximum(np.abs(w) - lam_s, 0.0), 0.0, zero
@@ -405,7 +418,7 @@ def reference_run(problem, config, x0, accelerated):
             if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
                 status = "converged"
                 break
-            x_prev, x, g_x = x, x_next, g_next
+            x_prev, x = x, x_next
     finally:
         if rays:
             stacked = tuple(zip(*rays))

@@ -8,7 +8,6 @@ from proxcert import (
     GradientErrorSpec,
     ProxErrorSpec,
     SolverConfig,
-    StepsizePolicy,
     run_accelerated,
     run_basic,
 )
@@ -30,8 +29,8 @@ def runs(problem):
     x0 = np.zeros(problem.n)
     yield run_basic(problem, SolverConfig(max_iters=40), x0)
     yield run_accelerated(problem, SolverConfig(max_iters=40, **noisy), x0)
-    big = StepsizePolicy.constant(1000.0 / problem.lipschitz)
-    diverged = run_basic(problem, SolverConfig(stepsize=big, max_iters=2000), x0)
+    big = SolverConfig(stepsize=1000.0 / problem.lipschitz, max_iters=2000)
+    diverged = run_basic(problem, big, x0)
     assert diverged.status == "non-finite-iterate"
     yield diverged
 

@@ -13,7 +13,7 @@ from proxcert import reference_solution
 from proxcert.cli import DEFAULTS, build_parser, main
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
 
-from oracles import l1_dual_bound
+from oracles import l1_dual_bound, problem_to_json
 
 
 def run_cli(args):
@@ -157,7 +157,7 @@ class TestSolve:
             assert not trace.eps2.any() and not trace.res.any()
 
     def test_problem_file_input(self, tmp_path):
-        from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json
+        from proxcert import CompositeProblem, QuadraticSmooth
 
         prob = CompositeProblem.from_quadratic(
             QuadraticSmooth(np.eye(3), np.array([1.0, -2.0, 0.5]), half=True), 0.2
@@ -217,7 +217,6 @@ class TestConfigErrors:
             ("solve", "[errors]\neps0 = -1\n", None),
             ("solve", "[errors]\ndelta = -1\n", None),
             ("solve", "[errors]\nsolver_tol = -1\n", None),
-            ("solve", "[solver]\nbacktracking = true\neta = 2\n", None),
             ("solve", "[solver]\nstepsize = -1\n", None),
             ("solve", "[bounds]\ngamma = 0\n", None),
             ("solve", "[bounds]\np = 2\n", None),
@@ -232,6 +231,8 @@ class TestConfigErrors:
             ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
             ("solve", "[errors]\nprox_mode = exact\n", None),
             ("solve", "[solver]\nmomentum = fista\n", None),
+            ("solve", "[solver]\nbacktracking = true\n", None),
+            ("solve", "[solver]\neta = 0.5\n", None),
             ("quantize", "[quantize]\nformat = s8.4\n", None),
             ("quantize", "[errors]\nformat = s8.4\neps0 = -1\n", None),
             ("solve", "[run]\nseed = -1\n", None),
@@ -243,11 +244,11 @@ class TestConfigErrors:
              "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
              "mpc_problem_file", "nan_in_m", "infinite_lambda", "zero_l", "negative_l",
              "zero_matrix", "fractional_n", "zero_n", "negative_n", "bogus_direction",
-             "negative_eps0", "negative_delta", "negative_solver_tol", "eta_above_1",
-             "negative_stepsize", "zero_gamma", "p_above_1", "zero_trials", "zero_k_max",
-             "duplicate_section", "nan_delta", "nan_gamma", "empty_gammas",
-             "negative_closed_loop_steps", "negative_eps2_mean", "removed_m_u",
-             "removed_prox_mode", "removed_momentum", "removed_quantize_format",
+             "negative_eps0", "negative_delta", "negative_solver_tol", "negative_stepsize",
+             "zero_gamma", "p_above_1", "zero_trials", "zero_k_max", "duplicate_section",
+             "nan_delta", "nan_gamma", "empty_gammas", "negative_closed_loop_steps",
+             "negative_eps2_mean", "removed_m_u", "removed_prox_mode", "removed_momentum",
+             "removed_backtracking", "removed_eta", "removed_quantize_format",
              "quantize_negative_eps0", "negative_seed", "negative_verify_seed", "nan_x0",
              "nan_gammas"],
     )
@@ -457,8 +458,8 @@ class TestBoundsCommand:
 
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
         # an echo written before [bounds] m_u, [quantize] format, [errors]
-        # prox_mode and [solver] momentum were removed still loads, and gives
-        # the same artifacts as a current one
+        # prox_mode and [solver] momentum, backtracking and eta were removed
+        # still loads, and gives the same artifacts as a current one
         src = tmp_path / "src"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
@@ -466,9 +467,10 @@ class TestBoundsCommand:
         echo = echo.replace("[bounds]\n", "[bounds]\nm_u = \n")
         echo = echo.replace("[quantize]\n", "[quantize]\nformat = \n")
         echo = echo.replace("[errors]\n", "[errors]\nprox_mode = exact\n")
-        echo = echo.replace("[solver]\n", "[solver]\nmomentum = linear\n")
+        removed = "momentum = linear\nbacktracking = true\neta = 0.5\n"
+        echo = echo.replace("[solver]\n", "[solver]\n" + removed)
         assert "m_u = " in echo and echo.count("format = ") == 2 and "prox_mode" in echo
-        assert "momentum = linear" in echo
+        assert removed in echo
         (src / "config_echo.ini").write_text(echo)
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
         old, new = tmp_path / "old", tmp_path / "new"
@@ -477,6 +479,8 @@ class TestBoundsCommand:
             # the echo differs only in [run] out
             stored = (old / name).read_bytes().replace(bytes(old), bytes(new))
             assert stored == (new / name).read_bytes(), name
+        new_echo = (old / "config_echo.ini").read_text()
+        assert "backtracking" not in new_echo and "\neta = " not in new_echo
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2
@@ -522,7 +526,7 @@ class TestBoundsCommand:
     def test_only_the_solved_problem_recertifies(self, tmp_path, capsys, case):
         # the stored summary's problem_sha256 names the problem the run
         # solved; another one of the same size is a config error
-        from proxcert import CompositeProblem, QuadraticSmooth, problem_to_json
+        from proxcert import CompositeProblem, QuadraticSmooth
 
         src, dst, pfile = tmp_path / "src", tmp_path / "dst", tmp_path / "problem.json"
         rng = np.random.default_rng(1)

@@ -6,17 +6,13 @@ import pytest
 from proxcert import (
     CompositeProblem,
     L1Term,
-    OracleError,
     QuadraticSmooth,
-    StepsizePolicy,
-    backtrack_stepsize,
     problem_from_json,
-    problem_to_json,
 )
 from proxcert.experiments import mpc_to_lasso, spacecraft_mpc
 from proxcert.problems import power_iteration, symmetric_sqrt
 
-from oracles import central_diff_gradient, golden_section, svd_smax_sq
+from oracles import central_diff_gradient, golden_section, problem_to_json, svd_smax_sq
 
 
 def toy_problem(mat, vec, lam=0.0, half=False):
@@ -125,54 +121,6 @@ class TestFValue:
         prob.x_star = x_star
         prob.f_star = prob.f_value(x_star)
         assert prob.f_value(prob.x_star) == pytest.approx(prob.f_star)
-
-
-class TestBacktracking:
-    def test_accepts_one_over_l_immediately(self, rng):
-        quad = QuadraticSmooth(rng.standard_normal((6, 4)), rng.standard_normal(6), half=True)
-        prob = CompositeProblem.from_quadratic(quad, 0.1)
-        s0 = 1.0 / prob.lipschitz
-        x = rng.standard_normal(4)
-        s, _, _ = backtrack_stepsize(prob, s0, x, prob.grad(x))
-        assert s == s0
-
-    def test_oversized_stepsize_shrinks_until_descent(self, rng):
-        quad = QuadraticSmooth(rng.standard_normal((8, 4)), rng.standard_normal(8), half=True)
-        prob = CompositeProblem.from_quadratic(quad, 0.0)
-        L = prob.lipschitz
-        s0 = 4.0 / L
-        x = rng.standard_normal(4)
-        g = prob.grad(x)
-        s, z, _ = backtrack_stepsize(prob, s0, x, g, eta=0.5)
-        assert any(np.isclose(s, s0 * 0.5**j) for j in range(20))
-        # descent inequality holds at the accepted s
-        delta = z - x
-        assert quad.value(z) <= quad.value(x) + g @ delta + delta @ delta / (2 * s) + 1e-10
-        # and the accepted s is the largest passing one: s/eta fails (unless s0 passed)
-        if s < s0:
-            z_bad = prob.prox(s / 0.5, x - (s / 0.5) * g)
-            d_bad = z_bad - x
-            lhs = quad.value(z_bad)
-            rhs = quad.value(x) + g @ d_bad + d_bad @ d_bad / (2 * (s / 0.5))
-            assert lhs > rhs
-
-    def test_nan_oracle_fails_after_cap(self):
-        class BadSmooth:
-            def value(self, x):
-                return float("nan")
-
-            def grad(self, x):
-                return np.zeros_like(x)
-
-        prob = CompositeProblem(n=2, smooth=BadSmooth(), reg=L1Term(0.0), lipschitz=1.0)
-        with pytest.raises(OracleError):
-            backtrack_stepsize(prob, 1.0, np.zeros(2), np.zeros(2), max_shrinks=10)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            StepsizePolicy.constant(-1.0)
-        with pytest.raises(ValueError):
-            StepsizePolicy.backtracking(1.0, eta=1.5)
 
 
 class TestPowerIteration:

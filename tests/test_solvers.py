@@ -12,7 +12,6 @@ from proxcert import (
     ProxErrorSpec,
     QuadraticSmooth,
     SolverConfig,
-    StepsizePolicy,
     run_accelerated,
     run_basic,
 )
@@ -120,7 +119,7 @@ class TestRunBasic:
         # wildly oversized stepsize diverges to overflow
         cfg = SolverConfig(
             variant="basic",
-            stepsize=StepsizePolicy.constant(1e6),
+            stepsize=1e6,
             max_iters=10_000,
         )
         trace = run_basic(small_lasso, cfg, np.ones(small_lasso.n))
@@ -229,19 +228,13 @@ class TestRunReadsTape:
 class TestQuantizedRun:
     """A quantized run forms every step's eps1 from stacked exact gradients."""
 
-    @pytest.mark.parametrize("variant", ["basic", "accelerated", "backtracking"])
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     @pytest.mark.parametrize("shape", [(50, 20), (30, 60)])
     def test_eps1_equals_per_step_gradients(self, variant, shape):
         m, n = shape
         problem = lasso_problem(gen_lasso(n=n, m=m, seed=11))
         fmt = FixedPointFormat.parse("s16.8")
-        stepsize = None
-        if variant == "backtracking":
-            stepsize = StepsizePolicy.backtracking(20.0 / problem.lipschitz, eta=0.5)
-        cfg = SolverConfig(
-            variant="accelerated" if variant == "accelerated" else "basic",
-            stepsize=stepsize, max_iters=60, grad_error=fmt,
-        )
+        cfg = SolverConfig(variant=variant, max_iters=60, grad_error=fmt)
         trace = solvers.run(problem, cfg, np.zeros(n))
         quad_q = errors.quantize_quadratic(fmt, problem.smooth)
         points = trace.xs[:-1] if trace.ys is None else trace.ys
@@ -249,21 +242,19 @@ class TestQuantizedRun:
             g_q = errors.quantized_gradient(fmt, quad_q, y)
             assert (g_q - problem.grad(y)).tobytes() == trace.eps1[k].tobytes()
             w = y - trace.steps[k] * g_q
-            assert problem.prox(trace.steps[k], w).tobytes() == trace.xs[k + 1].tobytes()
+            assert problem.reg.prox(trace.steps[k], w).tobytes() == trace.xs[k + 1].tobytes()
 
 
 class TestDeferredGapCheck:
     """A target-gap run checks its realized gaps once, after its loop."""
 
-    @pytest.mark.parametrize("setting", ["basic", "accelerated", "backtracking", "schedule"])
+    @pytest.mark.parametrize("setting", ["basic", "accelerated", "given_step", "schedule"])
     def test_every_step_equals_approx_prox(self, small_lasso, setting):
         gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
         pspec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
         if setting == "schedule":  # every third target is 0.0: the exact prox
             pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5, 0.0, 1e-9] * 20)
-        stepsize = None
-        if setting == "backtracking":
-            stepsize = StepsizePolicy.backtracking(20.0 / small_lasso.lipschitz, eta=0.5)
+        stepsize = 0.25 / small_lasso.lipschitz if setting == "given_step" else None
         cfg = SolverConfig(
             variant="accelerated" if setting == "accelerated" else "basic", stepsize=stepsize,
             max_iters=60, grad_error=gspec, prox_error=pspec, seed=4,
@@ -292,7 +283,7 @@ class TestDeferredGapCheck:
         # at every run length
         pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5] * 50, direction="fixed")
         config = lambda iters: SolverConfig(
-            stepsize=StepsizePolicy.constant(1000.0), max_iters=iters, prox_error=pspec
+            stepsize=1000.0, max_iters=iters, prox_error=pspec
         )
         with pytest.raises(OracleError, match=r"^approx_prox gap .* at step 4$"):
             run_basic(small_lasso, config(50), np.zeros(small_lasso.n))
@@ -302,44 +293,13 @@ class TestDeferredGapCheck:
         assert np.all((0.9e-5 <= trace.eps2) & (trace.eps2 <= 1e-5))
 
 
-class TestBacktrackingRuns:
-    def test_stepsize_never_increases_and_descent_holds(self, small_lasso):
-        s0 = 8.0 / small_lasso.lipschitz
-        cfg = SolverConfig(
-            variant="basic",
-            stepsize=StepsizePolicy.backtracking(s0, eta=0.5),
-            max_iters=60,
-        )
-        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
-        assert np.all(np.diff(trace.steps) <= 0)
-        g = small_lasso.smooth
-        for k in range(trace.num_steps):
-            x, z, s = trace.xs[k], trace.xs[k + 1], trace.steps[k]
-            delta = z - x
-            lhs = g.value(z)
-            rhs = g.value(x) + g.grad(x) @ delta + delta @ delta / (2 * s)
-            assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-
-    def test_one_prox_per_trial_stepsize(self, small_lasso, monkeypatch):
-        # the accepted backtracking candidate is the next iterate: with
-        # eta = 1/2 a step that shrinks s j times tries j + 1 stepsizes, and
-        # no step proxes once more
-        calls = counted(monkeypatch, L1Term, "prox")
-        s0 = 20.0 / small_lasso.lipschitz
-        cfg = SolverConfig(stepsize=StepsizePolicy.backtracking(s0, eta=0.5), max_iters=50)
-        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
-        shrinks = np.log2(s0 / trace.steps[-1])
-        assert shrinks >= 2 and shrinks == round(shrinks)
-        assert len(calls) == trace.num_steps + round(shrinks)
-
-
 class TestFvals:
     """``RunTrace.fvals``, evaluated once per run, equals f at each iterate."""
 
     @staticmethod
     def settings(problem):
         target = ProxErrorSpec(mode="target_gap", eps0=1e-4)
-        big = StepsizePolicy.constant(1000.0 / problem.lipschitz)
+        big = 1000.0 / problem.lipschitz
         return {
             "exact": {},
             "target_gap": {"prox_error": target},
@@ -348,8 +308,8 @@ class TestFvals:
             },
             "s16.8": {"grad_error": FixedPointFormat.parse("s16.8")},
             "inner_solver": {"prox_error": ProxErrorSpec(mode="inner_solver", eps0=1e-6)},
-            "backtracking": {
-                "stepsize": StepsizePolicy.backtracking(20.0 / problem.lipschitz),
+            "default_step": {
+                "grad_error": GradientErrorSpec(model="relative", mode="random", delta=0.1),
                 "prox_error": target,
             },
             "converged": {"abstol": 1e-9, "max_iters": 3000},
@@ -359,7 +319,7 @@ class TestFvals:
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     @pytest.mark.parametrize(
         "setting",
-        ["exact", "target_gap", "relative", "s16.8", "inner_solver", "backtracking",
+        ["exact", "target_gap", "relative", "s16.8", "inner_solver", "default_step",
          "converged", "diverging"],
     )
     def test_equal_f_value_at_each_iterate(self, small_lasso, variant, setting):
@@ -414,27 +374,24 @@ class TestHotPathBudget:
         assert stacked[0][1].shape == (40, small_lasso.n)
 
     @pytest.mark.parametrize(
-        "variant, prox, probes",
-        [("basic", "exact", 1), ("accelerated", "exact", 100), ("basic", "target_gap", 100)],
+        "variant, prox", [("basic", "exact"), ("accelerated", "exact"), ("basic", "target_gap")]
     )
-    def test_backtracking_run(self, small_lasso, monkeypatch, variant, prox, probes):
-        # each trial stepsize evaluates g once at its candidate z; g(probe) is
-        # evaluated only where the probe is not the previous step's accepted
-        # z: at x^0, at every momentum point, and after every inexact prox
+    def test_constant_step_run(self, small_lasso, monkeypatch, variant, prox):
+        # a constant step needs no g value in the loop: one prox per step, and
+        # f at the iterates is formed once, after it
         values = counted(monkeypatch, QuadraticSmooth, "value")
-        s0 = 20.0 / small_lasso.lipschitz
+        stacked = counted(monkeypatch, QuadraticSmooth, "values")
+        proxes = counted(monkeypatch, L1Term, "prox")
         cfg = SolverConfig(
             variant=variant,
-            stepsize=StepsizePolicy.backtracking(s0, eta=0.5),
             max_iters=100,
             prox_error=ProxErrorSpec(mode=prox, eps0=1e-4 if prox == "target_gap" else 0.0),
         )
         trace = (run_accelerated if variant == "accelerated" else run_basic)(
             small_lasso, cfg, np.zeros(small_lasso.n)
         )
-        shrinks = round(np.log2(s0 / trace.steps[-1]))
-        assert trace.num_steps == 100 and shrinks == 4
-        assert len(values) == probes + 100 + shrinks
+        assert trace.num_steps == 100
+        assert (len(values), len(stacked), len(proxes)) == (0, 1, 100)
 
 
 REFERENCE_PROBLEMS = {
@@ -447,32 +404,35 @@ RELATIVE = GradientErrorSpec(model="relative", mode="random", delta=1e-3)
 TARGET_GAP = ProxErrorSpec(mode="target_gap", eps0=1e-4)
 INNER = ProxErrorSpec(mode="inner_solver", eps0=1e-6)
 S16_8 = FixedPointFormat.parse("s16.8")
-# name -> (stepsize as a multiple of 1/L, backtracking, SolverConfig fields)
+# name -> (stepsize as a multiple of 1/L or None, SolverConfig fields)
 REFERENCE_CASES = {
-    "absolute": (1.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "relative": (1.0, False, dict(grad_error=RELATIVE, prox_error=TARGET_GAP)),
-    "relative_inner_solver": (1.0, False, dict(grad_error=RELATIVE, prox_error=INNER)),
-    "scheduled": (1.0, False, dict(grad_error=GradientErrorSpec(
+    "absolute": (1.0, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
+    "relative": (1.0, dict(grad_error=RELATIVE, prox_error=TARGET_GAP)),
+    "relative_inner_solver": (1.0, dict(grad_error=RELATIVE, prox_error=INNER)),
+    "scheduled": (1.0, dict(grad_error=GradientErrorSpec(
         mode="deterministic", schedule=[1e-3 * (-1) ** k / (k + 1) for k in range(60)]
     ))),
-    "zero_targets": (1.0, False, dict(prox_error=ProxErrorSpec(
+    "zero_targets": (1.0, dict(prox_error=ProxErrorSpec(
         mode="target_gap", schedule=[0.0 if k % 3 == 0 else 1e-5 for k in range(60)]
     ))),
-    "fixed_direction": (1.0, False, dict(
+    "fixed_direction": (1.0, dict(
         grad_error=NOISE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
     )),
-    "backtracking": (20.0, True, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "backtracking_exact": (20.0, True, dict(grad_error=NOISE)),
-    "backtracking_inner_solver": (20.0, True, dict(prox_error=INNER)),
-    "backtracking_quantized": (20.0, True, dict(grad_error=S16_8)),
-    "backtracking_relative": (20.0, True, dict(grad_error=RELATIVE)),
-    "quantized": (1.0, False, dict(grad_error=S16_8)),
-    "quantized_saturating": (1.0, False, dict(grad_error=FixedPointFormat.parse("s6.3"))),
-    "inner_solver": (1.0, False, dict(prox_error=INNER)),
-    "abstol": (1.0, False, dict(abstol=1e-6, max_iters=2000)),
-    "diverging": (1000.0, False, dict(grad_error=NOISE, max_iters=2000)),
-    "diverging_target_gap": (1000.0, False, dict(grad_error=NOISE, prox_error=TARGET_GAP,
-                                                 max_iters=2000)),
+    "quantized": (1.0, dict(grad_error=S16_8)),
+    "quantized_saturating": (1.0, dict(grad_error=FixedPointFormat.parse("s6.3"))),
+    "inner_solver": (1.0, dict(prox_error=INNER)),
+    "abstol": (1.0, dict(abstol=1e-6, max_iters=2000)),
+    "diverging": (1000.0, dict(grad_error=NOISE, max_iters=2000)),
+    "diverging_target_gap": (1000.0, dict(grad_error=NOISE, prox_error=TARGET_GAP,
+                                          max_iters=2000)),
+    # no stepsize: the run's own 1/((1 + delta) L) under relative errors, else 1/L
+    "default_step": (None, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
+    "default_step_exact": (None, dict(grad_error=NOISE)),
+    "default_step_inner_solver": (None, dict(prox_error=INNER)),
+    "default_step_quantized": (None, dict(grad_error=S16_8)),
+    "default_step_relative": (None, dict(grad_error=RELATIVE)),
+    "default_step_relative_big_delta": (None, dict(grad_error=GradientErrorSpec(
+        model="relative", mode="random", delta=0.1), prox_error=TARGET_GAP)),
 }
 
 
@@ -489,11 +449,10 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     def test_matches_reference_loop(self, problems, problem_name, case, variant):
         problem = problems[problem_name]
-        scale, backtracking, fields = REFERENCE_CASES[case]
-        s0 = scale / problem.lipschitz
-        policy = StepsizePolicy.backtracking(s0) if backtracking else StepsizePolicy.constant(s0)
+        scale, fields = REFERENCE_CASES[case]
         fields = {"max_iters": 60, **fields}
-        cfg = SolverConfig(variant=variant, stepsize=policy, seed=5, **fields)
+        stepsize = None if scale is None else scale / problem.lipschitz
+        cfg = SolverConfig(variant=variant, stepsize=stepsize, seed=5, **fields)
         accelerated = variant == "accelerated"
         x0 = np.ones(problem.n)  # at 0, mpc10's lam holds every step at 0
         try:
@@ -706,7 +665,40 @@ class TestReferenceSolution:
         assert ref.gap == pytest.approx(independent_gap(problem, x_last, f_last), rel=1e-12)
 
 
+class TestDefaultStepsize:
+    """A run without a stepsize takes the largest admissible constant step."""
+
+    @pytest.mark.parametrize(
+        "grad_error, inflation",
+        [
+            (GradientErrorSpec(model="relative", mode="random", delta=0.1), 1.1),
+            (GradientErrorSpec(model="absolute", mode="random", delta=0.1), 1.0),
+            (FixedPointFormat.parse("s16.8"), 1.0),
+            (None, 1.0),
+        ],
+        ids=["relative", "absolute", "quantized", "exact"],
+    )
+    def test_step_is_one_over_inflated_l(self, small_lasso, grad_error, inflation):
+        # 1/((1 + delta) L) under relative errors, where (1 + delta) bounds
+        # the noisy gradient's Lipschitz constant; 1/L otherwise
+        cfg = SolverConfig(max_iters=20, grad_error=grad_error, seed=3)
+        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
+        expected = np.full(20, 1.0 / (inflation * small_lasso.lipschitz))
+        assert trace.steps.tobytes() == expected.tobytes()
+
+    def test_given_stepsize_is_kept(self, small_lasso):
+        relative = GradientErrorSpec(model="relative", mode="random", delta=0.1)
+        cfg = SolverConfig(stepsize=0.5 / small_lasso.lipschitz, max_iters=5, grad_error=relative)
+        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
+        assert np.all(trace.steps == 0.5 / small_lasso.lipschitz)
+
+
 class TestConfigValidation:
+    def test_nonpositive_stepsize_rejected(self):
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="stepsize must be positive"):
+                SolverConfig(stepsize=s)
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(variant="turbo")
