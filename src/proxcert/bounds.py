@@ -5,7 +5,8 @@ sequences recorded in a trace (the deterministic theorems and their
 corollaries); a-priori bounds are computable from parameters alone (the
 probabilistic theorems).  Deterministic running bounds must dominate the
 observed suboptimality on every valid run; probabilistic ones are checked by
-Monte-Carlo coverage.
+Monte-Carlo coverage.  The basic probabilistic series hold for a Fejer-monotone
+run, and ``fejer_monotone`` reports whether a run was one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ class BoundParams:
 
     ``s`` is the effective (constant) stepsize, ``dist0 = ||x* - x0||``.
     ``m_grad`` is the sup of the gradient sup-norm over iterates (1 under the
-    absolute error model).  ``p`` is the Fejer-monotonicity probability
-    (taken as 1 in verified monotone regimes unless overridden).
+    absolute error model).
     """
 
     s: float
@@ -34,7 +34,6 @@ class BoundParams:
     delta: float = 0.0
     eps0: float = 0.0
     gamma: float = 3.0
-    p: float = 1.0
     m_grad: Optional[float] = None
     eps2_mean: Optional[float] = None
 
@@ -43,8 +42,6 @@ class BoundParams:
             raise ValueError("stepsize and Lipschitz constant must be positive")
         if min(self.dist0, self.delta, self.eps0, self.eps2_mean or 0.0) < 0:
             raise ValueError("error magnitudes must be nonnegative")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
@@ -147,7 +144,7 @@ def bound_basic_random(params, k, eps2_partial_sum):
     ``eps2_partial_sum`` is the sum of the first k proximal errors (realized,
     or ``k * E[eps2]`` a-priori; one sum per k).  The martingale radius
     carries the gradient-error term ``sqrt(n) m_grad delta`` and the prox
-    term ``sqrt(2 eps0 / s)``.  Returns ``(value, probability)``.
+    term ``sqrt(2 eps0 / s)``.  Returns ``(value, probability)``, one probability for all k.
     """
     k = np.asarray(k)
     if np.any(k < 1):
@@ -160,7 +157,7 @@ def bound_basic_random(params, k, eps2_partial_sum):
     prox_term = math.sqrt(2.0 * params.eps0 / s)
     mid = (g / np.sqrt(k)) * (base_term + prox_term) * d
     value = eps_sum / k + mid + d * d / (2.0 * s * k)
-    prob = params.p**k * (1.0 - 2.0 * math.exp(-(g * g) / 2.0))
+    prob = 1.0 - 2.0 * math.exp(-(g * g) / 2.0)
     return value, prob
 
 
@@ -191,7 +188,7 @@ def bound_basic_stationary(params, k):
         * (params.eps0 / 2.0 + math.sqrt(params.n) * params.m_grad * abs(params.delta) * d)
         + d * d / (2.0 * s * k)
     )
-    prob = params.p**k * (1.0 - 4.0 * math.exp(-(g * g) / 2.0))
+    prob = 1.0 - 4.0 * math.exp(-(g * g) / 2.0)
     return value, prob
 
 

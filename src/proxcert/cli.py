@@ -75,7 +75,7 @@ DEFAULTS = {
     },
     "problem": {"file": ""},
     "lasso": {"n": "100", "m": "500", "sparsity": "", "noise": "0.01", "lam": "", "seed": "0"},
-    "mpc": {"n_p": "", "n_c": "", "lam": "16.79", "x0": "", "closed_loop_steps": ""},
+    "mpc": {"n_p": "", "lam": "16.79", "x0": "", "closed_loop_steps": ""},
     "solver": {"variant": "basic", "stepsize": "auto"},
     "errors": {
         "grad_model": "absolute",
@@ -83,10 +83,9 @@ DEFAULTS = {
         "format": "",
         "eps0": "0",
         "solver_tol": "",
-        "direction": "random_symmetric",
     },
-    "bounds": {"gamma": "3.0", "p": "1.0", "eps2_mean": ""},
-    "verify": {"trials": "200", "k_max": "25", "gammas": "1,2,3"},
+    "bounds": {"gamma": "3.0"},
+    "verify": {"trials": "200"},
     "quantize": {"values": "0,1.3,-1.3,0.026,100,-100"},
 }
 
@@ -185,9 +184,10 @@ def _get_seed(cfg):
 
 def _build_error_specs(cfg):
     """``(grad_spec, prox_spec)`` of ``[errors]``; values the specs reject
-    are config errors.  The prox kind follows from the tolerances: the inner
-    solver when ``solver_tol`` is set (its eps0), else the target gap when
-    ``eps0 > 0``, else exact."""
+    are config errors.  ``format``, when set, is the gradient kind, and it
+    excludes ``delta > 0`` and ``grad_model = relative``.  The prox kind
+    follows from the tolerances: the inner solver when ``solver_tol`` is set
+    (its eps0), else the target gap when ``eps0 > 0``, else exact."""
     errors = cfg["errors"]
     delta = _get(cfg, "errors", "delta")
     fmt_text = errors["format"].strip()
@@ -198,19 +198,17 @@ def _build_error_specs(cfg):
         prox_mode, eps0 = "inner_solver", solver_tol
     try:
         noise = GradientErrorSpec(model=errors["grad_model"].strip(), mode="random", delta=delta)
-        grad_spec = noise if delta > 0 else None
-        if fmt_text:
-            grad_spec = FixedPointFormat.parse(fmt_text)
-        prox_spec = ProxErrorSpec(mode=prox_mode, eps0=eps0, direction=errors["direction"].strip())
+        fmt = FixedPointFormat.parse(fmt_text) if fmt_text else None
+        prox_spec = ProxErrorSpec(mode=prox_mode, eps0=eps0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grad_spec, prox_spec
-
-
-def _grad_model(grad_spec):
-    """The bound model of a gradient spec: ``relative`` only for random
-    relative errors; quantization errors are componentwise bounded."""
-    return grad_spec.model if isinstance(grad_spec, GradientErrorSpec) else "absolute"
+    if fmt is None:
+        return (noise if delta > 0 else None), prox_spec
+    if delta > 0 or noise.model == "relative":
+        key = "delta > 0" if delta > 0 else "grad_model = relative"
+        raise ConfigError(f"[errors] format and {key} cannot both be set: "
+                          "a quantized run measures its own delta")
+    return fmt, prox_spec
 
 
 def _build_solver_config(cfg, default_iters, grad_spec, prox_spec):
@@ -231,20 +229,18 @@ def _build_solver_config(cfg, default_iters, grad_spec, prox_spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _bound_overrides(cfg, prox_spec):
-    """The ``BoundParams.from_trace`` overrides of ``[errors] delta``, the
-    prox spec's eps0 and ``[bounds]``.  Values ``BoundParams`` rejects are
-    config errors, so a run command checks them before it solves."""
-    eps2_mean = _get(cfg, "bounds", "eps2_mean")
-    if eps2_mean is None and prox_spec.mode == "target_gap":
-        eps2_mean = float(truncated_gaussian_mean(0.0, prox_spec.eps0))
-    overrides = dict(delta=_get(cfg, "errors", "delta"), eps0=prox_spec.eps0, eps2_mean=eps2_mean,
-                     gamma=_get(cfg, "bounds", "gamma"), p=_get(cfg, "bounds", "p"))
-    try:
-        BoundParams(s=1.0, lipschitz=1.0, dist0=0.0, n=1, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return overrides
+def _bound_overrides(cfg, grad_spec, prox_spec):
+    """The ``BoundParams.from_trace`` overrides of a run: the noise spec's
+    delta (``certify`` measures a quantized run's), the prox spec's eps0, the
+    target-gap mean of eps2 (no other prox kind has a stationary series) and
+    ``[bounds] gamma``, which a run command checks before it solves."""
+    gamma = _get(cfg, "bounds", "gamma")
+    if not gamma > 0:
+        raise ConfigError(f"[bounds] gamma must be positive, got {gamma}")
+    gap = prox_spec.mode == "target_gap"
+    return dict(delta=grad_spec.delta if isinstance(grad_spec, GradientErrorSpec) else 0.0,
+                eps0=prox_spec.eps0, gamma=gamma,
+                eps2_mean=float(truncated_gaussian_mean(0.0, prox_spec.eps0)) if gap else None)
 
 
 def problem_from_cfg(cfg):
@@ -265,11 +261,10 @@ def problem_from_cfg(cfg):
         # accelerated variant at horizon 2
         accelerated = cfg["solver"]["variant"].strip() == "accelerated"
         n_p = _get(cfg, "mpc", "n_p", int, 2 if accelerated else 10)
-        n_c = _get(cfg, "mpc", "n_c", int, n_p)
-        cfg["mpc"]["n_p"], cfg["mpc"]["n_c"] = str(n_p), str(n_c)
+        cfg["mpc"]["n_p"] = str(n_p)
         lam = _get(cfg, "mpc", "lam")
         x0 = _get_floats(cfg, "mpc", "x0") or 0.5 * np.ones(7)
-        build = lambda: mpc_to_lasso(spacecraft_mpc(n_p=n_p, n_c=n_c, lam=lam, x0=x0))
+        build = lambda: mpc_to_lasso(spacecraft_mpc(n_p=n_p, lam=lam, x0=x0))
         source = "[mpc]"
     elif pfile:
         try:
@@ -322,11 +317,12 @@ def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=
     out = cfg["run"]["out"]
     ref = reference_solution(problem)
     x_star, f_star = ref
-    if isinstance(grad_spec, FixedPointFormat) and overrides["delta"] == 0.0 and trace.eps1.size:
+    if isinstance(grad_spec, FixedPointFormat) and trace.eps1.size:
         # the realized machine precision (x1.05 safety)
         overrides = dict(overrides, delta=1.05 * float(np.abs(trace.eps1).max()))
-    params = BoundParams.from_trace(problem, trace, x_star, model=_grad_model(grad_spec),
-                                    **overrides)
+    # quantization errors are componentwise bounded: the absolute model
+    model = grad_spec.model if isinstance(grad_spec, GradientErrorSpec) else "absolute"
+    params = BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
     variant = "basic" if trace.ys is None else "accelerated"
     series = evaluate_all_series(trace, params, x_star, variant)
@@ -402,7 +398,7 @@ def cmd_run(cfg, command):
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
     config = _build_solver_config(cfg, default_iters, grad_spec, prox_spec)
-    overrides = _bound_overrides(cfg, prox_spec)
+    overrides = _bound_overrides(cfg, grad_spec, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     steps = _get(cfg, "mpc", "closed_loop_steps", int) if spec is not None else None
     if steps is not None and steps < 0:
@@ -480,7 +476,7 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     if stored.get("problem_sha256", digest) != digest:
         raise ConfigError(f"{from_dir} holds a run of another problem than the config's")
     grad_spec, prox_spec = _build_error_specs(cfg)
-    overrides = _bound_overrides(cfg, prox_spec)
+    overrides = _bound_overrides(cfg, grad_spec, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     _prepare_out(cfg)
     return certify(cfg, problem, trace, grad_spec, overrides, strict, spec)
@@ -489,10 +485,9 @@ def cmd_bounds(file_cfg, overrides, from_dir):
 def cmd_verify(cfg):
     """Martingale + concentration suites; biased-control run must fail."""
     trials = _get(cfg, "verify", "trials", int)
-    k_max = _get(cfg, "verify", "k_max", int)
-    gammas = _get_floats(cfg, "verify", "gammas")
-    if min(trials, k_max) < 1 or not gammas:
-        raise ConfigError("[verify] needs trials and k_max of at least 1 and one gamma or more")
+    if trials < 1:
+        raise ConfigError(f"[verify] trials must be at least 1, got {trials}")
+    k_max, gammas = 25, [1.0, 2.0, 3.0]  # steps of a martingale run, coverage gammas
     seed = _get_seed(cfg)
     out = _prepare_out(cfg)
     problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))

@@ -207,6 +207,14 @@ class GradientErrorSpec:
         if self.mode == "deterministic" and self.schedule is None:
             raise ValueError("deterministic mode needs a schedule")
 
+    @property
+    def bound(self):
+        """The delta the errors meet: ``delta``, or for a deterministic spec
+        the larger of ``delta`` and the schedule's largest |entry|."""
+        if self.mode == "random":
+            return self.delta
+        return max([self.delta] + [float(np.max(np.abs(e))) for e in self.schedule])
+
 
 @dataclass(frozen=True)
 class ProxErrorSpec:

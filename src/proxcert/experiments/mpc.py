@@ -1,9 +1,10 @@
 """Condensed model predictive control and the spacecraft regulator instance.
 
-States are eliminated through ``Y = Psi x(k) + Phi U``, turning the
+The regulator drives the state to zero, and its outputs are its states.
+States are eliminated through ``X = Psi x(k) + Phi U``, turning the
 finite-horizon l1-regularized control problem into an unconstrained LASSO in
 the stacked move sequence ``U``.  The built-in spacecraft attitude model is a
-7-state, 4-input LTI system; its per-step output/input weights tile to any
+7-state, 4-input LTI system; its per-step state/input weights tile to any
 horizon (the reference weights are given over a 2-step window).
 """
 
@@ -51,25 +52,20 @@ SPACECRAFT_LAMBDA = 16.79
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Discrete LTI model x(k+1) = A x(k) + B u(k), y(k) = C x(k)."""
+    """Discrete LTI model x(k+1) = A x(k) + B u(k)."""
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
         if b.shape[0] != a.shape[0]:
             raise ValueError("B row count must match the state dimension")
-        if c.shape[1] != a.shape[0]:
-            raise ValueError("C column count must match the state dimension")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @property
     def n_states(self):
@@ -79,22 +75,17 @@ class StateSpaceModel:
     def n_inputs(self):
         return self.b.shape[1]
 
-    @property
-    def n_outputs(self):
-        return self.c.shape[0]
-
 
 def spacecraft_model():
-    return StateSpaceModel(SPACECRAFT_A, SPACECRAFT_B, np.eye(7))
+    return StateSpaceModel(SPACECRAFT_A, SPACECRAFT_B)
 
 
 @dataclass
 class MpcSpec:
     """Horizons, weights and current state for one condensation.
 
-    ``q_step``/``r_step`` are per-step diagonal weights tiled to the
-    prediction/control horizons.  ``setpoint`` is the stacked reference
-    (defaults to zero: the classical regulator problem).
+    ``q_step``/``r_step`` are per-step diagonal state and input weights
+    tiled to the prediction/control horizons.
     """
 
     model: StateSpaceModel
@@ -104,13 +95,12 @@ class MpcSpec:
     r_step: np.ndarray
     lam: float = 0.0
     x0: Optional[np.ndarray] = None
-    setpoint: Optional[np.ndarray] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.n_c <= self.n_p):
             raise ValueError("need 1 <= N_c <= N_p")
-        self.q_step = as_vector(self.q_step, self.model.n_outputs, "q_step")
+        self.q_step = as_vector(self.q_step, self.model.n_states, "q_step")
         self.r_step = as_vector(self.r_step, self.model.n_inputs, "r_step")
         if self.lam < 0:
             raise ValueError("regularization weight must be nonnegative")
@@ -153,11 +143,6 @@ class MpcSpec:
     def input_weight(self):
         return np.diag(np.tile(self.r_step, self.n_c))
 
-    def setpoint_stack(self):
-        if self.setpoint is None:
-            return np.zeros(self.model.n_outputs * self.n_p)
-        return as_vector(self.setpoint, self.model.n_outputs * self.n_p, "setpoint")
-
     def with_state(self, x0):
         """A copy at state ``x0``; the rest of the spec was validated when
         it was made, so only ``x0`` is checked."""
@@ -184,19 +169,19 @@ def spacecraft_mpc(n_p=10, n_c=None, lam=SPACECRAFT_LAMBDA, x0=None):
 def build_prediction_matrices(spec):
     """Stacked prediction matrices (Psi, Phi).
 
-    Psi rows are C A^l for l = 1..N_p; Phi is block lower-triangular with
-    block (i, j) = C A^{i-j} B for i >= j.
+    Psi stacks A^l for l = 1..N_p; Phi is block lower-triangular with
+    block (i, j) = A^{i-j} B for i >= j.
     """
     model = spec.model
-    m, n, p = model.n_outputs, model.n_states, model.n_inputs
+    n, p = model.n_states, model.n_inputs
     powers = [np.eye(n)]
     for _ in range(spec.n_p):
         powers.append(model.a @ powers[-1])
-    psi = np.vstack([model.c @ powers[l] for l in range(1, spec.n_p + 1)])
-    phi = np.zeros((m * spec.n_p, p * spec.n_c))
+    psi = np.vstack(powers[1:])
+    phi = np.zeros((n * spec.n_p, p * spec.n_c))
     for i in range(1, spec.n_p + 1):
         for j in range(1, min(i, spec.n_c) + 1):
-            phi[(i - 1) * m : i * m, (j - 1) * p : j * p] = model.c @ powers[i - j] @ model.b
+            phi[(i - 1) * n : i * n, (j - 1) * p : j * p] = powers[i - j] @ model.b
     return psi, phi
 
 
@@ -204,14 +189,15 @@ def mpc_to_lasso(spec):
     """Condense the regularized MPC problem into a composite LASSO.
 
     Returns a CompositeProblem with
-    ``g(U) = ||H^{1/2} U - H^{-1/2} Phi' Q (Rs - Psi x)||^2`` (unscaled) and
+    ``g(U) = ||H^{1/2} U + H^{-1/2} Phi' Q Psi x||^2`` (unscaled) and
     ``h = lam ||.||_1``, where ``H = Phi' Q Phi + R``.  The original
     quadratic objective equals ``g`` plus a U-independent constant stored in
     ``problem.meta["offset"]``.
     """
     psi, phi = spec.prediction_matrices()
     q_full, root, inv_root, lipschitz = spec.condensed_weights()
-    target = spec.setpoint_stack() - psi @ spec.x0
+    # -Psi x as 0 - Psi x: a zero entry of Psi x stays +0.0
+    target = np.zeros(psi.shape[0]) - psi @ spec.x0
     rhs = phi.T @ (q_full @ target)
     vec = inv_root @ rhs
     quad = QuadraticSmooth(root, vec, half=False)

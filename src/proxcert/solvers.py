@@ -173,12 +173,12 @@ def _prox_oracle(problem, pspec, tape, max_iters):
 
 def _stepsize(problem, config):
     """The run's constant step: ``config.stepsize``, else the largest admissible
-    one, 1/L, or 1/((1+delta)L) under relative gradient errors."""
+    one, 1/L, or 1/((1+delta)L) under relative gradient errors (delta: ``bound``)."""
     if config.stepsize is not None:
         return float(config.stepsize)
     gspec = config.grad_error
     relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
-    return max_constant_stepsize(problem.lipschitz, gspec.delta if relative else 0.0, relative)
+    return max_constant_stepsize(problem.lipschitz, gspec.bound if relative else 0.0, relative)
 
 
 # overflow during divergence is an expected, reported outcome
@@ -198,27 +198,32 @@ def _run(problem, config, x0, accelerated):
         ys = np.empty((max_iters, n))
         ys[0] = x0
     w, zero = np.empty(n), np.zeros(n)
-    alphas, betas = alpha_series(max_iters - 1), np.zeros(max_iters)
-    if accelerated:
-        betas[1:] = (alphas[:-1] - 1.0) / alphas[1:]
-    status = "iteration-cap"
+    betas = np.zeros(max_iters)
+    status, stop = "iteration-cap", 0
     try:
-        for k in range(max_iters):
-            x = y = xs[k]
-            x_next = xs[k + 1]
-            if accelerated and k > 0:
-                y = ys[k]
-                np.add(x, np.multiply(np.subtract(x, xs[k - 1], out=y), betas[k], out=y), out=y)
-            noisy = gradient(k, y)
-            np.subtract(y, np.multiply(noisy, s, out=w), out=w)
-            prox(k, s, w, x_next)
-            # x'0 is NaN exactly when an entry of x is inf or NaN
-            if math.isnan(x_next.dot(zero)):
-                status = "non-finite-iterate"
-                break
-            if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
-                status = "converged"
-                break
+        # chunks of 1024 steps, then doubling, each with its alphas: an early stop pays no more
+        while status == "iteration-cap" and stop < max_iters:
+            start, stop = stop, min(max_iters, max(1024, 2 * stop))
+            alphas = alpha_series(stop - 1)
+            if accelerated:
+                betas[1:stop] = (alphas[:-1] - 1.0) / alphas[1:]
+            for k in range(start, stop):
+                x = y = xs[k]
+                x_next = xs[k + 1]
+                if accelerated and k > 0:
+                    y = ys[k]
+                    np.subtract(x, xs[k - 1], out=y)
+                    np.add(x, np.multiply(y, betas[k], out=y), out=y)
+                noisy = gradient(k, y)
+                np.subtract(y, np.multiply(noisy, s, out=w), out=w)
+                prox(k, s, w, x_next)
+                # x'0 is NaN exactly when an entry of x is inf or NaN
+                if math.isnan(x_next.dot(zero)):
+                    status = "non-finite-iterate"
+                    break
+                if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
+                    status = "converged"
+                    break
     finally:
         # steps 0..k were taken (step k raised, when one did)
         steps = np.full(k + 1, s)

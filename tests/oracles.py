@@ -78,25 +78,26 @@ def quadratic_hessian(f, n):
     return hess
 
 
-def simulate_outputs(spec, u_moves):
+def simulate_states(spec, u_moves):
     """Rollout oracle: propagate the dynamics from ``spec.x0`` and stack the
-    outputs.  Moves beyond the control horizon are zero, matching the Phi
-    structure."""
+    states x(1)..x(N_p).  Moves beyond the control horizon are zero, matching
+    the Phi structure."""
     model = spec.model
     x = spec.x0
     u_moves = as_vector(u_moves, spec.n_moves, "U")
     p = model.n_inputs
-    outputs = []
+    states = []
     for step in range(spec.n_p):
         u = u_moves[step * p : (step + 1) * p] if step < spec.n_c else np.zeros(p)
         x = model.a @ x + model.b @ u
-        outputs.append(model.c @ x)
-    return np.concatenate(outputs)
+        states.append(x)
+    return np.concatenate(states)
 
 
 def rollout_objective(spec, u_moves):
-    """Quadratic MPC objective (no l1 term) evaluated by explicit simulation."""
-    err = spec.setpoint_stack() - simulate_outputs(spec, u_moves)
+    """Quadratic MPC objective (no l1 term) evaluated by explicit simulation:
+    the regulator weighs the states' distance from zero."""
+    err = simulate_states(spec, u_moves)
     q_full = np.tile(spec.q_step, spec.n_p)
     r_full = np.tile(spec.r_step, spec.n_c)
     return float(err @ (q_full * err)) + float(u_moves @ (r_full * u_moves))
@@ -106,19 +107,18 @@ def lqr_closed_form(mpc, x0):
     """Closed-form quadratic (l2-regularized) control solution.
 
     Solves the weighted stationarity system
-    ``(Phi' Q Phi + R) U = Phi' Q (Rs - Psi x0)``.
+    ``(Phi' Q Phi + R) U = -Phi' Q Psi x0``.
     """
     psi, phi = mpc.prediction_matrices()
     q_full = mpc.output_weight()
     r_full = mpc.input_weight()
-    rs = mpc.setpoint_stack()
     x0 = as_vector(x0, psi.shape[1], "x0")
     normal = phi.T @ q_full @ phi + r_full
     try:
         np.linalg.cholesky(normal)
     except np.linalg.LinAlgError as exc:
         raise OracleError("normal matrix is not positive definite") from exc
-    rhs = phi.T @ (q_full @ (rs - psi @ x0))
+    rhs = -phi.T @ (q_full @ (psi @ x0))
     return np.linalg.solve(normal, rhs)
 
 
@@ -364,7 +364,7 @@ def reference_run(problem, config, x0, accelerated):
     inner = pspec is not None and pspec.mode == "inner_solver"
     s = config.stepsize
     if s is None:  # the largest admissible step, 1/((1 + delta) L) under relative errors
-        s = 1.0 / (problem.lipschitz * (1.0 + (gspec.delta if relative else 0.0)))
+        s = 1.0 / (problem.lipschitz * (1.0 + (gspec.bound if relative else 0.0)))
     if tape.targets is not None:
         abs_d, d_dot_d = ray_constants(tape.directions)
     rays = []

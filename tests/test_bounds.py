@@ -182,10 +182,10 @@ class TestBasicDetCorollary:
 
 class TestBasicRandom:
     def test_zero_errors_reduce_to_optimal(self):
-        params = make_params(delta=0.0, eps0=0.0, gamma=3.0, p=0.9, dist0=2.0, s=0.25)
+        params = make_params(delta=0.0, eps0=0.0, gamma=3.0, dist0=2.0, s=0.25)
         value, prob = bound_basic_random(params, 10, 0.0)
         assert value == pytest.approx(4.0 / (2 * 0.25 * 10), rel=1e-12)
-        assert prob == pytest.approx(0.9**10 * (1 - 2 * math.exp(-4.5)), rel=1e-12)
+        assert prob == pytest.approx(1 - 2 * math.exp(-4.5), rel=1e-12)
 
     def test_gamma_three_probability_factor(self):
         params = make_params(gamma=3.0)

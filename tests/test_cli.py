@@ -202,7 +202,6 @@ class TestConfigErrors:
             ("solve", "", '{"M": [1], "v": [1]}'),  # no n
             ("mpc", "[mpc]\nx0 = 1,2,abc\n", None),
             ("mpc", "[mpc]\nx0 = 1,2,3\n", None),  # the model has 7 states
-            ("verify", "[verify]\ngammas = 1,x\n", None),
             ("lasso", "", '{"n": 1, "M": [1], "v": [1]}'),  # lasso builds its own problem
             ("mpc", "", '{"n": 1, "M": [1], "v": [1]}'),  # so does mpc
             ("solve", "", '{"n": 2, "M": [1, NaN], "v": [1]}'),
@@ -213,22 +212,26 @@ class TestConfigErrors:
             ("solve", "", '{"n": 2.5, "M": [1, 2], "v": [1]}'),
             ("solve", "", '{"n": 0, "M": [], "v": []}'),
             ("solve", "", '{"n": -1, "M": [1], "v": [1]}'),
-            ("solve", "[errors]\ndirection = bogus\n", None),
             ("solve", "[errors]\neps0 = -1\n", None),
             ("solve", "[errors]\ndelta = -1\n", None),
             ("solve", "[errors]\nsolver_tol = -1\n", None),
             ("solve", "[solver]\nstepsize = -1\n", None),
             ("solve", "[bounds]\ngamma = 0\n", None),
-            ("solve", "[bounds]\np = 2\n", None),
             ("verify", "[verify]\ntrials = 0\n", None),
-            ("verify", "[verify]\nk_max = 0\n", None),
             ("solve", "[run]\nseed = 1\n[run]\nseed = 2\n", None),
             ("solve", "[errors]\ndelta = nan\n", None),
             ("solve", "[bounds]\ngamma = nan\n", None),
-            ("verify", "[verify]\ngammas = ,\n", None),
             ("mpc", "[mpc]\nclosed_loop_steps = -1\n", None),
-            ("solve", "[bounds]\neps2_mean = -1\n", None),
+            ("solve", "[errors]\nformat = s8.4\ndelta = 1e-9\n", None),  # a quantized run measures delta
             ("solve", "[bounds]\nm_u = 1\n", None),  # keys this version no longer defines
+            ("solve", "[errors]\ndirection = fixed\n", None),
+            ("solve", "[bounds]\np = 0.5\n", None),
+            ("solve", "[bounds]\neps2_mean = 1e-6\n", None),
+            ("mpc", "[mpc]\nn_c = 2\n", None),
+            ("verify", "[verify]\nk_max = 0\n", None),
+            ("verify", "[verify]\ngammas = 1,x\n", None),
+            ("verify", "[verify]\ngammas = ,\n", None),
+            ("verify", "[verify]\ngammas = nan\n", None),
             ("solve", "[errors]\nprox_mode = exact\n", None),
             ("solve", "[solver]\nmomentum = fista\n", None),
             ("solve", "[solver]\nbacktracking = true\n", None),
@@ -238,19 +241,20 @@ class TestConfigErrors:
             ("solve", "[run]\nseed = -1\n", None),
             ("verify", "[run]\nseed = -1\n", None),
             ("mpc", "[mpc]\nx0 = nan,0,0,0,0,0,0\n", None),
-            ("verify", "[verify]\ngammas = nan\n", None),
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
-             "x0_wrong_dimension", "gammas_not_numbers", "lasso_problem_file",
+             "x0_wrong_dimension", "lasso_problem_file",
              "mpc_problem_file", "nan_in_m", "infinite_lambda", "zero_l", "negative_l",
-             "zero_matrix", "fractional_n", "zero_n", "negative_n", "bogus_direction",
+             "zero_matrix", "fractional_n", "zero_n", "negative_n",
              "negative_eps0", "negative_delta", "negative_solver_tol", "negative_stepsize",
-             "zero_gamma", "p_above_1", "zero_trials", "zero_k_max", "duplicate_section",
-             "nan_delta", "nan_gamma", "empty_gammas", "negative_closed_loop_steps",
-             "negative_eps2_mean", "removed_m_u", "removed_prox_mode", "removed_momentum",
+             "zero_gamma", "zero_trials", "duplicate_section",
+             "nan_delta", "nan_gamma", "negative_closed_loop_steps",
+             "format_with_delta",
+             "removed_m_u", "removed_direction", "removed_p", "removed_eps2_mean",
+             "removed_n_c", "zero_k_max", "gammas_not_numbers", "empty_gammas", "nan_gammas",
+             "removed_prox_mode", "removed_momentum",
              "removed_backtracking", "removed_eta", "removed_quantize_format",
-             "quantize_negative_eps0", "negative_seed", "negative_verify_seed", "nan_x0",
-             "nan_gammas"],
+             "quantize_negative_eps0", "negative_seed", "negative_verify_seed", "nan_x0"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
         if problem_json is not None:
@@ -457,20 +461,25 @@ class TestBoundsCommand:
             assert gap == pytest.approx(f_star - lower, rel=0.0, abs=1e-12 * abs(f_star))
 
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
-        # an echo written before [bounds] m_u, [quantize] format, [errors]
-        # prox_mode and [solver] momentum, backtracking and eta were removed
-        # still loads, and gives the same artifacts as a current one
+        # an echo written before [bounds] m_u, p and eps2_mean, [quantize]
+        # format, [errors] prox_mode and direction, [solver] momentum,
+        # backtracking and eta, [mpc] n_c and [verify] k_max and gammas were
+        # removed still loads, and gives the same artifacts as a current one
         src = tmp_path / "src"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
         echo = (src / "config_echo.ini").read_text()
-        echo = echo.replace("[bounds]\n", "[bounds]\nm_u = \n")
-        echo = echo.replace("[quantize]\n", "[quantize]\nformat = \n")
-        echo = echo.replace("[errors]\n", "[errors]\nprox_mode = exact\n")
-        removed = "momentum = linear\nbacktracking = true\neta = 0.5\n"
-        echo = echo.replace("[solver]\n", "[solver]\n" + removed)
-        assert "m_u = " in echo and echo.count("format = ") == 2 and "prox_mode" in echo
-        assert removed in echo
+        added = {
+            "bounds": "m_u = \np = 0.5\neps2_mean = 1e-3\n",
+            "quantize": "format = \n",
+            "errors": "prox_mode = exact\ndirection = fixed\n",
+            "solver": "momentum = linear\nbacktracking = true\neta = 0.5\n",
+            "mpc": "n_c = 3\n",
+            "verify": "k_max = 5\ngammas = 1\n",
+        }
+        for sec, lines in added.items():
+            assert f"[{sec}]\n" in echo, sec
+            echo = echo.replace(f"[{sec}]\n", f"[{sec}]\n{lines}")
         (src / "config_echo.ini").write_text(echo)
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
         old, new = tmp_path / "old", tmp_path / "new"
@@ -479,8 +488,33 @@ class TestBoundsCommand:
             # the echo differs only in [run] out
             stored = (old / name).read_bytes().replace(bytes(old), bytes(new))
             assert stored == (new / name).read_bytes(), name
-        new_echo = (old / "config_echo.ini").read_text()
-        assert "backtracking" not in new_echo and "\neta = " not in new_echo
+
+    def test_echo_with_format_and_delta_needs_delta_0(self, tmp_path, toy_config, capsys):
+        # an echo that holds both [errors] format and delta > 0 (which an
+        # earlier version accepted, and ignored for the run but not for the
+        # bounds) exits 2, unless --delta 0 overrides it
+        src = tmp_path / "src"
+        assert run_cli(["solve", "--config", str(toy_config), "--format", "s8.4",
+                        "--out", str(src)]) == 0
+        echo = (src / "config_echo.ini").read_text()
+        assert "\ndelta = 0\n" in echo
+        (src / "config_echo.ini").write_text(echo.replace("\ndelta = 0\n", "\ndelta = 1e-9\n"))
+        capsys.readouterr()
+        assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "a")]) == 2
+        assert "[errors] format and delta > 0 cannot both be set" in capsys.readouterr().err
+        dst = tmp_path / "b"
+        assert run_cli(["bounds", "--from", str(src), "--out", str(dst), "--delta", "0"]) == 0
+        for name in ("trace.csv", "bounds.csv"):
+            assert (dst / name).read_bytes() == (src / name).read_bytes(), name
+
+    @pytest.mark.parametrize("ini, key", [("delta = 1e-9\n", "delta > 0"),
+                                          ("grad_model = relative\n", "grad_model = relative")])
+    def test_format_names_the_key_it_excludes(self, tmp_path, capsys, ini, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[errors]\nformat = s8.4\n" + ini)
+        assert run_cli(["lasso", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: [errors] format and {key} cannot both "
+                                           "be set: a quantized run measures its own delta\n")
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli(["bounds", "--from", str(tmp_path / "empty"), "--out", str(tmp_path)]) == 2

@@ -201,6 +201,15 @@ class TestGradientInjection:
         with pytest.raises(ValueError, match="schedule"):
             run_basic(small_lasso, SolverConfig(max_iters=6, grad_error=spec), np.zeros(20))
 
+    def test_bound_covers_the_schedule(self):
+        # a deterministic spec meets the larger of delta and its largest |entry|
+        def bound(delta, schedule):
+            return GradientErrorSpec(mode="deterministic", delta=delta, schedule=schedule).bound
+        assert GradientErrorSpec(delta=0.2).bound == 0.2
+        assert bound(0.0, [0.25, -0.5]) == 0.5
+        assert bound(0.1, [[0.25, -0.5], [0.0, 0.125]]) == 0.5
+        assert bound(2.0, [0.5] * 3) == 2.0
+
     def test_multipliers_equal_per_step_draws(self):
         # one (T, n) draw from the run's first spawned stream reproduces the
         # step-by-step draws bit for bit, so gradient-only runs keep their bytes

@@ -28,12 +28,12 @@ from oracles import (
     lqr_closed_form,
     quadratic_hessian,
     rollout_objective,
-    simulate_outputs,
+    simulate_states,
 )
 
 
 def scalar_spec(a=1.0, b=1.0, n_p=2, n_c=2, q=1.0, r=0.0, lam=0.0, x0=1.0):
-    model = StateSpaceModel(np.array([[a]]), np.array([[b]]), np.eye(1))
+    model = StateSpaceModel(np.array([[a]]), np.array([[b]]))
     return MpcSpec(
         model=model,
         n_p=n_p,
@@ -56,17 +56,17 @@ class TestPredictionMatrices:
         spec = spacecraft_mpc(n_p=2, n_c=2)
         _, phi = build_prediction_matrices(spec)
         model = spec.model
-        direct = model.c @ model.a @ model.b
+        direct = model.a @ model.b
         assert np.array_equal(phi[7:14, 0:4], direct)
-        assert np.array_equal(phi[0:7, 0:4], model.c @ model.b)
+        assert np.array_equal(phi[0:7, 0:4], model.b)
 
     def test_rollout_oracle(self, rng):
         spec = spacecraft_mpc(n_p=4, n_c=3, x0=rng.standard_normal(7))
         psi, phi = build_prediction_matrices(spec)
         u = rng.standard_normal(spec.n_moves)
-        y_matrix = psi @ spec.x0 + phi @ u
-        y_rollout = simulate_outputs(spec, u)
-        assert np.allclose(y_matrix, y_rollout, atol=1e-10)
+        x_matrix = psi @ spec.x0 + phi @ u
+        x_rollout = simulate_states(spec, u)
+        assert np.allclose(x_matrix, x_rollout, atol=1e-10)
 
     def test_invalid_horizons(self):
         with pytest.raises(ValueError):
@@ -77,7 +77,6 @@ class TestSpacecraftConstants:
     def test_matrices_match_reference(self):
         model = spacecraft_model()
         assert model.a.shape == (7, 7) and model.b.shape == (7, 4)
-        assert np.array_equal(model.c, np.eye(7))
         assert model.a[0, 2] == 0.8416 and model.a[0, 4] == -1.267
         assert model.a[2, 0] == -0.9763 and model.a[2, 6] == -0.04749
         assert model.a[1, 5] == -0.8107 and model.a[3, 5] == 0.8107
@@ -96,10 +95,6 @@ class TestSpacecraftConstants:
         )
         assert np.array_equal(r_full, [200.0, 200.0, 200.0, 1.0] * 2)
         assert spec.lam == SPACECRAFT_LAMBDA == 16.79
-
-    def test_default_setpoint_is_zero(self):
-        spec = spacecraft_mpc(n_p=3, n_c=2)
-        assert np.all(spec.setpoint_stack() == 0.0)
 
 
 class TestCondensation:
@@ -123,9 +118,7 @@ class TestCondensation:
         )
 
     def test_offset_constant_across_random_inputs(self, rng):
-        model = StateSpaceModel(
-            rng.standard_normal((2, 2)) * 0.5, rng.standard_normal((2, 1)), np.eye(2)
-        )
+        model = StateSpaceModel(rng.standard_normal((2, 2)) * 0.5, rng.standard_normal((2, 1)))
         spec = MpcSpec(
             model=model,
             n_p=3,
@@ -200,24 +193,6 @@ class TestCondensation:
 
 
 class TestLqrClosedForm:
-    def test_zero_residual_target(self, rng):
-        # R_s = Psi x0 makes the target zero; U = 0 is stationary
-        model = StateSpaceModel(
-            rng.standard_normal((2, 2)) * 0.4, rng.standard_normal((2, 2)), np.eye(2)
-        )
-        x0 = rng.standard_normal(2)
-        spec = MpcSpec(
-            model=model,
-            n_p=2,
-            n_c=2,
-            q_step=np.ones(2),
-            r_step=np.ones(2),
-            x0=x0,
-        )
-        psi, _ = spec.prediction_matrices()
-        spec.setpoint = psi @ x0
-        assert np.allclose(lqr_closed_form(spec, x0), 0.0, atol=1e-12)
-
     def test_scalar_system_against_grid_search(self):
         spec = scalar_spec(a=0.8, b=0.5, n_p=1, n_c=1, q=2.0, r=1.5, x0=1.3)
         u_star = lqr_closed_form(spec, spec.x0)
@@ -233,9 +208,7 @@ class TestLqrClosedForm:
         u_star = lqr_closed_form(spec, spec.x0)
         psi, phi = spec.prediction_matrices()
         q_full, r_full = spec.output_weight(), spec.input_weight()
-        grad = 2 * (phi.T @ q_full @ phi + r_full) @ u_star - 2 * phi.T @ q_full @ (
-            spec.setpoint_stack() - psi @ spec.x0
-        )
+        grad = 2 * (phi.T @ q_full @ phi + r_full) @ u_star + 2 * phi.T @ q_full @ psi @ spec.x0
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(u_star))
 
 

@@ -373,6 +373,21 @@ class TestHotPathBudget:
         assert (len(grads), len(stacked)) == (0, 1)
         assert stacked[0][1].shape == (40, small_lasso.n)
 
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_early_stop_asks_only_for_the_first_chunk_of_alphas(
+        self, small_lasso, monkeypatch, variant
+    ):
+        # a run that converges early under a huge cap pays for the alphas of
+        # one chunk of steps, not of the cap
+        asked = []
+        real = solvers.alpha_series
+        monkeypatch.setattr(solvers, "alpha_series", lambda kmax: asked.append(kmax) or real(kmax))
+        cfg = SolverConfig(variant=variant, max_iters=10**6, abstol=1e-6)
+        trace = solvers.run(small_lasso, cfg, np.zeros(small_lasso.n))
+        assert trace.status == "converged" and trace.num_steps < 1024
+        assert asked == [1023]
+        assert trace.alphas.tobytes() == real(trace.num_steps - 1).tobytes()
+
     @pytest.mark.parametrize(
         "variant, prox", [("basic", "exact"), ("accelerated", "exact"), ("basic", "target_gap")]
     )
@@ -433,6 +448,10 @@ REFERENCE_CASES = {
     "default_step_relative": (None, dict(grad_error=RELATIVE)),
     "default_step_relative_big_delta": (None, dict(grad_error=GradientErrorSpec(
         model="relative", mode="random", delta=0.1), prox_error=TARGET_GAP)),
+    "default_step_relative_schedule": (None, dict(grad_error=GradientErrorSpec(
+        model="relative", mode="deterministic", schedule=[0.5 * (-1) ** k for k in range(60)]))),
+    # the loop's second chunk of steps starts at step 1024
+    "past_first_chunk": (1.0, dict(max_iters=1100)),
 }
 
 
@@ -675,8 +694,14 @@ class TestDefaultStepsize:
             (GradientErrorSpec(model="absolute", mode="random", delta=0.1), 1.0),
             (FixedPointFormat.parse("s16.8"), 1.0),
             (None, 1.0),
+            # a deterministic relative schedule's delta is its largest |entry|
+            # when that exceeds the spec's delta
+            (GradientErrorSpec(model="relative", mode="deterministic", schedule=[0.5] * 20), 1.5),
+            (GradientErrorSpec(model="relative", mode="deterministic", delta=0.1,
+                               schedule=[[-0.5] * 20, [0.25] * 20] * 10), 1.5),
         ],
-        ids=["relative", "absolute", "quantized", "exact"],
+        ids=["relative", "absolute", "quantized", "exact", "relative_schedule",
+             "relative_vector_schedule"],
     )
     def test_step_is_one_over_inflated_l(self, small_lasso, grad_error, inflation):
         # 1/((1 + delta) L) under relative errors, where (1 + delta) bounds
