@@ -157,7 +157,7 @@ def bound_basic_random(params, k, eps2_partial_sum):
     prox_term = math.sqrt(2.0 * params.eps0 / s)
     mid = (g / np.sqrt(k)) * (base_term + prox_term) * d
     value = eps_sum / k + mid + d * d / (2.0 * s * k)
-    prob = 1.0 - 2.0 * math.exp(-(g * g) / 2.0)
+    prob = max(0.0, 1.0 - 2.0 * math.exp(-(g * g) / 2.0))
     return value, prob
 
 
@@ -188,7 +188,7 @@ def bound_basic_stationary(params, k):
         * (params.eps0 / 2.0 + math.sqrt(params.n) * params.m_grad * abs(params.delta) * d)
         + d * d / (2.0 * s * k)
     )
-    prob = 1.0 - 4.0 * math.exp(-(g * g) / 2.0)
+    prob = max(0.0, 1.0 - 4.0 * math.exp(-(g * g) / 2.0))
     return value, prob
 
 
@@ -261,7 +261,7 @@ def bound_acc_random_series(trace, params, x_star):
     s_eps1 = g * abs(params.delta) * params.m_grad * np.sqrt(params.n * i2u)
     s_r = g * np.sqrt(2.0 / s * i2ue)
     values = (s_eps2 + s_eps1 + s_r + params.dist0**2 / (2.0 * s)) / trace.alphas**2
-    prob = np.full(t, 1.0 - 6.0 * math.exp(-(g * g) / 2.0))
+    prob = np.full(t, max(0.0, 1.0 - 6.0 * math.exp(-(g * g) / 2.0)))
     return values, prob
 
 

@@ -69,14 +69,13 @@ DEFAULTS = {
         "seed": "0",
         "out": "out",
         "iters": "",
-        "abstol": "0",
         "strict": "false",
         "command": "",
     },
     "problem": {"file": ""},
     "lasso": {"n": "100", "m": "500", "sparsity": "", "noise": "0.01", "lam": "", "seed": "0"},
     "mpc": {"n_p": "", "lam": "16.79", "x0": "", "closed_loop_steps": ""},
-    "solver": {"variant": "basic", "stepsize": "auto"},
+    "solver": {"variant": "basic"},
     "errors": {
         "grad_model": "absolute",
         "delta": "0",
@@ -212,15 +211,11 @@ def _build_error_specs(cfg):
 
 
 def _build_solver_config(cfg, default_iters, grad_spec, prox_spec):
-    """The run's ``SolverConfig``; ``[solver] stepsize = auto`` (or empty) leaves
-    the step to the solver, which takes the largest admissible one."""
-    auto = cfg["solver"]["stepsize"].strip() in ("", "auto")
+    """The run's ``SolverConfig``; the solver takes the largest admissible step."""
     try:
         return SolverConfig(
             variant=cfg["solver"]["variant"].strip(),
-            stepsize=None if auto else _get(cfg, "solver", "stepsize"),
             max_iters=_get(cfg, "run", "iters", int, default_iters),
-            abstol=_get(cfg, "run", "abstol"),
             grad_error=grad_spec,
             prox_error=prox_spec,
             seed=_get_seed(cfg),
@@ -432,9 +427,10 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     bounds without re-running the solver).  The artifacts are those of the
     command that made the run, except the closed loop, which is not rerun;
     they go to ``--out``, which must be given and must not be ``from_dir``.
-    A run whose summary records a failure (``FAILED_STATUSES``) or whose
-    ``trace.npz`` cannot be read, or a ``[solver] variant`` or problem (its
-    ``problem_sha256``) other than the stored run's, is a configuration error.
+    The bounds take the step stored in ``trace.npz``.  A run whose summary
+    records a failure (``FAILED_STATUSES``) or whose ``trace.npz`` cannot be
+    read, or a ``[solver] variant`` or problem (its ``problem_sha256``) other
+    than the stored run's, is a configuration error.
     """
     out = overrides.get(("run", "out"))
     if out is None:
@@ -562,7 +558,6 @@ def build_parser():
     common.add_argument("--config", help="INI config file")
     common.add_argument("--seed", dest="run.seed", type=int)
     common.add_argument("--iters", dest="run.iters", type=int)
-    common.add_argument("--abstol", dest="run.abstol", type=float)
     common.add_argument("--delta", dest="errors.delta", type=float)
     common.add_argument("--eps0", dest="errors.eps0", type=float)
     common.add_argument("--gamma", dest="bounds.gamma", type=float)

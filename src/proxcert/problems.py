@@ -136,6 +136,7 @@ class QuadraticSmooth:
         g = np.matmul(self.mat.T, r)[:, :, 0]
         return g if self.half else 2.0 * g
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing Gram gives no finite L
     def lipschitz(self):
         """``sigma_max(M)^2`` (times 2 unscaled), from the smaller Gram matrix
         ``M'M`` or ``MM'`` and raised to an upper bound by ``lambda_max_bound``."""
@@ -276,9 +277,10 @@ def problem_from_json(doc):
     """The composite problem of a JSON document: ``str``, ``bytes`` or a decoded dict.
 
     Text is decoded with ``orjson``: the same doubles as the standard
-    library's ``json``, several times faster on a large ``M``.  Raises
-    ``ValueError`` on malformed or non-finite data, an ``n`` that is not a
-    positive integer and an ``L`` (given or computed) that is not positive.
+    library's ``json``, several times faster on a large ``M``.  L is always
+    computed from ``M``; keys the format does not define, ``"L"`` among them,
+    are ignored.  Raises ``ValueError`` on malformed or non-finite data, an
+    ``n`` that is not a positive integer and an L that is not positive and finite.
     """
     if not isinstance(doc, dict):
         import orjson  # here only: a process that decodes no problem file never loads it
@@ -294,12 +296,10 @@ def problem_from_json(doc):
     if scale not in (0.5, 1.0):
         raise ValueError("scale must be 0.5 or 1.0")
     lam = float(doc.get("lambda", 0.0))
-    lipschitz = None if doc.get("L") is None else float(doc["L"])
-    for name, value in (("M", mat), ("v", v), ("lambda", lam), ("L", lipschitz)):
-        if value is not None and not np.isfinite(value).all():
+    for name, value in (("M", mat), ("v", v), ("lambda", lam)):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    quad = QuadraticSmooth(mat, v, half=scale == 0.5)
-    problem = CompositeProblem.from_quadratic(quad, lam, lipschitz=lipschitz)
-    if not problem.lipschitz > 0:
-        raise ValueError(f"L must be positive, got {problem.lipschitz!r}")
+    problem = CompositeProblem.from_quadratic(QuadraticSmooth(mat, v, half=scale == 0.5), lam)
+    if not 0 < problem.lipschitz < np.inf:
+        raise ValueError(f"L must be positive and finite, got {problem.lipschitz!r}")
     return problem

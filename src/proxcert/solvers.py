@@ -42,9 +42,7 @@ def alpha_series(kmax):
 @dataclass(frozen=True)
 class SolverConfig:
     variant: str = "basic"
-    stepsize: Optional[float] = None  # None -> the admissible step, see _stepsize
     max_iters: int = 100
-    abstol: float = 0.0
     grad_error: Union[GradientErrorSpec, FixedPointFormat, None] = None
     prox_error: Optional[ProxErrorSpec] = None
     seed: int = 0
@@ -54,10 +52,6 @@ class SolverConfig:
             raise ValueError(f"unknown solver variant {self.variant!r}")
         if self.max_iters < 1:
             raise ValueError("iteration cap must be at least 1")
-        if self.abstol < 0:
-            raise ValueError("abstol must be nonnegative")
-        if self.stepsize is not None and not self.stepsize > 0:
-            raise ValueError("stepsize must be positive")
 
 
 @dataclass
@@ -172,10 +166,8 @@ def _prox_oracle(problem, pspec, tape, max_iters):
 
 
 def _stepsize(problem, config):
-    """The run's constant step: ``config.stepsize``, else the largest admissible
-    one, 1/L, or 1/((1+delta)L) under relative gradient errors (delta: ``bound``)."""
-    if config.stepsize is not None:
-        return float(config.stepsize)
+    """The run's constant step, the largest admissible one: 1/L, or
+    1/((1+delta)L) under relative gradient errors (delta: ``bound``)."""
     gspec = config.grad_error
     relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
     return max_constant_stepsize(problem.lipschitz, gspec.bound if relative else 0.0, relative)
@@ -220,9 +212,6 @@ def _run(problem, config, x0, accelerated):
                 # x'0 is NaN exactly when an entry of x is inf or NaN
                 if math.isnan(x_next.dot(zero)):
                     status = "non-finite-iterate"
-                    break
-                if config.abstol > 0 and float(np.linalg.norm(x_next - x)) <= config.abstol:
-                    status = "converged"
                     break
     finally:
         # steps 0..k were taken (step k raised, when one did)
@@ -296,7 +285,7 @@ def reference_solution(problem, max_iters=100_000):
     (noiseless data, a tiny or zero lam) that the rounding of the gap itself
     is larger.  After ``max_iters`` steps, the last point with its gap.
     """
-    config = SolverConfig(variant="accelerated", stepsize=1.0 / problem.lipschitz, max_iters=25)
+    config = SolverConfig(variant="accelerated", max_iters=25)
     x = np.zeros(problem.n)
     for _ in range(max(1, max_iters // 25)):
         x = run_accelerated(problem, config, x).xs[-1]

@@ -20,7 +20,6 @@ from proxcert import (
     SolverConfig,
     approx_prox,
     L1Term,
-    max_constant_stepsize,
     reference_solution,
     run_accelerated,
     run_basic,
@@ -84,7 +83,6 @@ def error_sweep_runs(bench):
             model = "absolute" if j % 2 == 0 else "relative"
             gspec = GradientErrorSpec(model=model, mode="random", delta=delta)
             pspec = ProxErrorSpec(mode="target_gap", eps0=eps0)
-            s = max_constant_stepsize(problem.lipschitz, delta, relative=model == "relative")
             cfg = SolverConfig(
                 variant=variant,
                 max_iters=200,

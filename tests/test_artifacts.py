@@ -14,7 +14,7 @@ from proxcert import (
 from proxcert.artifacts import write_bounds_csv, write_comparison_csv, write_trace_csv
 from proxcert.bounds import BoundSeries, ObservedGaps, evaluate_all_series
 
-from oracles import bounds_csv_text, comparison_csv_text, trace_csv_text
+from oracles import bounds_csv_text, comparison_csv_text, diverging, trace_csv_text
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -1.0 / 3.0]
 
@@ -29,8 +29,7 @@ def runs(problem):
     x0 = np.zeros(problem.n)
     yield run_basic(problem, SolverConfig(max_iters=40), x0)
     yield run_accelerated(problem, SolverConfig(max_iters=40, **noisy), x0)
-    big = SolverConfig(stepsize=1000.0 / problem.lipschitz, max_iters=2000)
-    diverged = run_basic(problem, big, x0)
+    diverged = run_basic(diverging(problem), SolverConfig(max_iters=2000), x0)
     assert diverged.status == "non-finite-iterate"
     yield diverged
 

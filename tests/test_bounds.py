@@ -394,6 +394,28 @@ class TestValidity:
         assert report.violations >= 0
 
 
+class TestProbabilityColumns:
+    """``max(0, 1 - c e^{-gamma^2/2})``: below gamma = sqrt(2 ln c) the union
+    bound says nothing, and the probability column reads 0, never less."""
+
+    FACTORS = {"thm_basic_rand": 2.0, "thm_basic_stat": 4.0, "thm_acc_rand": 6.0}
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_clamped_at_zero(self, noisy_runs, variant, gamma):
+        _, x_star, _, bas, acc, params, params_acc = noisy_runs
+        trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
+        params = replace(params, gamma=gamma, eps2_mean=4e-6)
+        checked = 0
+        for s in evaluate_all_series(trace, params, x_star, variant):
+            if s.name in self.FACTORS:
+                want = max(0.0, 1.0 - self.FACTORS[s.name] * math.exp(-gamma * gamma / 2.0))
+                finite = s.probability[np.isfinite(s.probability)]
+                assert finite.size and np.all(finite == want), s.name
+                checked += 1
+        assert checked == (2 if variant == "basic" else 1)
+
+
 class TestSeriesCatalogue:
     EXPECTED = {  # (name, target) in bounds.csv column order
         "basic": [("thm_basic_det", "ergodic_incl"), ("cor_basic_det", "ergodic_incl"),

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proxcert.cli as cli
+import proxcert.solvers as solvers
 from proxcert import reference_solution
 from proxcert.cli import DEFAULTS, build_parser, main
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
@@ -18,6 +20,19 @@ from oracles import l1_dual_bound, problem_to_json
 
 def run_cli(args):
     return main(args)
+
+
+def run_at_step(monkeypatch, step):
+    """Make a run command's solve take the constant ``step``, which no setting
+    chooses; the reference solve in ``certify`` keeps its own 1/L."""
+    real = cli.run_solver
+
+    def run(problem, config, x0):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_stepsize", lambda problem, config: step)
+            return real(problem, config, x0)
+
+    monkeypatch.setattr(cli, "run_solver", run)
 
 
 def read_summary(out_dir):
@@ -50,11 +65,10 @@ class TestSolve:
         for name in ("trace.csv", "bounds.csv", "config_echo.ini", "iterates.bin", "trace.npz"):
             assert (out / name).exists()
 
-    def test_strict_oversized_stepsize_exits_4(self, tmp_path):
+    def test_strict_oversized_stepsize_exits_4(self, tmp_path, monkeypatch):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(
-            "[lasso]\nn = 20\nm = 50\nseed = 7\n\n[solver]\nstepsize = 0.04\n"
-        )
+        cfg.write_text("[lasso]\nn = 20\nm = 50\nseed = 7\n")
+        run_at_step(monkeypatch, 0.04)
         code = run_cli(
             ["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--iters", "60",
              "--strict"]
@@ -69,24 +83,21 @@ class TestSolve:
         for name in ("trace.csv", "bounds.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_solver_failure_exits_3(self, tmp_path):
+    def test_solver_failure_exits_3(self, tmp_path, monkeypatch):
         cfg = tmp_path / "diverge.ini"
-        cfg.write_text(
-            "[lasso]\nn = 20\nm = 50\nseed = 7\n\n[solver]\nstepsize = 1000\n"
-        )
+        cfg.write_text("[lasso]\nn = 20\nm = 50\nseed = 7\n")
+        run_at_step(monkeypatch, 1000.0)
         code = run_cli(
             ["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--iters", "5000"]
         )
         assert code == 3
 
-    def test_diverging_target_gap_run_writes_summary(self, tmp_path, capsys):
+    def test_diverging_target_gap_run_writes_summary(self, tmp_path, capsys, monkeypatch):
         # once the iterates diverge no point meets the prox-gap window; the
         # run still leaves its status in summary.json
         cfg = tmp_path / "diverge.ini"
-        cfg.write_text(
-            "[lasso]\nn = 20\nm = 50\nseed = 7\n\n[solver]\nstepsize = 1000\n\n"
-            "[errors]\neps0 = 1e-5\n"
-        )
+        cfg.write_text("[lasso]\nn = 20\nm = 50\nseed = 7\n\n[errors]\neps0 = 1e-5\n")
+        run_at_step(monkeypatch, 1000.0)
         out = tmp_path / "o"
         code = run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "5000"])
         assert code == 3
@@ -96,19 +107,17 @@ class TestSolve:
         assert summary["error"] in capsys.readouterr().err
 
     @pytest.mark.parametrize("prox", ["exact", "target_gap"])
-    def test_failed_rerun_leaves_no_stale_artifacts(self, tmp_path, prox):
+    def test_failed_rerun_leaves_no_stale_artifacts(self, tmp_path, monkeypatch, prox):
         # a rerun that ends non-finite-iterate (exact prox) or oracle-error
         # (target gap) into the directory of a good run leaves only its own
         # config echo and summary, so bounds --from finds no run to certify
         lasso = "[lasso]\nn = 10\nm = 30\nseed = 7\n"
         good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
         good.write_text(lasso)
-        bad.write_text(
-            lasso + "\n[solver]\nstepsize = 1000\n\n"
-            f"[errors]\neps0 = {1e-5 if prox == 'target_gap' else 0}\n"
-        )
+        bad.write_text(lasso + f"\n[errors]\neps0 = {1e-5 if prox == 'target_gap' else 0}\n")
         out = tmp_path / "o"
         assert run_cli(["solve", "--config", str(good), "--out", str(out), "--iters", "50"]) == 0
+        run_at_step(monkeypatch, 1000.0)
         assert run_cli(["solve", "--config", str(bad), "--out", str(out), "--iters", "3000"]) == 3
         assert sorted(os.listdir(out)) == ["config_echo.ini", "summary.json"]
         status = {"exact": "non-finite-iterate", "target_gap": "oracle-error"}[prox]
@@ -125,11 +134,12 @@ class TestSolve:
         assert run_cli(["bounds", "--from", str(out), "--out", str(tmp_path / "b")]) == 2
         assert f"holds a failed run (status {status})" in capsys.readouterr().err
 
-    def test_diverging_run_certifies_without_warnings(self, tmp_path, capsys):
+    def test_diverging_run_certifies_without_warnings(self, tmp_path, capsys, monkeypatch):
         # finite but diverging iterates overflow in the bounds and gaps; that
         # shows in the artifacts, not as numpy warnings
         cfg = tmp_path / "diverge.ini"
-        cfg.write_text("[lasso]\nn = 10\nm = 30\nseed = 7\n\n[solver]\nstepsize = 1000\n")
+        cfg.write_text("[lasso]\nn = 10\nm = 30\nseed = 7\n")
+        run_at_step(monkeypatch, 1000.0)
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -170,6 +180,20 @@ class TestSolve:
         assert run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "50"]) == 0
         assert read_summary(out)["gated_violations"] == 0
 
+    def test_problem_file_l_is_ignored(self, tmp_path):
+        # a declared L, even one that is not positive, is not read: the run
+        # takes the L computed from M
+        from proxcert import QuadraticSmooth
+
+        pfile = tmp_path / "problem.json"
+        pfile.write_text('{"n": 1, "M": [1], "v": [1], "L": -1}')
+        cfg = tmp_path / "p.ini"
+        cfg.write_text(f"[problem]\nfile = {pfile}\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(out), "--iters", "5"]) == 0
+        lipschitz = QuadraticSmooth(np.ones((1, 1)), np.ones(1)).lipschitz()
+        assert read_summary(out)["lipschitz"] == lipschitz
+
 
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path):
@@ -206,16 +230,14 @@ class TestConfigErrors:
             ("mpc", "", '{"n": 1, "M": [1], "v": [1]}'),  # so does mpc
             ("solve", "", '{"n": 2, "M": [1, NaN], "v": [1]}'),
             ("solve", "", '{"n": 1, "M": [1], "v": [1], "lambda": 1e999}'),
-            ("solve", "", '{"n": 1, "M": [1], "v": [1], "L": 0}'),
-            ("solve", "", '{"n": 1, "M": [1], "v": [1], "L": -1}'),
             ("solve", "", '{"n": 1, "M": [0], "v": [1]}'),  # computed L is 0
+            ("solve", "", '{"n": 1, "M": [1e200], "v": [1]}'),  # computed L overflows
             ("solve", "", '{"n": 2.5, "M": [1, 2], "v": [1]}'),
             ("solve", "", '{"n": 0, "M": [], "v": []}'),
             ("solve", "", '{"n": -1, "M": [1], "v": [1]}'),
             ("solve", "[errors]\neps0 = -1\n", None),
             ("solve", "[errors]\ndelta = -1\n", None),
             ("solve", "[errors]\nsolver_tol = -1\n", None),
-            ("solve", "[solver]\nstepsize = -1\n", None),
             ("solve", "[bounds]\ngamma = 0\n", None),
             ("verify", "[verify]\ntrials = 0\n", None),
             ("solve", "[run]\nseed = 1\n[run]\nseed = 2\n", None),
@@ -236,6 +258,8 @@ class TestConfigErrors:
             ("solve", "[solver]\nmomentum = fista\n", None),
             ("solve", "[solver]\nbacktracking = true\n", None),
             ("solve", "[solver]\neta = 0.5\n", None),
+            ("solve", "[solver]\nstepsize = auto\n", None),
+            ("solve", "[run]\nabstol = 0\n", None),
             ("quantize", "[quantize]\nformat = s8.4\n", None),
             ("quantize", "[errors]\nformat = s8.4\neps0 = -1\n", None),
             ("solve", "[run]\nseed = -1\n", None),
@@ -244,16 +268,17 @@ class TestConfigErrors:
         ],
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "lasso_problem_file",
-             "mpc_problem_file", "nan_in_m", "infinite_lambda", "zero_l", "negative_l",
-             "zero_matrix", "fractional_n", "zero_n", "negative_n",
-             "negative_eps0", "negative_delta", "negative_solver_tol", "negative_stepsize",
+             "mpc_problem_file", "nan_in_m", "infinite_lambda",
+             "zero_matrix", "overflowing_matrix", "fractional_n", "zero_n", "negative_n",
+             "negative_eps0", "negative_delta", "negative_solver_tol",
              "zero_gamma", "zero_trials", "duplicate_section",
              "nan_delta", "nan_gamma", "negative_closed_loop_steps",
              "format_with_delta",
              "removed_m_u", "removed_direction", "removed_p", "removed_eps2_mean",
              "removed_n_c", "zero_k_max", "gammas_not_numbers", "empty_gammas", "nan_gammas",
              "removed_prox_mode", "removed_momentum",
-             "removed_backtracking", "removed_eta", "removed_quantize_format",
+             "removed_backtracking", "removed_eta", "removed_stepsize", "removed_abstol",
+             "removed_quantize_format",
              "quantize_negative_eps0", "negative_seed", "negative_verify_seed", "nan_x0"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, command, ini, problem_json):
@@ -265,6 +290,11 @@ class TestConfigErrors:
         cfg.write_text(ini)
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_removed_abstol_flag_exits_2(self, tmp_path, capsys):
+        assert run_cli(["solve", "--abstol", "1e-6", "--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments: --abstol" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("what", ["config", "problem_file", "stored_echo"])
     def test_file_not_utf8_exits_2(self, tmp_path, toy_config, capsys, what):
@@ -297,7 +327,6 @@ class TestConfigErrors:
         before = dir_bytes(out)
         for command, ini in [
             ("solve", "[bounds]\ngamma = 0\n"),
-            ("solve", "[solver]\nstepsize = -1\n"),
             ("solve", "[run]\nstrict = maybe\n"),
             ("mpc", "[mpc]\nclosed_loop_steps = -1\n"),
             ("verify", "[verify]\ntrials = 0\n"),
@@ -463,8 +492,9 @@ class TestBoundsCommand:
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
         # an echo written before [bounds] m_u, p and eps2_mean, [quantize]
         # format, [errors] prox_mode and direction, [solver] momentum,
-        # backtracking and eta, [mpc] n_c and [verify] k_max and gammas were
-        # removed still loads, and gives the same artifacts as a current one
+        # backtracking, eta and stepsize, [run] abstol, [mpc] n_c and [verify]
+        # k_max and gammas were removed still loads, and gives the same
+        # artifacts as a current one: the bounds take the step in trace.npz
         src = tmp_path / "src"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "new")]) == 0
@@ -473,7 +503,8 @@ class TestBoundsCommand:
             "bounds": "m_u = \np = 0.5\neps2_mean = 1e-3\n",
             "quantize": "format = \n",
             "errors": "prox_mode = exact\ndirection = fixed\n",
-            "solver": "momentum = linear\nbacktracking = true\neta = 0.5\n",
+            "solver": "momentum = linear\nbacktracking = true\neta = 0.5\nstepsize = 0.005\n",
+            "run": "abstol = 1e-6\n",
             "mpc": "n_c = 3\n",
             "verify": "k_max = 5\ngammas = 1\n",
         }

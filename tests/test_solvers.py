@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from proxcert.errors import draw_tape
 from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
 from proxcert.solvers import alpha_series, reference_solution
 
-from oracles import gap_rounding_floor, grid_min, l1_dual_bound, reference_run
+from oracles import diverging, gap_rounding_floor, grid_min, l1_dual_bound, reference_run
 
 
 def separable_problem(c, lam):
@@ -108,21 +109,10 @@ class TestRunBasic:
             trace.res_norms() <= np.sqrt(2 * trace.steps * trace.eps2) + 1e-10
         )
 
-    def test_abstol_stop(self, small_lasso):
-        cfg = SolverConfig(variant="basic", max_iters=10_000, abstol=1e-6)
-        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
-        assert trace.status == "converged"
-        assert trace.num_steps < 10_000
-        assert trace.x_change()[-1] <= 1e-6
-
     def test_non_finite_iterate_reports_partial_trace(self, small_lasso):
         # wildly oversized stepsize diverges to overflow
-        cfg = SolverConfig(
-            variant="basic",
-            stepsize=1e6,
-            max_iters=10_000,
-        )
-        trace = run_basic(small_lasso, cfg, np.ones(small_lasso.n))
+        cfg = SolverConfig(variant="basic", max_iters=10_000)
+        trace = run_basic(diverging(small_lasso), cfg, np.ones(small_lasso.n))
         assert trace.status == "non-finite-iterate"
         assert trace.num_steps < 10_000
 
@@ -248,18 +238,20 @@ class TestQuantizedRun:
 class TestDeferredGapCheck:
     """A target-gap run checks its realized gaps once, after its loop."""
 
-    @pytest.mark.parametrize("setting", ["basic", "accelerated", "given_step", "schedule"])
+    @pytest.mark.parametrize("setting", ["basic", "accelerated", "quarter_step", "schedule"])
     def test_every_step_equals_approx_prox(self, small_lasso, setting):
         gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
         pspec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
         if setting == "schedule":  # every third target is 0.0: the exact prox
             pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5, 0.0, 1e-9] * 20)
-        stepsize = 0.25 / small_lasso.lipschitz if setting == "given_step" else None
+        problem = small_lasso
+        if setting == "quarter_step":  # L declared 4 times larger: the step 0.25/L
+            problem = dataclasses.replace(small_lasso, lipschitz=4.0 * small_lasso.lipschitz)
         cfg = SolverConfig(
-            variant="accelerated" if setting == "accelerated" else "basic", stepsize=stepsize,
+            variant="accelerated" if setting == "accelerated" else "basic",
             max_iters=60, grad_error=gspec, prox_error=pspec, seed=4,
         )
-        trace = solvers.run(small_lasso, cfg, np.zeros(small_lasso.n))
+        trace = solvers.run(problem, cfg, np.zeros(small_lasso.n))
         assert trace.num_steps == 60
         tape = draw_tape(gspec, pspec, small_lasso.n, 60, 4)
         points = trace.xs[:-1] if trace.ys is None else trace.ys
@@ -278,18 +270,17 @@ class TestDeferredGapCheck:
             assert np.all(trace.res[1::3] == 0.0) and not np.signbit(trace.res[1::3]).any()
 
     def test_out_of_window_run_names_the_first_step(self, small_lasso):
-        # the diverging stepsize-1000 LASSO: step 4 is the first whose point
-        # misses the window; fixed directions keep the tape's rows the same
-        # at every run length
+        # the diverging stepsize-1000 LASSO (L declared 1e-3): step 4 is the
+        # first whose point misses the window; fixed directions keep the
+        # tape's rows the same at every run length
         pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5] * 50, direction="fixed")
-        config = lambda iters: SolverConfig(
-            stepsize=1000.0, max_iters=iters, prox_error=pspec
-        )
+        config = lambda iters: SolverConfig(max_iters=iters, prox_error=pspec)
+        problem = dataclasses.replace(small_lasso, lipschitz=1e-3)
         with pytest.raises(OracleError, match=r"^approx_prox gap .* at step 4$"):
-            run_basic(small_lasso, config(50), np.zeros(small_lasso.n))
+            run_basic(problem, config(50), np.zeros(small_lasso.n))
         with pytest.raises(OracleError, match=r"at step 4$"):
-            run_basic(small_lasso, config(5), np.zeros(small_lasso.n))
-        trace = run_basic(small_lasso, config(4), np.zeros(small_lasso.n))
+            run_basic(problem, config(5), np.zeros(small_lasso.n))
+        trace = run_basic(problem, config(4), np.zeros(small_lasso.n))
         assert np.all((0.9e-5 <= trace.eps2) & (trace.eps2 <= 1e-5))
 
 
@@ -299,7 +290,6 @@ class TestFvals:
     @staticmethod
     def settings(problem):
         target = ProxErrorSpec(mode="target_gap", eps0=1e-4)
-        big = 1000.0 / problem.lipschitz
         return {
             "exact": {},
             "target_gap": {"prox_error": target},
@@ -312,22 +302,22 @@ class TestFvals:
                 "grad_error": GradientErrorSpec(model="relative", mode="random", delta=0.1),
                 "prox_error": target,
             },
-            "converged": {"abstol": 1e-9, "max_iters": 3000},
-            "diverging": {"stepsize": big, "max_iters": 5000},
+            "diverging": {"max_iters": 5000},
         }
 
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     @pytest.mark.parametrize(
         "setting",
         ["exact", "target_gap", "relative", "s16.8", "inner_solver", "default_step",
-         "converged", "diverging"],
+         "diverging"],
     )
     def test_equal_f_value_at_each_iterate(self, small_lasso, variant, setting):
         kw = {"max_iters": 200, "seed": 5, **self.settings(small_lasso)[setting]}
+        problem = diverging(small_lasso) if setting == "diverging" else small_lasso
         trace = (run_accelerated if variant == "accelerated" else run_basic)(
-            small_lasso, SolverConfig(variant=variant, **kw), np.zeros(small_lasso.n)
+            problem, SolverConfig(variant=variant, **kw), np.zeros(small_lasso.n)
         )
-        expected_status = {"converged": "converged", "diverging": "non-finite-iterate"}
+        expected_status = {"diverging": "non-finite-iterate"}
         assert trace.status == expected_status.get(setting, "iteration-cap")
         with np.errstate(over="ignore", invalid="ignore"):
             per_point = np.array([small_lasso.f_value(x) for x in trace.xs])
@@ -377,14 +367,14 @@ class TestHotPathBudget:
     def test_early_stop_asks_only_for_the_first_chunk_of_alphas(
         self, small_lasso, monkeypatch, variant
     ):
-        # a run that converges early under a huge cap pays for the alphas of
-        # one chunk of steps, not of the cap
+        # a run that stops early under a huge cap pays for the alphas of one
+        # chunk of steps, not of the cap
         asked = []
         real = solvers.alpha_series
         monkeypatch.setattr(solvers, "alpha_series", lambda kmax: asked.append(kmax) or real(kmax))
-        cfg = SolverConfig(variant=variant, max_iters=10**6, abstol=1e-6)
-        trace = solvers.run(small_lasso, cfg, np.zeros(small_lasso.n))
-        assert trace.status == "converged" and trace.num_steps < 1024
+        cfg = SolverConfig(variant=variant, max_iters=10**6)
+        trace = solvers.run(diverging(small_lasso), cfg, np.zeros(small_lasso.n))
+        assert trace.status == "non-finite-iterate" and trace.num_steps < 1024
         assert asked == [1023]
         assert trace.alphas.tobytes() == real(trace.num_steps - 1).tobytes()
 
@@ -419,39 +409,34 @@ RELATIVE = GradientErrorSpec(model="relative", mode="random", delta=1e-3)
 TARGET_GAP = ProxErrorSpec(mode="target_gap", eps0=1e-4)
 INNER = ProxErrorSpec(mode="inner_solver", eps0=1e-6)
 S16_8 = FixedPointFormat.parse("s16.8")
-# name -> (stepsize as a multiple of 1/L or None, SolverConfig fields)
+# name -> SolverConfig fields; a run's step is 1/((1 + delta) L) under relative
+# errors, else 1/L, and the diverging cases run on ``diverging(problem)``
 REFERENCE_CASES = {
-    "absolute": (1.0, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "relative": (1.0, dict(grad_error=RELATIVE, prox_error=TARGET_GAP)),
-    "relative_inner_solver": (1.0, dict(grad_error=RELATIVE, prox_error=INNER)),
-    "scheduled": (1.0, dict(grad_error=GradientErrorSpec(
+    "absolute": dict(grad_error=NOISE, prox_error=TARGET_GAP),
+    "relative": dict(grad_error=RELATIVE, prox_error=TARGET_GAP),
+    "relative_inner_solver": dict(grad_error=RELATIVE, prox_error=INNER),
+    "scheduled": dict(grad_error=GradientErrorSpec(
         mode="deterministic", schedule=[1e-3 * (-1) ** k / (k + 1) for k in range(60)]
-    ))),
-    "zero_targets": (1.0, dict(prox_error=ProxErrorSpec(
-        mode="target_gap", schedule=[0.0 if k % 3 == 0 else 1e-5 for k in range(60)]
-    ))),
-    "fixed_direction": (1.0, dict(
-        grad_error=NOISE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
     )),
-    "quantized": (1.0, dict(grad_error=S16_8)),
-    "quantized_saturating": (1.0, dict(grad_error=FixedPointFormat.parse("s6.3"))),
-    "inner_solver": (1.0, dict(prox_error=INNER)),
-    "abstol": (1.0, dict(abstol=1e-6, max_iters=2000)),
-    "diverging": (1000.0, dict(grad_error=NOISE, max_iters=2000)),
-    "diverging_target_gap": (1000.0, dict(grad_error=NOISE, prox_error=TARGET_GAP,
-                                          max_iters=2000)),
-    # no stepsize: the run's own 1/((1 + delta) L) under relative errors, else 1/L
-    "default_step": (None, dict(grad_error=NOISE, prox_error=TARGET_GAP)),
-    "default_step_exact": (None, dict(grad_error=NOISE)),
-    "default_step_inner_solver": (None, dict(prox_error=INNER)),
-    "default_step_quantized": (None, dict(grad_error=S16_8)),
-    "default_step_relative": (None, dict(grad_error=RELATIVE)),
-    "default_step_relative_big_delta": (None, dict(grad_error=GradientErrorSpec(
-        model="relative", mode="random", delta=0.1), prox_error=TARGET_GAP)),
-    "default_step_relative_schedule": (None, dict(grad_error=GradientErrorSpec(
-        model="relative", mode="deterministic", schedule=[0.5 * (-1) ** k for k in range(60)]))),
+    "zero_targets": dict(prox_error=ProxErrorSpec(
+        mode="target_gap", schedule=[0.0 if k % 3 == 0 else 1e-5 for k in range(60)]
+    )),
+    "fixed_direction": dict(
+        grad_error=NOISE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
+    ),
+    "quantized": dict(grad_error=S16_8),
+    "quantized_saturating": dict(grad_error=FixedPointFormat.parse("s6.3")),
+    "inner_solver": dict(prox_error=INNER),
+    "diverging": dict(grad_error=NOISE, max_iters=2000),
+    "diverging_target_gap": dict(grad_error=NOISE, prox_error=TARGET_GAP, max_iters=2000),
+    "default_step_exact": dict(grad_error=NOISE),
+    "default_step_relative": dict(grad_error=RELATIVE),
+    "default_step_relative_big_delta": dict(grad_error=GradientErrorSpec(
+        model="relative", mode="random", delta=0.1), prox_error=TARGET_GAP),
+    "default_step_relative_schedule": dict(grad_error=GradientErrorSpec(
+        model="relative", mode="deterministic", schedule=[0.5 * (-1) ** k for k in range(60)])),
     # the loop's second chunk of steps starts at step 1024
-    "past_first_chunk": (1.0, dict(max_iters=1100)),
+    "past_first_chunk": dict(max_iters=1100),
 }
 
 
@@ -468,10 +453,9 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
     def test_matches_reference_loop(self, problems, problem_name, case, variant):
         problem = problems[problem_name]
-        scale, fields = REFERENCE_CASES[case]
-        fields = {"max_iters": 60, **fields}
-        stepsize = None if scale is None else scale / problem.lipschitz
-        cfg = SolverConfig(variant=variant, stepsize=stepsize, seed=5, **fields)
+        if case.startswith("diverging"):
+            problem = diverging(problem)
+        cfg = SolverConfig(variant=variant, seed=5, **{"max_iters": 60, **REFERENCE_CASES[case]})
         accelerated = variant == "accelerated"
         x0 = np.ones(problem.n)  # at 0, mpc10's lam holds every step at 0
         try:
@@ -485,7 +469,7 @@ class TestReferenceLoop:
             return
         trace = solvers.run(problem, cfg, x0)
         assert trace.status == expected.status
-        want = {"abstol": "converged", "diverging": "non-finite-iterate"}
+        want = {"diverging": "non-finite-iterate"}
         assert trace.status == want.get(case, "iteration-cap")
         for name in ("xs", "ys", "steps", "betas", "alphas", "fvals", "eps1", "eps2", "res"):
             got, ref = getattr(trace, name), getattr(expected, name)
@@ -685,7 +669,7 @@ class TestReferenceSolution:
 
 
 class TestDefaultStepsize:
-    """A run without a stepsize takes the largest admissible constant step."""
+    """Every run takes the largest admissible constant step."""
 
     @pytest.mark.parametrize(
         "grad_error, inflation",
@@ -711,23 +695,10 @@ class TestDefaultStepsize:
         expected = np.full(20, 1.0 / (inflation * small_lasso.lipschitz))
         assert trace.steps.tobytes() == expected.tobytes()
 
-    def test_given_stepsize_is_kept(self, small_lasso):
-        relative = GradientErrorSpec(model="relative", mode="random", delta=0.1)
-        cfg = SolverConfig(stepsize=0.5 / small_lasso.lipschitz, max_iters=5, grad_error=relative)
-        trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
-        assert np.all(trace.steps == 0.5 / small_lasso.lipschitz)
-
 
 class TestConfigValidation:
-    def test_nonpositive_stepsize_rejected(self):
-        for s in (0.0, -1.0):
-            with pytest.raises(ValueError, match="stepsize must be positive"):
-                SolverConfig(stepsize=s)
-
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(variant="turbo")
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(abstol=-1.0)
