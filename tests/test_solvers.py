@@ -427,7 +427,15 @@ REFERENCE_CASES = {
     "quantized": dict(grad_error=S16_8),
     "quantized_saturating": dict(grad_error=FixedPointFormat.parse("s6.3")),
     "inner_solver": dict(prox_error=INNER),
+    "quantized_target_gap": dict(grad_error=S16_8, prox_error=TARGET_GAP),
+    "quantized_inner_solver": dict(grad_error=S16_8, prox_error=INNER),
+    "relative_fixed_direction": dict(
+        grad_error=RELATIVE, prox_error=ProxErrorSpec(mode="target_gap", eps0=1e-4, direction="fixed")
+    ),
     "diverging": dict(grad_error=NOISE, max_iters=2000),
+    "diverging_relative": dict(grad_error=RELATIVE, max_iters=2000),
+    # the s16.8 gradient keeps this 1000/L run finite up to its cap
+    "diverging_quantized": dict(grad_error=S16_8, max_iters=2000),
     "diverging_target_gap": dict(grad_error=NOISE, prox_error=TARGET_GAP, max_iters=2000),
     "default_step_exact": dict(grad_error=NOISE),
     "default_step_relative": dict(grad_error=RELATIVE),
@@ -469,7 +477,7 @@ class TestReferenceLoop:
             return
         trace = solvers.run(problem, cfg, x0)
         assert trace.status == expected.status
-        want = {"diverging": "non-finite-iterate"}
+        want = {"diverging": "non-finite-iterate", "diverging_relative": "non-finite-iterate"}
         assert trace.status == want.get(case, "iteration-cap")
         for name in ("xs", "ys", "steps", "betas", "alphas", "fvals", "eps1", "eps2", "res"):
             got, ref = getattr(trace, name), getattr(expected, name)
