@@ -7,6 +7,7 @@ use %.17g (lossless round-trip, byte-stable across runs).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -15,11 +16,15 @@ import tempfile
 import numpy as np
 
 from .bounds import SERIES, SERIES_NAMES
+from .solvers import RunTrace
 
 SCHEMA_VERSION = 1
 
 # the probabilistic series, whose probability columns follow the bound columns
 PROB_SERIES = tuple(row.name for row in SERIES if row.probabilistic)
+
+# what trace.npz stores of a run, in its order: every RunTrace field but the status
+TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.name != "status")
 
 BOUNDS_HEADER = ["iter", "f_gap"] + list(SERIES_NAMES) + [f"prob_{name}" for name in PROB_SERIES]
 
@@ -110,40 +115,22 @@ def save_iterates_bin(path, trace):
 
 
 def save_trace_npz(path, trace):
+    """The ``TRACE_ARRAYS`` of ``trace`` (a basic run's ``ys`` as a (0, n)
+    array) and whether it is ``accelerated``."""
+    arrays = {name: getattr(trace, name) for name in TRACE_ARRAYS}
+    if trace.ys is None:
+        arrays["ys"] = np.zeros((0, trace.n))
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        xs=trace.xs,
-        ys=trace.ys if trace.ys is not None else np.zeros((0, trace.n)),
-        steps=trace.steps,
-        betas=trace.betas,
-        alphas=trace.alphas,
-        fvals=trace.fvals,
-        eps1=trace.eps1,
-        eps2=trace.eps2,
-        res=trace.res,
-        accelerated=np.array(trace.ys is not None),
-    )
+    np.savez(buf, **arrays, accelerated=np.array(trace.ys is not None))
     atomic_write_bytes(path, buf.getvalue())
 
 
 def load_trace_npz(path):
-    from .solvers import RunTrace
-
     with np.load(path) as data:
-        accelerated = bool(data["accelerated"])
-        return RunTrace(
-            xs=data["xs"],
-            ys=data["ys"] if accelerated else None,
-            steps=data["steps"],
-            betas=data["betas"],
-            alphas=data["alphas"],
-            fvals=data["fvals"],
-            eps1=data["eps1"],
-            eps2=data["eps2"],
-            res=data["res"],
-            status="loaded",
-        )
+        arrays = {name: data[name] for name in TRACE_ARRAYS}
+        if not data["accelerated"]:
+            arrays["ys"] = None
+    return RunTrace(**arrays, status="loaded")
 
 
 def write_summary(path, payload):

@@ -47,8 +47,9 @@ class BoundParams:
 
     @classmethod
     def from_trace(cls, problem, trace, x_star, model="absolute", **overrides):
-        """Fill trace-derived defaults: min accepted stepsize and realized
-        gradient sup (x1.05 safety)."""
+        """Fill trace-derived defaults: the least stored step (a directory
+        made before every run had one constant step may hold several) and
+        the realized gradient sup (x1.05 safety)."""
         s = float(trace.steps.min())
         dist0 = float(np.linalg.norm(x_star - trace.xs[0]))
         if model == "absolute":
@@ -77,16 +78,16 @@ def u_sequence(trace, x_star):
     return x_star - trace.xs[1:] + (1.0 - trace.alphas)[:, None] * diffs
 
 
-def error_increments(trace, x_star, s, accelerated):
+def error_increments(trace, x_star, s):
     """Per-step terms of the cumulative error sum the theorems bound.
 
     ``nu_i . (x* - x^{i+1})``, or ``alpha_i nu_i . u^{i+1}`` for an
-    accelerated run, with ``nu_i = eps1^i - r^{i+1} / s``; ``s`` is the
-    stepsize, or one per step.
+    accelerated run (one with ``trace.ys``), with ``nu_i = eps1^i - r^{i+1} / s``
+    at the run's stepsize ``s``.
     """
     x_star = np.asarray(x_star, dtype=float)
-    nu = trace.eps1 - trace.res / np.reshape(s, (-1, 1))
-    if accelerated:
+    nu = trace.eps1 - trace.res / s
+    if trace.ys is not None:
         return trace.alphas * np.einsum("ij,ij->i", nu, u_sequence(trace, x_star))
     return np.einsum("ij,ij->i", nu, x_star - trace.xs[1:])
 
@@ -109,7 +110,7 @@ def bound_basic_det_series(trace, params, x_star):
     """
     s = params.s
     x_star = np.asarray(x_star, dtype=float)
-    cross = error_increments(trace, x_star, s, accelerated=False)
+    cross = error_increments(trace, x_star, s)
     res_sq = np.einsum("ij,ij->i", trace.res, trace.res)
     last_dist_sq = np.einsum("ij,ij->i", x_star - trace.xs[1:], x_star - trace.xs[1:])
     ks = np.arange(trace.num_steps)
@@ -213,7 +214,7 @@ def _acc_det(trace, params, cross):
 
 def bound_acc_det_series(trace, params, x_star):
     """Accelerated deterministic theorem: error-weighted momentum residuals."""
-    return _acc_det(trace, params, error_increments(trace, x_star, params.s, accelerated=True))
+    return _acc_det(trace, params, error_increments(trace, x_star, params.s))
 
 
 def bound_acc_det_corollary_series(trace, params):

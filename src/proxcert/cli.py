@@ -287,12 +287,15 @@ def problem_from_cfg(cfg):
     return problem, problem.meta.get("spec")
 
 
-def problem_digest(problem):
-    """SHA-256 over M, v and the float64 triple (lam, scale, L) of ``problem``."""
+def problem_digest(problem, *extra):
+    """SHA-256 over M, v and the float64s (lam, scale, *extra) of ``problem``.
+
+    The problem's data only, not the L computed from M, whose last bits may
+    move with the BLAS thread count; earlier versions wrote ``extra = (L,)``."""
     quad = problem.smooth
     digest = hashlib.sha256(np.ascontiguousarray(quad.mat))
     digest.update(np.ascontiguousarray(quad.vec))
-    digest.update(np.array([problem.reg.lam, 0.5 if quad.half else 1.0, problem.lipschitz]))
+    digest.update(np.array([problem.reg.lam, 0.5 if quad.half else 1.0, *extra]))
     return digest.hexdigest()
 
 
@@ -352,14 +355,7 @@ def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=
         "strict": strict,
     }
     if spec is not None:
-        summary.update(
-            n_p=spec.n_p,
-            n_c=spec.n_c,
-            condensed_lipschitz=problem.lipschitz,
-            # the reference diagonal lists cover a 2-step window; they are
-            # tiled per step to the configured horizon
-            weights_tiling="per-step blocks tiled to horizon",
-        )
+        summary["n_p"] = spec.n_p
     summary.update(extra or {})
     artifacts.write_summary(os.path.join(out, "summary.json"), summary)
     return EXIT_VIOLATION if strict and gated > 0 else EXIT_OK
@@ -468,8 +464,9 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     if problem.n != trace.n:
         raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "
                           f"with n = {problem.n}")
-    digest = problem_digest(problem)  # a summary without one re-certifies unchecked
-    if stored.get("problem_sha256", digest) != digest:
+    # a summary without a digest re-certifies unchecked
+    digests = (problem_digest(problem), problem_digest(problem, problem.lipschitz))
+    if stored.get("problem_sha256", digests[0]) not in digests:
         raise ConfigError(f"{from_dir} holds a run of another problem than the config's")
     grad_spec, prox_spec = _build_error_specs(cfg)
     overrides = _bound_overrides(cfg, grad_spec, prox_spec)

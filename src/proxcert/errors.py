@@ -394,13 +394,13 @@ def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
     return t, d_dot_xw
 
 
-def checked_gaps(h, steps, rays, directions, d_dot_d, targets):
-    """The realized gaps of :func:`ray_solve` steps 0, 1, ...
+def checked_gaps(h, s, rays, directions, d_dot_d, targets):
+    """The realized gaps of :func:`ray_solve` steps 0, 1, ... at stepsize ``s``.
 
     ``rays`` is ``(x, t, d_dot_xw)``, stacked over the steps solved: the
     exact prox points ``(k, n)`` and the returns of :func:`ray_solve`.
-    Step j was solved at ``steps[j]`` along ``directions[j]`` (with
-    ``d_dot_d[j]``) for ``targets[j]``; these may run past the last step.
+    Step j was solved along ``directions[j]`` (with ``d_dot_d[j]``) for
+    ``targets[j]``; these may run past the last step.
     One stacked :func:`_gap_along` call evaluates every gap, a zero
     target's as +0.0.  A gap outside ``[0.9, 1] * target`` raises
     :class:`OracleError` for the first such step, named when there is more
@@ -408,10 +408,10 @@ def checked_gaps(h, steps, rays, directions, d_dot_d, targets):
     """
     x, t, d_dot_xw = map(np.asarray, rays)
     k = len(t)
-    s, d, d_dot_d, targets = (np.asarray(a)[:k] for a in (steps, directions, d_dot_d, targets))
+    d, d_dot_d, targets = (np.asarray(a)[:k] for a in (directions, d_dot_d, targets))
     live = targets != 0.0
     gaps = np.zeros(k)
-    gaps[live] = _gap_along(h, s[live], x[live], d[live], t[live], d_dot_xw[live], d_dot_d[live])
+    gaps[live] = _gap_along(h, s, x[live], d[live], t[live], d_dot_xw[live], d_dot_d[live])
     bad = np.flatnonzero(~((0.9 * targets <= gaps) & (gaps <= targets)))
     if bad.size:
         i = bad[0]
@@ -438,7 +438,7 @@ def approx_prox(h, s, w, target_eps2, direction):
     abs_d, d_dot_d = ray_constants(d[None])
     x, point = np.empty_like(w), np.empty_like(w)
     t, d_dot_xw = ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0], x, point)
-    gap = checked_gaps(h, [s], ([x], [t], [d_dot_xw]), d[None], d_dot_d, [target_eps2])[0]
+    gap = checked_gaps(h, s, ([x], [t], [d_dot_xw]), d[None], d_dot_d, [target_eps2])[0]
     return point, gap, t * d if target_eps2 else np.zeros_like(w)
 
 

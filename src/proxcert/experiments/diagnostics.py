@@ -59,7 +59,7 @@ def martingale_diagnostic(
             seed=int(trial_seed),
         )
         trace = run(problem, config, x0)
-        incr = error_increments(trace, x_star, trace.steps, variant == "accelerated")
+        incr = error_increments(trace, x_star, trace.steps[0])
         befores.append(np.concatenate([[0.0], np.cumsum(incr)[:-1]]))  # T_{k-1}
         incrs.append(incr)
     before = np.concatenate(befores)

@@ -119,7 +119,8 @@ class MpcSpec:
         return self._cache["psi_phi"]
 
     def condensed_weights(self):
-        """``(Q, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``.
+        """``(q, H^{1/2}, H^{-1/2}, L)`` with ``H = Phi' Q Phi + R``, where
+        ``q`` is the diagonal of Q and Q, R tile the per-step weights.
 
         None of these depend on the state, so the condensations of one
         horizon share them.  g has Hessian 2H, and H is the Gram matrix of
@@ -127,21 +128,16 @@ class MpcSpec:
         """
         if "weights" not in self._cache:
             _, phi = self.prediction_matrices()
-            q_full = self.output_weight()
-            normal = phi.T @ q_full @ phi + self.input_weight()
+            q, r = np.tile(self.q_step, self.n_p), np.tile(self.r_step, self.n_c)
+            # a C-ordered Phi'Q takes the BLAS kernel, and so the bits, of Phi' @ diag(q)
+            normal = np.multiply(phi.T, q, order="C") @ phi + np.diag(r)
             eigs = np.linalg.eigvalsh(0.5 * (normal + normal.T))
             if eigs[0] <= 0:
                 raise ValueError("Phi'QPhi + R is not positive definite")
             root, inv_root = symmetric_sqrt(normal)
             lipschitz = 2.0 * lambda_max_bound(eigs[-1], sum(phi.shape))
-            self._cache["weights"] = (q_full, root, inv_root, lipschitz)
+            self._cache["weights"] = (q, root, inv_root, lipschitz)
         return self._cache["weights"]
-
-    def output_weight(self):
-        return np.diag(np.tile(self.q_step, self.n_p))
-
-    def input_weight(self):
-        return np.diag(np.tile(self.r_step, self.n_c))
 
     def with_state(self, x0):
         """A copy at state ``x0``; the rest of the spec was validated when
@@ -195,13 +191,13 @@ def mpc_to_lasso(spec):
     ``problem.meta["offset"]``.
     """
     psi, phi = spec.prediction_matrices()
-    q_full, root, inv_root, lipschitz = spec.condensed_weights()
+    q, root, inv_root, lipschitz = spec.condensed_weights()
     # -Psi x as 0 - Psi x: a zero entry of Psi x stays +0.0
     target = np.zeros(psi.shape[0]) - psi @ spec.x0
-    rhs = phi.T @ (q_full @ target)
-    vec = inv_root @ rhs
+    weighted = q * target
+    vec = inv_root @ (phi.T @ weighted)
     quad = QuadraticSmooth(root, vec, half=False)
-    offset = float(target @ (q_full @ target)) - float(vec @ vec)
+    offset = float(target @ weighted) - float(vec @ vec)
     return CompositeProblem.from_quadratic(
         quad,
         spec.lam,

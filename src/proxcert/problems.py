@@ -67,7 +67,8 @@ def lambda_max_bound(top, dim):
     worst case forming the Gram matrix errs by up to ``dim * eps * ||M||_F^2``,
     up to ``min(m, n)`` times more.
     """
-    return max(0.0, float(top)) * (1.0 + 4.0 * dim * np.finfo(float).eps)
+    # np.maximum keeps a NaN top (an overflowing Gram matrix) for the caller to see
+    return np.maximum(top, 0.0) * (1.0 + 4.0 * dim * np.finfo(float).eps)
 
 
 def symmetric_sqrt(mat):
@@ -301,5 +302,5 @@ def problem_from_json(doc):
             raise ValueError(f"{name} must be finite")
     problem = CompositeProblem.from_quadratic(QuadraticSmooth(mat, v, half=scale == 0.5), lam)
     if not 0 < problem.lipschitz < np.inf:
-        raise ValueError(f"L must be positive and finite, got {problem.lipschitz!r}")
+        raise ValueError(f"L must be positive and finite, got {problem.lipschitz}")
     return problem

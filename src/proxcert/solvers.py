@@ -124,11 +124,11 @@ def _gradient_oracle(problem, gspec, kappa, max_iters):
     return step, lambda probes: rows[: len(probes)]
 
 
-def _prox_oracle(problem, pspec, tape, max_iters):
-    """``(step, finish)`` of the run's prox-error kind: ``step(k, s, w, out)``
-    writes step k's inexact prox of ``s h`` at ``w`` into ``out``, and
-    ``finish(steps)``, given the stepsizes, returns the ``(eps2, res)`` rows of
-    the steps done."""
+def _prox_oracle(problem, pspec, tape, s, max_iters):
+    """``(step, finish)`` of the run's prox-error kind at the run's step ``s``:
+    ``step(k, w, out)`` writes step k's inexact prox of ``s h`` at ``w`` into
+    ``out``, and ``finish(done)`` returns the ``(eps2, res)`` rows of the
+    ``done`` steps taken."""
     reg, n = problem.reg, problem.n
     if tape.targets is not None:
         directions = tape.directions
@@ -137,19 +137,19 @@ def _prox_oracle(problem, pspec, tape, max_iters):
         exact_xs = np.empty((max_iters, n))  # the x of each step, checked by finish
         ts, d_dot_xws = [], []  # and its t and d'(x - w)
 
-        def step(k, s, w, out):
+        def step(k, w, out):
             t, d_dot_xw = ray_solve(
                 reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], exact_xs[k], out
             )
             ts.append(t)
             d_dot_xws.append(d_dot_xw)
 
-        def finish(steps):
+        def finish(_):
             # every realized gap in one call; the first one outside its
             # window is the run's error, also when a later step raised
             done = len(ts)
             rays = (exact_xs[:done], ts, d_dot_xws)
-            gaps = checked_gaps(reg, steps, rays, directions, d_dot_d, targets) if done else []
+            gaps = checked_gaps(reg, s, rays, directions, d_dot_d, targets) if done else []
             res = np.asarray(ts)[:, None] * directions[:done]
             res[np.asarray(targets[:done]) == 0.0] = 0.0  # +0.0, not t*d = -0.0
             return np.asarray(gaps), res
@@ -157,12 +157,12 @@ def _prox_oracle(problem, pspec, tape, max_iters):
     if pspec is not None and pspec.mode == "inner_solver":
         ress, gaps = np.empty((max_iters, n)), []
 
-        def step(k, s, w, out):
+        def step(k, w, out):
             out[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
             gaps.append(gap)
-        return step, lambda steps: (np.asarray(gaps), ress[: len(gaps)])
-    return (lambda k, s, w, out: reg.prox(s, w, out=out),
-            lambda steps: (np.zeros(len(steps)), np.zeros((len(steps), n))))
+        return step, lambda done: (np.asarray(gaps), ress[: len(gaps)])
+    return (lambda k, w, out: reg.prox(s, w, out=out),
+            lambda done: (np.zeros(done), np.zeros((done, n))))
 
 
 def _stepsize(problem, config):
@@ -179,9 +179,9 @@ def _run(problem, config, x0, accelerated):
     n, max_iters = problem.n, config.max_iters
     x0 = as_vector(x0, n, "x0")
     tape = draw_tape(config.grad_error, config.prox_error, n, max_iters, config.seed)
-    gradient, eps1 = _gradient_oracle(problem, config.grad_error, tape.kappa, max_iters)
-    prox, finish = _prox_oracle(problem, config.prox_error, tape, max_iters)
     s = _stepsize(problem, config)
+    gradient, eps1 = _gradient_oracle(problem, config.grad_error, tape.kappa, max_iters)
+    prox, finish = _prox_oracle(problem, config.prox_error, tape, s, max_iters)
 
     # step k writes row k + 1 of xs (and row k of ys) in place
     xs = np.empty((max_iters + 1, n))
@@ -208,23 +208,22 @@ def _run(problem, config, x0, accelerated):
                     np.add(x, np.multiply(y, betas[k], out=y), out=y)
                 noisy = gradient(k, y)
                 np.subtract(y, np.multiply(noisy, s, out=w), out=w)
-                prox(k, s, w, x_next)
+                prox(k, w, x_next)
                 # x'0 is NaN exactly when an entry of x is inf or NaN
                 if math.isnan(x_next.dot(zero)):
                     status = "non-finite-iterate"
                     break
     finally:
         # steps 0..k were taken (step k raised, when one did)
-        steps = np.full(k + 1, s)
-        eps2, res = finish(steps)
-    done = len(steps)
+        done = k + 1
+        eps2, res = finish(done)
     xs = xs[: done + 1]
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan
     ys = ys[:done] if accelerated else None
     return RunTrace(
-        xs=xs, ys=ys, steps=steps, betas=betas[:done], alphas=alphas[:done],
+        xs=xs, ys=ys, steps=np.full(done, s), betas=betas[:done], alphas=alphas[:done],
         fvals=fvals, eps1=eps1(ys if accelerated else xs[:done]), eps2=eps2, res=res, status=status,
     )
 

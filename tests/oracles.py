@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: golden-section and
 grid minimization, central finite differences, exact second differences of
 quadratics, brute-force sums, the MPC objective by explicit simulation and
-its unregularized minimizer in closed form, CSV artifacts formatted one cell
+its unregularized minimizer in closed form, the condensation with dense
+diagonal weight matrices, CSV artifacts formatted one cell
 at a time, problem files written with the standard library's ``json``, and
 the run loop written with lists, one allocation per row.
 """
@@ -111,8 +112,8 @@ def lqr_closed_form(mpc, x0):
     ``(Phi' Q Phi + R) U = -Phi' Q Psi x0``.
     """
     psi, phi = mpc.prediction_matrices()
-    q_full = mpc.output_weight()
-    r_full = mpc.input_weight()
+    q_full = np.diag(np.tile(mpc.q_step, mpc.n_p))
+    r_full = np.diag(np.tile(mpc.r_step, mpc.n_c))
     x0 = as_vector(x0, psi.shape[1], "x0")
     normal = phi.T @ q_full @ phi + r_full
     try:
@@ -121,6 +122,22 @@ def lqr_closed_form(mpc, x0):
         raise OracleError("normal matrix is not positive definite") from exc
     rhs = -phi.T @ (q_full @ (psi @ x0))
     return np.linalg.solve(normal, rhs)
+
+
+def reference_condensation(spec):
+    """``mpc_to_lasso``'s ``(H^{1/2}, vec, L, offset)`` with the tiled weights
+    as dense diagonal matrices: ``H = Phi' diag(q) Phi + diag(r)``."""
+    from proxcert.problems import lambda_max_bound, symmetric_sqrt
+
+    psi, phi = spec.prediction_matrices()
+    q_full = np.diag(np.tile(spec.q_step, spec.n_p))
+    normal = phi.T @ q_full @ phi + np.diag(np.tile(spec.r_step, spec.n_c))
+    root, inv_root = symmetric_sqrt(normal)
+    top = np.linalg.eigvalsh(0.5 * (normal + normal.T))[-1]
+    target = np.zeros(psi.shape[0]) - psi @ spec.x0
+    vec = inv_root @ (phi.T @ (q_full @ target))
+    offset = float(target @ (q_full @ target)) - float(vec @ vec)
+    return root, vec, 2.0 * lambda_max_bound(top, sum(phi.shape)), offset
 
 
 def svd_smax_sq(mat):
@@ -423,7 +440,7 @@ def reference_run(problem, config, x0, accelerated):
     finally:
         if rays:
             stacked = tuple(zip(*rays))
-            eps2s = checked_gaps(problem.reg, steps, stacked, tape.directions, d_dot_d, tape.targets)
+            eps2s = checked_gaps(problem.reg, s, stacked, tape.directions, d_dot_d, tape.targets)
     xs = np.asarray(xs)
     ys = np.asarray(ys) if accelerated else None
     fvals = problem.f_values(xs)

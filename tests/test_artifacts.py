@@ -11,8 +11,11 @@ from proxcert import (
     run_accelerated,
     run_basic,
 )
-from proxcert.artifacts import write_bounds_csv, write_comparison_csv, write_trace_csv
+from proxcert.artifacts import (
+    load_trace_npz, save_trace_npz, write_bounds_csv, write_comparison_csv, write_trace_csv,
+)
 from proxcert.bounds import BoundSeries, ObservedGaps, evaluate_all_series
+from proxcert.solvers import RunTrace
 
 from oracles import bounds_csv_text, comparison_csv_text, diverging, trace_csv_text
 
@@ -93,3 +96,21 @@ class TestCsvWritersMatchPerCellOracle:
                     for base in (baseline, "absent"):
                         write_comparison_csv(comparison, lst, g, base)
                         self.check(comparison, comparison_csv_text(lst, g, base))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverged run overflows
+def test_trace_npz_round_trip(tmp_path, small_lasso):
+    # every array of a basic, an accelerated and a diverged run comes back
+    # to the bit; a basic run has no ys
+    path = tmp_path / "trace.npz"
+    for trace in runs(small_lasso):
+        save_trace_npz(path, trace)
+        loaded = load_trace_npz(path)
+        assert loaded.status == "loaded"
+        for name in (f.name for f in dataclasses.fields(RunTrace) if f.name != "status"):
+            stored, back = getattr(trace, name), getattr(loaded, name)
+            if name == "ys" and stored is None:
+                assert back is None
+                continue
+            assert (back.dtype, back.shape) == (stored.dtype, stored.shape), name
+            assert back.tobytes() == stored.tobytes(), name

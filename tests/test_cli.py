@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -42,6 +43,14 @@ def read_summary(out_dir):
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+# the L a problem file without a positive, finite one gets, as its error names it
+L_NAMED = {
+    '{"n": 1, "M": [0], "v": [1]}': "0.0",
+    '{"n": 1, "M": [1e200], "v": [1]}': "inf",
+    '{"n": 2, "M": [1e200, 1, 1, 1], "v": [1, 1]}': "nan",
+}
 
 
 @pytest.fixture()
@@ -232,6 +241,7 @@ class TestConfigErrors:
             ("solve", "", '{"n": 1, "M": [1], "v": [1], "lambda": 1e999}'),
             ("solve", "", '{"n": 1, "M": [0], "v": [1]}'),  # computed L is 0
             ("solve", "", '{"n": 1, "M": [1e200], "v": [1]}'),  # computed L overflows
+            ("solve", "", '{"n": 2, "M": [1e200, 1, 1, 1], "v": [1, 1]}'),  # Gram has no top
             ("solve", "", '{"n": 2.5, "M": [1, 2], "v": [1]}'),
             ("solve", "", '{"n": 0, "M": [], "v": []}'),
             ("solve", "", '{"n": -1, "M": [1], "v": [1]}'),
@@ -269,7 +279,8 @@ class TestConfigErrors:
         ids=["truncated_json", "m_size_mismatch", "missing_n", "x0_not_numbers",
              "x0_wrong_dimension", "lasso_problem_file",
              "mpc_problem_file", "nan_in_m", "infinite_lambda",
-             "zero_matrix", "overflowing_matrix", "fractional_n", "zero_n", "negative_n",
+             "zero_matrix", "overflowing_matrix", "overflowing_gram",
+             "fractional_n", "zero_n", "negative_n",
              "negative_eps0", "negative_delta", "negative_solver_tol",
              "zero_gamma", "zero_trials", "duplicate_section",
              "nan_delta", "nan_gamma", "negative_closed_loop_steps",
@@ -289,7 +300,10 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(ini)
         assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if problem_json in L_NAMED:
+            assert f"L must be positive and finite, got {L_NAMED[problem_json]}\n" in err
 
     def test_removed_abstol_flag_exits_2(self, tmp_path, capsys):
         assert run_cli(["solve", "--abstol", "1e-6", "--out", str(tmp_path / "o")]) == 2
@@ -623,6 +637,37 @@ class TestBoundsCommand:
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert dir_bytes(dst) == {"keep.txt": b"earlier run"}
+
+    def test_another_last_bit_of_l_recertifies(self, tmp_path, toy_config, monkeypatch):
+        # L's eigensolve may move in its last bits with the BLAS thread
+        # count; problem_sha256 covers the problem's data, not L
+        from proxcert import QuadraticSmooth
+
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        real = QuadraticSmooth.lipschitz
+        monkeypatch.setattr(QuadraticSmooth, "lipschitz",
+                            lambda self: np.nextafter(real(self), np.inf))
+        assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 0
+        stored, recomputed = read_summary(src), read_summary(dst)
+        assert recomputed["lipschitz"] == np.nextafter(stored["lipschitz"], np.inf)
+        assert recomputed["problem_sha256"] == stored["problem_sha256"]
+
+    def test_digest_with_l_appended_recertifies(self, tmp_path, toy_config):
+        # a summary written while problem_sha256 also covered L, as a third
+        # float64 after (lam, scale), still names the problem
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
+        problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
+        quad = problem.smooth
+        digest = hashlib.sha256(quad.mat.tobytes() + quad.vec.tobytes())
+        digest.update(np.array([problem.reg.lam, 0.5 if quad.half else 1.0, problem.lipschitz]))
+        summary = read_summary(src)
+        assert summary["problem_sha256"] != digest.hexdigest()
+        summary["problem_sha256"] = digest.hexdigest()
+        (src / "summary.json").write_text(json.dumps(summary))
+        assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 0
+        assert (dst / "bounds.csv").read_bytes() == (src / "bounds.csv").read_bytes()
 
     def test_summary_not_an_object_exits_2(self, tmp_path, toy_config, capsys):
         src, dst = tmp_path / "src", tmp_path / "dst"

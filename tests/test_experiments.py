@@ -27,6 +27,7 @@ from oracles import (
     grid_min,
     lqr_closed_form,
     quadratic_hessian,
+    reference_condensation,
     rollout_objective,
     simulate_states,
 )
@@ -87,13 +88,15 @@ class TestSpacecraftConstants:
     def test_weights_tile_to_reference_window(self):
         # the reference diagonal lists cover a 2-step window
         spec = spacecraft_mpc(n_p=2, n_c=2)
-        q_full = np.diag(spec.output_weight())
-        r_full = np.diag(spec.input_weight())
+        q_full, root, _, _ = spec.condensed_weights()
         assert np.array_equal(
             q_full,
             [500.0, 500.0, 500.0, 1e-7, 1.0, 1.0, 1.0] * 2,
         )
-        assert np.array_equal(r_full, [200.0, 200.0, 200.0, 1.0] * 2)
+        # H^{1/2} squares to Phi'Q Phi + R, R the input weights tiled the same way
+        _, phi = spec.prediction_matrices()
+        r_full = np.diag([200.0, 200.0, 200.0, 1.0] * 2)
+        assert np.allclose(root @ root, phi.T @ np.diag(q_full) @ phi + r_full, rtol=1e-9)
         assert spec.lam == SPACECRAFT_LAMBDA == 16.79
 
 
@@ -159,6 +162,22 @@ class TestCondensation:
             assert cached.meta["offset"] == fresh.meta["offset"]
             assert cached.smooth.mat is first.smooth.mat
 
+    def test_matches_dense_diagonal_weights_bit_for_bit(self, rng):
+        # the weights scale Phi's rows as vectors; a C-ordered Phi'Q keeps the
+        # bits of the product with the dense diagonal Q at every horizon pair
+        bits = lambda a: np.asarray(a, dtype=float).tobytes()
+        states = [np.zeros(7), np.ones(7), rng.standard_normal(7)]
+        for n_p in range(1, 13):
+            for n_c in range(1, n_p + 1):
+                spec = spacecraft_mpc(n_p=n_p, n_c=n_c)
+                for x in states:
+                    problem = mpc_to_lasso(spec.with_state(x))
+                    mat, vec, lipschitz, offset = reference_condensation(spec.with_state(x))
+                    assert bits(problem.smooth.mat) == bits(mat), (n_p, n_c)
+                    assert bits(problem.smooth.vec) == bits(vec), (n_p, n_c)
+                    assert bits(problem.lipschitz) == bits(lipschitz), (n_p, n_c)
+                    assert bits(problem.meta["offset"]) == bits(offset), (n_p, n_c)
+
     def test_with_state_checks_only_the_state(self):
         spec = spacecraft_mpc(n_p=2)
         moved = spec.with_state([0.5] * 7)
@@ -207,7 +226,7 @@ class TestLqrClosedForm:
         spec = spacecraft_mpc(n_p=2, n_c=2, x0=rng.standard_normal(7))
         u_star = lqr_closed_form(spec, spec.x0)
         psi, phi = spec.prediction_matrices()
-        q_full, r_full = spec.output_weight(), spec.input_weight()
+        q_full, r_full = np.diag(np.tile(spec.q_step, 2)), np.diag(np.tile(spec.r_step, 2))
         grad = 2 * (phi.T @ q_full @ phi + r_full) @ u_star + 2 * phi.T @ q_full @ psi @ spec.x0
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(u_star))
 

@@ -176,8 +176,8 @@ class TestLipschitzUpperBound:
             spec = spacecraft_mpc(n_p=n_p)
             _, phi = spec.prediction_matrices()
             factor = np.vstack(
-                [np.sqrt(np.diag(spec.output_weight()))[:, None] * phi,
-                 np.diag(np.sqrt(np.diag(spec.input_weight())))]
+                [np.sqrt(np.tile(spec.q_step, n_p))[:, None] * phi,
+                 np.diag(np.sqrt(np.tile(spec.r_step, n_p)))]
             )
             truth = 2.0 * svd_smax_sq(factor)
             L = mpc_to_lasso(spec).lipschitz
