@@ -5,7 +5,6 @@ from .problems import (
     L1Term,
     OracleError,
     QuadraticSmooth,
-    max_constant_stepsize,
     problem_from_json,
 )
 from .errors import (
@@ -33,7 +32,6 @@ __all__ = [
     "L1Term",
     "OracleError",
     "QuadraticSmooth",
-    "max_constant_stepsize",
     "problem_from_json",
     "FixedPointFormat",
     "GradientErrorSpec",

@@ -227,24 +227,12 @@ def bound_acc_random_series(trace, params, x_star):
     """Running probabilistic accelerated bound (theorem weights i, not alpha_i).
 
     Needs realized eps2 and the u-sequence; the expectation in the first term
-    uses ``params.eps2_mean`` when set, otherwise the realized sum.  The
-    i-weighted sums presume the momentum sequence grows no faster than the
-    iteration counter; a warning is emitted when the trace's alphas exceed i
-    beyond the first two indices (the standard rules never do).
+    uses ``params.eps2_mean`` when set, otherwise the realized sum.
     """
     s, g = params.s, params.gamma
     if params.m_grad is None:
         raise ValueError("m_grad is required")
     t = trace.num_steps
-    if t > 3 and np.any(trace.alphas[3:] > np.arange(3, t)):
-        import warnings
-
-        warnings.warn(
-            "momentum sequence exceeds the iteration counter; the i-weighted "
-            "probabilistic sums are not an upper bound for this rule",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     useq = u_sequence(trace, x_star)
     u_sq = np.einsum("ij,ij->i", useq, useq)  # ||u^{i+1}||^2 at index i
     idx = np.arange(t)
@@ -280,10 +268,9 @@ def bound_schmidt_basic_series(trace, params):
     w[0] = b[0] = 0.0  # sums run i = 1..k
     a_k = np.cumsum(w)
     b_k = np.cumsum(b)
-    ks = np.arange(t).astype(float)
-    with np.errstate(divide="ignore"):
-        values = (L / (2.0 * ks)) * (params.dist0 + 2.0 * a_k + np.sqrt(2.0 * b_k)) ** 2
-    values[0] = np.nan
+    ks = np.arange(1, t).astype(float)
+    values = np.full(t, np.nan)  # undefined at k = 0
+    values[1:] = (L / (2.0 * ks)) * (params.dist0 + 2.0 * a_k[1:] + np.sqrt(2.0 * b_k[1:])) ** 2
     return values
 
 
@@ -422,9 +409,10 @@ def fejer_monotone(trace, x_star):
     return bool(np.all(dists <= dists[0] * (1.0 + 1e-12)))
 
 
-def evaluate_all_series(trace, params, x_star, variant):
-    """The ``SERIES`` rows of a run variant, evaluated along the trace, in
-    CSV-column order."""
+def evaluate_all_series(trace, params, x_star):
+    """The ``SERIES`` rows of the trace's variant (accelerated when it has
+    ``ys``), evaluated along it, in CSV-column order."""
+    variant = "basic" if trace.ys is None else "accelerated"
     ones = np.ones(trace.num_steps)
     out = []
     for row in SERIES:

@@ -38,7 +38,6 @@ from .experiments import (
     azuma_coverage,
     gen_lasso,
     hoeffding_coverage,
-    lasso_problem,
     martingale_diagnostic,
     mpc_closed_loop,
     mpc_to_lasso,
@@ -85,7 +84,6 @@ DEFAULTS = {
     },
     "bounds": {"gamma": "3.0"},
     "verify": {"trials": "200"},
-    "quantize": {"values": "0,1.3,-1.3,0.026,100,-100"},
 }
 
 
@@ -161,15 +159,14 @@ def _get_bool(cfg, sec, key):
     raise ConfigError(f"[{sec}] {key} must be a boolean, got {raw!r}")
 
 
-def _get_floats(cfg, sec, key, finite=True):
-    """Comma-separated numbers, finite unless ``finite`` is False; empty
-    items are skipped."""
+def _get_floats(cfg, sec, key):
+    """Comma-separated finite numbers; empty items are skipped."""
     raw = cfg[sec][key]
     try:
         values = [float(t) for t in raw.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"[{sec}] {key} must be a list of numbers, got {raw.strip()!r}") from exc
-    if finite and not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"[{sec}] {key} must be a list of finite numbers, got {raw.strip()!r}")
     return values
 
@@ -239,13 +236,13 @@ def _bound_overrides(cfg, grad_spec, prox_spec):
 
 
 def problem_from_cfg(cfg):
-    """The problem a run command solves: ``(problem, mpc_spec)``.
+    """The problem a run command solves.
 
     ``mpc`` condenses the spacecraft regulator of ``[mpc]`` (and records the
-    resolved horizons in ``cfg``, so the config echo shows them); ``solve``
-    reads ``[problem] file`` when set, otherwise it generates the instance
-    from ``[lasso]`` as ``lasso`` always does.  ``lasso`` and ``mpc`` reject
-    ``[problem] file``.  ``mpc_spec`` is None for non-MPC problems.
+    resolved horizons in ``cfg``, so the config echo shows them); its spec is
+    ``problem.meta["spec"]``.  ``solve`` reads ``[problem] file`` when set,
+    otherwise it generates the instance from ``[lasso]`` as ``lasso`` always
+    does.  ``lasso`` and ``mpc`` reject ``[problem] file``.
     """
     command = cfg["run"]["command"].strip()
     pfile = cfg["problem"]["file"].strip()
@@ -278,13 +275,12 @@ def problem_from_cfg(cfg):
             lam=_get(cfg, "lasso", "lam"),
             seed=_get(cfg, "lasso", "seed", int),
         )
-        build = lambda: lasso_problem(gen_lasso(**kwargs))
+        build = lambda: gen_lasso(**kwargs)
         source = "[lasso]"
     try:
-        problem = build()
+        return build()
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid {source}: {exc}") from exc
-    return problem, problem.meta.get("spec")
 
 
 def problem_digest(problem, *extra):
@@ -301,14 +297,14 @@ def problem_digest(problem, *extra):
 
 # a diverged run's bounds and gaps overflow; that is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=None):
+def certify(cfg, problem, trace, grad_spec, overrides, strict, extra=None):
     """Check a trace against every bound series and write the run artifacts.
 
     ``grad_spec`` is the run's gradient spec and ``overrides`` the
     ``_bound_overrides`` of its config.  Computes the reference solution and
     the bound parameters, writes ``trace.csv``, ``bounds.csv``, ``comparison.csv``
     (``lasso``/``mpc``), ``iterates.bin``, ``trace.npz`` and ``summary.json``
-    (plus the MPC fields when ``spec`` is given and any ``extra`` keys), and
+    (plus ``n_p`` for an MPC problem and any ``extra`` keys), and
     returns the exit code: a violation of a gated series fails only under
     ``strict``.
     """
@@ -322,8 +318,7 @@ def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=
     model = grad_spec.model if isinstance(grad_spec, GradientErrorSpec) else "absolute"
     params = BoundParams.from_trace(problem, trace, x_star, model=model, **overrides)
     observed = ObservedGaps.from_trace(problem, trace, f_star)
-    variant = "basic" if trace.ys is None else "accelerated"
-    series = evaluate_all_series(trace, params, x_star, variant)
+    series = evaluate_all_series(trace, params, x_star)
     # the gated theorem's target is the run's native gap; comparison.csv
     # measures every series against the Schmidt et al. baseline
     native_gap = observed.for_target(next(s.target for s in series if s.gate))
@@ -354,8 +349,8 @@ def certify(cfg, problem, trace, grad_spec, overrides, strict, spec=None, extra=
         "series_checked": {r.name: r.checked for r in reports},
         "strict": strict,
     }
-    if spec is not None:
-        summary["n_p"] = spec.n_p
+    if "spec" in problem.meta:
+        summary["n_p"] = problem.meta["spec"].n_p
     summary.update(extra or {})
     artifacts.write_summary(os.path.join(out, "summary.json"), summary)
     return EXIT_VIOLATION if strict and gated > 0 else EXIT_OK
@@ -384,7 +379,8 @@ def cmd_run(cfg, command):
     ``_prepare_out`` touches the out directory.
     """
     cfg["run"]["command"] = command
-    problem, spec = problem_from_cfg(cfg)
+    problem = problem_from_cfg(cfg)
+    spec = problem.meta.get("spec")
     grad_spec, prox_spec = _build_error_specs(cfg)
     accelerated = cfg["solver"]["variant"].strip() == "accelerated"
     default_iters = {"solve": 100, "lasso": 300, "mpc": 20 if accelerated else 300}[command]
@@ -412,7 +408,7 @@ def cmd_run(cfg, command):
         norms = artifacts.fmt_column(report.state_norms)
         artifacts.write_csv(os.path.join(out, "closed_loop.csv"), ["step", "state_norm"], [norms])
         extra["closed_loop_status"] = report.status
-    return certify(cfg, problem, trace, grad_spec, overrides, strict, spec, extra)
+    return certify(cfg, problem, trace, grad_spec, overrides, strict, extra)
 
 
 def cmd_bounds(file_cfg, overrides, from_dir):
@@ -460,19 +456,23 @@ def cmd_bounds(file_cfg, overrides, from_dir):
     variant = "basic" if trace.ys is None else "accelerated"
     if cfg["solver"]["variant"].strip() != variant:
         raise ConfigError(f"{from_dir} holds a {variant} run; [solver] variant cannot change it")
-    problem, spec = problem_from_cfg(cfg)
+    problem = problem_from_cfg(cfg)
     if problem.n != trace.n:
         raise ConfigError(f"{from_dir} holds a run with n = {trace.n}, the config a problem "
                           f"with n = {problem.n}")
-    # a summary without a digest re-certifies unchecked
-    digests = (problem_digest(problem), problem_digest(problem, problem.lipschitz))
+    # a summary without a digest re-certifies unchecked; an earlier version's
+    # digest also hashed L, the one its summary records when that is finite
+    stored_l = stored.get("lipschitz")
+    if not (isinstance(stored_l, (int, float)) and math.isfinite(stored_l)):
+        stored_l = problem.lipschitz
+    digests = (problem_digest(problem), problem_digest(problem, float(stored_l)))
     if stored.get("problem_sha256", digests[0]) not in digests:
         raise ConfigError(f"{from_dir} holds a run of another problem than the config's")
     grad_spec, prox_spec = _build_error_specs(cfg)
     overrides = _bound_overrides(cfg, grad_spec, prox_spec)
     strict = _get_bool(cfg, "run", "strict")
     _prepare_out(cfg)
-    return certify(cfg, problem, trace, grad_spec, overrides, strict, spec)
+    return certify(cfg, problem, trace, grad_spec, overrides, strict)
 
 
 def cmd_verify(cfg):
@@ -483,7 +483,7 @@ def cmd_verify(cfg):
     k_max, gammas = 25, [1.0, 2.0, 3.0]  # steps of a martingale run, coverage gammas
     seed = _get_seed(cfg)
     out = _prepare_out(cfg)
-    problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
+    problem = gen_lasso(n=20, m=50, seed=7)
     x_star, _ = reference_solution(problem)
     gspec = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
     pspec = ProxErrorSpec(mode="target_gap", eps0=1e-6)
@@ -527,7 +527,9 @@ def cmd_verify(cfg):
     return EXIT_OK if status == "pass" else EXIT_DIAGNOSTIC
 
 
-def cmd_quantize(cfg):
+def cmd_quantize(cfg, values):
+    """Print the format's range and ulp and the quantization of ``values``
+    (``inf`` shows saturation)."""
     fmt, _ = _build_error_specs(cfg)
     if not isinstance(fmt, FixedPointFormat):
         raise ConfigError("quantize needs --format")
@@ -535,7 +537,6 @@ def cmd_quantize(cfg):
     print(f"format        {fmt}")
     print(f"dynamic range [{lo:.10g}, {hi:.10g}]")
     print(f"ulp           {fmt.ulp:.10g}")
-    values = _get_floats(cfg, "quantize", "values", finite=False)  # inf shows saturation
     print(f"{'input':>18}  {'quantized':>18}")
     for v in values:
         # + 0.0 prints a rounded-away negative input as 0: the format has no -0
@@ -568,7 +569,8 @@ def build_parser():
     p_bounds = sub.add_parser("bounds", parents=[common])
     p_bounds.add_argument("--from", dest="from_dir", required=True, help="stored run directory")
     p_q = sub.add_parser("quantize", parents=[common])
-    p_q.add_argument("values", nargs="*", type=float, help="sample inputs to quantize")
+    p_q.add_argument("values", nargs="*", type=float, help="sample inputs to quantize",
+                     default=[0.0, 1.3, -1.3, 0.026, 100.0, -100.0])
     return parser
 
 
@@ -577,8 +579,6 @@ def _overrides_from_args(args):
     ov = {tuple(dest.split(".")): value for dest, value in vars(args).items() if "." in dest}
     if args.strict:
         ov[("run", "strict")] = "true"
-    if getattr(args, "values", None):
-        ov[("quantize", "values")] = ",".join(str(v) for v in args.values)
     return ov
 
 
@@ -600,7 +600,7 @@ def main(argv=None):
         elif args.command == "verify":
             code = cmd_verify(cfg)
         elif args.command == "quantize":
-            code = cmd_quantize(cfg)
+            code = cmd_quantize(cfg, args.values)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
         if code == EXIT_OK and args.command not in ("quantize",):

@@ -7,7 +7,7 @@ from .mpc import (
     spacecraft_model,
     spacecraft_mpc,
 )
-from .lasso import LassoInstance, gen_lasso, lasso_problem
+from .lasso import gen_lasso
 from .diagnostics import (
     DiagnosticReport,
     azuma_coverage,
@@ -23,9 +23,7 @@ __all__ = [
     "mpc_to_lasso",
     "spacecraft_model",
     "spacecraft_mpc",
-    "LassoInstance",
     "gen_lasso",
-    "lasso_problem",
     "DiagnosticReport",
     "azuma_coverage",
     "hoeffding_coverage",

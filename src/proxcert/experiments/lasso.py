@@ -7,31 +7,15 @@ is reproducible from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..problems import CompositeProblem, QuadraticSmooth
 
 
-@dataclass(frozen=True)
-class LassoInstance:
-    a: np.ndarray
-    y: np.ndarray
-    lam: float
-    x_true: np.ndarray
-
-    @property
-    def n(self):
-        return self.a.shape[1]
-
-    @property
-    def m(self):
-        return self.a.shape[0]
-
-
 def gen_lasso(n=100, m=500, sparsity=None, noise=0.01, lam=None, seed=0):
-    """Random LASSO with planted support.
+    """Random LASSO with planted support, as the ``CompositeProblem`` of
+    ``A``, ``y`` and ``lam`` (1/2-scaled smooth part); the planted signal is
+    ``meta["x_true"]``.
 
     ``sparsity`` is the planted support size (default 10% of n); entries are
     unit magnitude with random sign.  ``lam`` defaults to
@@ -53,10 +37,6 @@ def gen_lasso(n=100, m=500, sparsity=None, noise=0.01, lam=None, seed=0):
         y = y + noise * rng.standard_normal(m)
     if lam is None:
         lam = 0.1 * float(np.abs(a.T @ y).max())
-    return LassoInstance(a=a, y=y, lam=float(lam), x_true=x_true)
-
-
-def lasso_problem(instance):
-    """CompositeProblem for an instance (1/2-scaled smooth part)."""
-    quad = QuadraticSmooth(instance.a, instance.y, half=True)
-    return CompositeProblem.from_quadratic(quad, instance.lam)
+    return CompositeProblem.from_quadratic(
+        QuadraticSmooth(a, y, half=True), float(lam), meta={"x_true": x_true}
+    )

@@ -1,4 +1,4 @@
-"""Composite problems, exact oracles, and the admissible constant stepsize.
+"""Composite problems and their exact oracles.
 
 A composite problem is ``f(x) = g(x) + h(x)`` with ``g`` smooth convex
 (Lipschitz gradient, constant ``L``) and ``h`` convex, possibly nonsmooth,
@@ -206,14 +206,13 @@ class CompositeProblem:
 
     @classmethod
     def from_quadratic(cls, quad, lam, meta=None, lipschitz=None):
-        """``quad + lam ||.||_1``; L is ``quad.lipschitz()`` unless already known."""
-        return cls(
-            n=quad.n,
-            smooth=quad,
-            reg=L1Term(lam),
-            lipschitz=quad.lipschitz() if lipschitz is None else lipschitz,
-            meta=meta or {},
-        )
+        """``quad + lam ||.||_1``; L is ``quad.lipschitz()`` unless already known.
+        Raises ``ValueError`` when L is not positive and finite (an all-zero
+        M, or one whose Gram matrix overflows)."""
+        L = quad.lipschitz() if lipschitz is None else lipschitz
+        if not 0 < L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {L}")
+        return cls(n=quad.n, smooth=quad, reg=L1Term(lam), lipschitz=L, meta=meta or {})
 
     def grad(self, x):
         x = as_vector(x, self.n)
@@ -267,13 +266,6 @@ class CompositeProblem:
         return c * (m + n + 1) * np.finfo(float).eps * float(ax @ (ax + np.abs(quad.vec)))
 
 
-def max_constant_stepsize(lipschitz, delta=0.0, relative=False):
-    """Largest admissible constant stepsize: 1/L, or 1/((1+delta)L) under the
-    relative gradient-error model."""
-    L = lipschitz * (1.0 + delta) if relative else lipschitz
-    return 1.0 / L
-
-
 def problem_from_json(doc):
     """The composite problem of a JSON document: ``str``, ``bytes`` or a decoded dict.
 
@@ -281,7 +273,8 @@ def problem_from_json(doc):
     library's ``json``, several times faster on a large ``M``.  L is always
     computed from ``M``; keys the format does not define, ``"L"`` among them,
     are ignored.  Raises ``ValueError`` on malformed or non-finite data, an
-    ``n`` that is not a positive integer and an L that is not positive and finite.
+    ``n`` that is not a positive integer and, from ``from_quadratic``, an L
+    that is not positive and finite.
     """
     if not isinstance(doc, dict):
         import orjson  # here only: a process that decodes no problem file never loads it
@@ -300,7 +293,4 @@ def problem_from_json(doc):
     for name, value in (("M", mat), ("v", v), ("lambda", lam)):
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
-    problem = CompositeProblem.from_quadratic(QuadraticSmooth(mat, v, half=scale == 0.5), lam)
-    if not 0 < problem.lipschitz < np.inf:
-        raise ValueError(f"L must be positive and finite, got {problem.lipschitz}")
-    return problem
+    return CompositeProblem.from_quadratic(QuadraticSmooth(mat, v, half=scale == 0.5), lam)

@@ -27,7 +27,7 @@ from .errors import (
     ray_constants,
     ray_solve,
 )
-from .problems import as_vector, max_constant_stepsize
+from .problems import as_vector
 
 def alpha_series(kmax):
     """FISTA's alpha_0 = 1 .. alpha_kmax, alpha_k = (1 + sqrt(1 + 4 alpha_{k-1}^2))/2,
@@ -170,7 +170,7 @@ def _stepsize(problem, config):
     1/((1+delta)L) under relative gradient errors (delta: ``bound``)."""
     gspec = config.grad_error
     relative = isinstance(gspec, GradientErrorSpec) and gspec.model == "relative"
-    return max_constant_stepsize(problem.lipschitz, gspec.bound if relative else 0.0, relative)
+    return 1.0 / (problem.lipschitz * (1.0 + gspec.bound) if relative else problem.lipschitz)
 
 
 # overflow during divergence is an expected, reported outcome

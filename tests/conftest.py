@@ -7,13 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from proxcert import reference_solution
-from proxcert.experiments import gen_lasso, lasso_problem
+from proxcert.experiments import gen_lasso
 
 
 @pytest.fixture(scope="session")
 def small_lasso():
     """Seeded n=20, m=50 LASSO shared across tests."""
-    return lasso_problem(gen_lasso(n=20, m=50, seed=7))
+    return gen_lasso(n=20, m=50, seed=7)
 
 
 @pytest.fixture(scope="session")

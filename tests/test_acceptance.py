@@ -41,7 +41,6 @@ from proxcert.experiments import (
     azuma_coverage,
     gen_lasso,
     hoeffding_coverage,
-    lasso_problem,
     martingale_diagnostic,
     mpc_to_lasso,
     spacecraft_mpc,
@@ -58,7 +57,7 @@ def report(num, ok, detail=""):
 @pytest.fixture(scope="module")
 def bench():
     """Seeded n=20, m=50 LASSO with a high-accuracy reference solution."""
-    problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
+    problem = gen_lasso(n=20, m=50, seed=7)
     x_star, f_star = reference_solution(problem)
     return problem, x_star, f_star
 

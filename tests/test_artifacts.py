@@ -81,9 +81,8 @@ class TestCsvWritersMatchPerCellOracle:
         x_star, f_star = small_lasso_ref
         bounds, comparison = tmp_path / "bounds.csv", tmp_path / "comparison.csv"
         for trace in runs(small_lasso):
-            variant = "accelerated" if trace.ys is not None else "basic"
             params = BoundParams.from_trace(small_lasso, trace, x_star, model="absolute")
-            series = evaluate_all_series(trace, params, x_star, variant)
+            series = evaluate_all_series(trace, params, x_star)
             gaps = ObservedGaps.from_trace(small_lasso, trace, f_star)
             gap = gaps.iterate_next if trace.ys is not None else gaps.ergodic_incl
             baseline = "schmidt_acc" if trace.ys is not None else "schmidt_basic"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from proxcert import (
     BoundParams,
+    CompositeProblem,
     GradientErrorSpec,
     ProxErrorSpec,
+    QuadraticSmooth,
     SolverConfig,
     check_bound_validity,
     evaluate_all_series,
@@ -364,7 +367,7 @@ class TestValidity:
     def test_valid_run_zero_violations(self, noisy_runs):
         prob, x_star, f_star, bas, _, params, _ = noisy_runs
         obs = ObservedGaps.from_trace(prob, bas, f_star)
-        series = evaluate_all_series(bas, params, x_star, "basic")
+        series = evaluate_all_series(bas, params, x_star)
         for s in series:
             if s.name == "thm_basic_det":
                 assert check_bound_validity(s, obs).violations == 0
@@ -407,7 +410,7 @@ class TestProbabilityColumns:
         trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
         params = replace(params, gamma=gamma, eps2_mean=4e-6)
         checked = 0
-        for s in evaluate_all_series(trace, params, x_star, variant):
+        for s in evaluate_all_series(trace, params, x_star):
             if s.name in self.FACTORS:
                 want = max(0.0, 1.0 - self.FACTORS[s.name] * math.exp(-gamma * gamma / 2.0))
                 finite = s.probability[np.isfinite(s.probability)]
@@ -430,7 +433,7 @@ class TestSeriesCatalogue:
     def test_rows_targets_and_gates(self, noisy_runs, variant, eps2_mean):
         _, x_star, _, bas, acc, params, params_acc = noisy_runs
         trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
-        series = evaluate_all_series(trace, replace(params, eps2_mean=eps2_mean), x_star, variant)
+        series = evaluate_all_series(trace, replace(params, eps2_mean=eps2_mean), x_star)
         expected = [e for e in self.EXPECTED[variant]
                     if eps2_mean is not None or e[0] != "thm_basic_stat"]
         assert [(s.name, s.target) for s in series] == expected
@@ -441,6 +444,26 @@ class TestSeriesCatalogue:
         for s in series:  # only the prob_* columns' series are probabilistic
             finite = s.probability[np.isfinite(s.probability)]
             assert np.all(finite == 1.0) == (f"prob_{s.name}" not in columns), s.name
+
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_every_row_from_the_optimum_warns_nothing(self, variant):
+        # criterion 7's toy (M = I, 1/2-scaled) with x* = 0, run from x*:
+        # dist0 and the k = 0 error sums are 0, where a 1/k factor is inf
+        problem = CompositeProblem.from_quadratic(
+            QuadraticSmooth(np.eye(2), np.array([0.1, -0.2]), half=True), 0.3
+        )
+        x_star = np.zeros(2)
+        pspec = ProxErrorSpec(mode="target_gap", eps0=1e-4)
+        config = SolverConfig(variant=variant, max_iters=20, prox_error=pspec, seed=0)
+        trace = (run_basic if variant == "basic" else run_accelerated)(problem, config, x_star)
+        params = BoundParams.from_trace(problem, trace, x_star, eps0=1e-4, eps2_mean=5e-5)
+        assert params.dist0 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = evaluate_all_series(trace, params, x_star)
+        assert [s.name for s in series] == [e[0] for e in self.EXPECTED[variant]]
+        for s in series:
+            assert np.all(np.isfinite(s.values[1:])), s.name
 
     @pytest.mark.parametrize(
         "name, variant",
@@ -458,7 +481,7 @@ class TestSeriesCatalogue:
         _, x_star, _, bas, acc, params, params_acc = noisy_runs
         trace, params = (bas, params) if variant == "basic" else (acc, params_acc)
         params = replace(params, eps2_mean=4e-6)
-        before = evaluate_all_series(trace, params, x_star, variant)
+        before = evaluate_all_series(trace, params, x_star)
         orig = getattr(bounds, name)
 
         def doubled(*args):
@@ -466,7 +489,7 @@ class TestSeriesCatalogue:
             return (2 * result[0], result[1]) if isinstance(result, tuple) else 2 * result
 
         monkeypatch.setattr(bounds, name, doubled)
-        after = evaluate_all_series(trace, params, x_star, variant)
+        after = evaluate_all_series(trace, params, x_star)
         changed = [a.name for a, b in zip(after, before)
                    if not np.array_equal(a.values, b.values, equal_nan=True)]
         assert len(changed) == 1

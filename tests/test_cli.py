@@ -14,7 +14,7 @@ import proxcert.cli as cli
 import proxcert.solvers as solvers
 from proxcert import reference_solution
 from proxcert.cli import DEFAULTS, build_parser, main
-from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
+from proxcert.experiments import gen_lasso, mpc_to_lasso, spacecraft_mpc
 
 from oracles import l1_dual_bound, problem_to_json
 
@@ -487,7 +487,7 @@ class TestBoundsCommand:
         # the gap is f* minus an independent dual bound at the reference point
         runs = {
             "solve": (["solve", "--config", str(toy_config)],
-                      lasso_problem(gen_lasso(n=20, m=50, seed=7))),
+                      gen_lasso(n=20, m=50, seed=7)),
             "mpc": (["mpc", "--iters", "20"],
                     mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7)))),
         }
@@ -505,7 +505,7 @@ class TestBoundsCommand:
 
     def test_echo_with_removed_keys_recertifies(self, tmp_path, toy_config):
         # an echo written before [bounds] m_u, p and eps2_mean, [quantize]
-        # format, [errors] prox_mode and direction, [solver] momentum,
+        # format and values, [errors] prox_mode and direction, [solver] momentum,
         # backtracking, eta and stepsize, [run] abstol, [mpc] n_c and [verify]
         # k_max and gammas were removed still loads, and gives the same
         # artifacts as a current one: the bounds take the step in trace.npz
@@ -515,7 +515,6 @@ class TestBoundsCommand:
         echo = (src / "config_echo.ini").read_text()
         added = {
             "bounds": "m_u = \np = 0.5\neps2_mean = 1e-3\n",
-            "quantize": "format = \n",
             "errors": "prox_mode = exact\ndirection = fixed\n",
             "solver": "momentum = linear\nbacktracking = true\neta = 0.5\nstepsize = 0.005\n",
             "run": "abstol = 1e-6\n",
@@ -525,6 +524,7 @@ class TestBoundsCommand:
         for sec, lines in added.items():
             assert f"[{sec}]\n" in echo, sec
             echo = echo.replace(f"[{sec}]\n", f"[{sec}]\n{lines}")
+        echo += "[quantize]\nformat = \nvalues = 0,1.3,-1.3,0.026,100,-100\n\n"
         (src / "config_echo.ini").write_text(echo)
         assert run_cli(["bounds", "--from", str(src), "--out", str(tmp_path / "old")]) == 0
         old, new = tmp_path / "old", tmp_path / "new"
@@ -658,7 +658,7 @@ class TestBoundsCommand:
         # float64 after (lam, scale), still names the problem
         src, dst = tmp_path / "src", tmp_path / "dst"
         assert run_cli(["solve", "--config", str(toy_config), "--out", str(src)]) == 0
-        problem = lasso_problem(gen_lasso(n=20, m=50, seed=7))
+        problem = gen_lasso(n=20, m=50, seed=7)
         quad = problem.smooth
         digest = hashlib.sha256(quad.mat.tobytes() + quad.vec.tobytes())
         digest.update(np.array([problem.reg.lam, 0.5 if quad.half else 1.0, problem.lipschitz]))
@@ -668,6 +668,44 @@ class TestBoundsCommand:
         (src / "summary.json").write_text(json.dumps(summary))
         assert run_cli(["bounds", "--from", str(src), "--out", str(dst)]) == 0
         assert (dst / "bounds.csv").read_bytes() == (src / "bounds.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["same_file", "replaced_file"])
+    def test_digest_with_another_threads_l_recertifies(self, tmp_path, monkeypatch, capsys,
+                                                       case):
+        # a digest that also covered L, made where L rounded one ulp lower
+        # (another BLAS thread count), names the problem with the L its own
+        # summary records; another problem of the same size still does not
+        from proxcert import CompositeProblem, QuadraticSmooth
+        from proxcert.problems import problem_from_json
+
+        src, dst, pfile = tmp_path / "src", tmp_path / "dst", tmp_path / "problem.json"
+        rng = np.random.default_rng(2)
+
+        def write_problem():
+            quad = QuadraticSmooth(rng.standard_normal((8, 5)), rng.standard_normal(8), half=True)
+            pfile.write_text(problem_to_json(CompositeProblem.from_quadratic(quad, 0.1)))
+
+        write_problem()
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[problem]\nfile = {pfile}\n")
+        assert run_cli(["solve", "--config", str(ini), "--iters", "30", "--out", str(src)]) == 0
+        summary = read_summary(src)
+        problem = problem_from_json(pfile.read_text())
+        summary["problem_sha256"] = cli.problem_digest(problem, summary["lipschitz"])
+        (src / "summary.json").write_text(json.dumps(summary))
+        if case == "replaced_file":
+            write_problem()
+        real = QuadraticSmooth.lipschitz
+        monkeypatch.setattr(QuadraticSmooth, "lipschitz",
+                            lambda self: np.nextafter(real(self), np.inf))
+        capsys.readouterr()
+        code = run_cli(["bounds", "--from", str(src), "--out", str(dst)])
+        if case == "same_file":
+            assert code == 0
+            assert read_summary(dst)["lipschitz"] == np.nextafter(summary["lipschitz"], np.inf)
+        else:
+            assert code == 2
+            assert "holds a run of another problem" in capsys.readouterr().err
 
     def test_summary_not_an_object_exits_2(self, tmp_path, toy_config, capsys):
         src, dst = tmp_path / "src", tmp_path / "dst"

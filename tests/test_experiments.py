@@ -14,7 +14,6 @@ from proxcert.experiments import (
     build_prediction_matrices,
     gen_lasso,
     hoeffding_coverage,
-    lasso_problem,
     martingale_diagnostic,
     mpc_closed_loop,
     mpc_to_lasso,
@@ -272,25 +271,27 @@ class TestClosedLoop:
 
 class TestGenLasso:
     def test_paper_scale_defaults(self):
-        inst = gen_lasso(seed=1)
-        assert inst.n == 100 and inst.m == 500
-        assert int(np.sum(inst.x_true != 0)) == 10
+        problem = gen_lasso(seed=1)
+        assert problem.smooth.mat.shape == (500, 100) and problem.smooth.half
+        assert int(np.sum(problem.meta["x_true"] != 0)) == 10
 
     def test_seed_reproducibility(self):
         a = gen_lasso(n=30, m=60, seed=5)
         b = gen_lasso(n=30, m=60, seed=5)
-        assert np.array_equal(a.a, b.a) and np.array_equal(a.y, b.y) and a.lam == b.lam
+        assert np.array_equal(a.smooth.mat, b.smooth.mat)
+        assert np.array_equal(a.smooth.vec, b.smooth.vec) and a.reg.lam == b.reg.lam
+        assert np.array_equal(a.meta["x_true"], b.meta["x_true"])
         c = gen_lasso(n=30, m=60, seed=6)
-        assert not np.array_equal(a.a, c.a)
+        assert not np.array_equal(a.smooth.mat, c.smooth.mat)
 
     def test_noiseless_tiny_lambda_fits_exactly(self):
-        inst = gen_lasso(n=15, m=40, noise=0.0, lam=1e-10, seed=3)
+        prob = gen_lasso(n=15, m=40, noise=0.0, lam=1e-10, seed=3)
+        a, y = prob.smooth.mat, prob.smooth.vec
         # least-squares oracle: the consistent overdetermined system is solvable
-        x_ls, *_ = np.linalg.lstsq(inst.a, inst.y, rcond=None)
-        assert np.linalg.norm(inst.a @ x_ls - inst.y) <= 1e-10
-        prob = lasso_problem(inst)
+        x_ls, *_ = np.linalg.lstsq(a, y, rcond=None)
+        assert np.linalg.norm(a @ x_ls - y) <= 1e-10
         x_hat, _ = reference_solution(prob)
-        assert np.linalg.norm(inst.a @ x_hat - inst.y) <= 1e-8
+        assert np.linalg.norm(a @ x_hat - y) <= 1e-8
 
     def test_sparsity_validation(self):
         with pytest.raises(ValueError):
@@ -301,7 +302,7 @@ class TestGenLasso:
 
 @pytest.fixture(scope="module")
 def setup():
-    prob = lasso_problem(gen_lasso(n=20, m=50, seed=7))
+    prob = gen_lasso(n=20, m=50, seed=7)
     x_star, _ = reference_solution(prob)
     return prob, x_star
 

@@ -198,6 +198,16 @@ class TestSymmetricSqrt:
         assert np.all(np.isfinite(inv_root))
 
 
+class TestFromQuadratic:
+    @pytest.mark.parametrize("mat, named", [([[1e200, 1.0], [1.0, 1.0]], "nan"),
+                                            ([[0.0, 0.0]], "0.0")],
+                             ids=["overflowing_gram", "zero_matrix"])
+    def test_l_not_positive_and_finite_rejected(self, mat, named):
+        # the 1/L step of such a problem would be NaN or inf
+        with pytest.raises(ValueError, match=f"L must be positive and finite, got {named}$"):
+            toy_problem(np.array(mat), np.ones(len(mat)), lam=0.1)
+
+
 class TestSerialization:
     def test_roundtrip(self, rng):
         quad = QuadraticSmooth(rng.standard_normal((4, 3)), rng.standard_normal(4), half=True)

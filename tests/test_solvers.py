@@ -20,7 +20,7 @@ from proxcert.problems import problem_from_json
 import proxcert.errors as errors
 import proxcert.solvers as solvers
 from proxcert.errors import draw_tape
-from proxcert.experiments import gen_lasso, lasso_problem, mpc_to_lasso, spacecraft_mpc
+from proxcert.experiments import gen_lasso, mpc_to_lasso, spacecraft_mpc
 from proxcert.solvers import alpha_series, reference_solution
 
 from oracles import diverging, gap_rounding_floor, grid_min, l1_dual_bound, reference_run
@@ -222,7 +222,7 @@ class TestQuantizedRun:
     @pytest.mark.parametrize("shape", [(50, 20), (30, 60)])
     def test_eps1_equals_per_step_gradients(self, variant, shape):
         m, n = shape
-        problem = lasso_problem(gen_lasso(n=n, m=m, seed=11))
+        problem = gen_lasso(n=n, m=m, seed=11)
         fmt = FixedPointFormat.parse("s16.8")
         cfg = SolverConfig(variant=variant, max_iters=60, grad_error=fmt)
         trace = solvers.run(problem, cfg, np.zeros(n))
@@ -400,8 +400,8 @@ class TestHotPathBudget:
 
 
 REFERENCE_PROBLEMS = {
-    "lasso20x50": lambda: lasso_problem(gen_lasso(n=20, m=50, seed=7)),
-    "lasso500x100": lambda: lasso_problem(gen_lasso(n=100, m=500, seed=3)),
+    "lasso20x50": lambda: gen_lasso(n=20, m=50, seed=7),
+    "lasso500x100": lambda: gen_lasso(n=100, m=500, seed=3),
     "mpc10": lambda: mpc_to_lasso(spacecraft_mpc(n_p=10, n_c=10)),
 }
 NOISE = GradientErrorSpec(model="absolute", mode="random", delta=1e-3)
@@ -541,15 +541,13 @@ def independent_gap(problem, x, f):
 
 
 def reference_cases():
-    inst = gen_lasso(n=20, m=50, seed=7)
-    zero_lam = float(np.abs(inst.a.T @ inst.y).max())
-    yield "lasso_20x50", lasso_problem(inst)
-    yield "lasso_100x500", lasso_problem(gen_lasso(n=100, m=500, seed=0))
-    yield "lasso_wide_500x100", lasso_problem(gen_lasso(n=500, m=100, seed=3))
+    base = gen_lasso(n=20, m=50, seed=7)
+    zero_lam = float(np.abs(base.smooth.mat.T @ base.smooth.vec).max())
+    yield "lasso_20x50", base
+    yield "lasso_100x500", gen_lasso(n=100, m=500, seed=0)
+    yield "lasso_wide_500x100", gen_lasso(n=500, m=100, seed=3)
     for factor in (1.0, 2.0):  # lam >= ||A'y||_inf: x* = 0
-        yield f"lasso_x_star_zero_{factor}", lasso_problem(
-            gen_lasso(n=20, m=50, seed=7, lam=factor * zero_lam)
-        )
+        yield f"lasso_x_star_zero_{factor}", gen_lasso(n=20, m=50, seed=7, lam=factor * zero_lam)
     rng = np.random.default_rng(20)
     for i in range(4):
         x0 = rng.uniform(-1.0, 1.0, 7)
@@ -574,8 +572,8 @@ class TestReferenceSolution:
     @pytest.mark.parametrize(
         "problem",
         [
-            lasso_problem(gen_lasso(n=20, m=50, seed=7)),
-            lasso_problem(gen_lasso(n=100, m=500, seed=0)),
+            gen_lasso(n=20, m=50, seed=7),
+            gen_lasso(n=100, m=500, seed=0),
             mpc_to_lasso(spacecraft_mpc(n_p=2, x0=0.5 * np.ones(7))),
             mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7))),
         ],
@@ -591,7 +589,7 @@ class TestReferenceSolution:
         # at most four 25-step segments; FISTA alone needs about 1,900 steps
         # at MPC N=10
         for problem in (
-            lasso_problem(gen_lasso(n=100, m=500, seed=0)),
+            gen_lasso(n=100, m=500, seed=0),
             mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7))),
         ):
             segments = counted(monkeypatch, solvers, "run_accelerated")
@@ -602,14 +600,13 @@ class TestReferenceSolution:
     def test_singular_support_system_falls_back_to_fista(self):
         # duplicating the optimum's support columns makes M_S'M_S singular;
         # the optimum value is unchanged and FISTA splits each weight evenly
-        inst = gen_lasso(n=20, m=50, seed=7)
-        base = lasso_problem(inst)
+        base = gen_lasso(n=20, m=50, seed=7)
         x_base, f_base = reference_solution(base)
         support = np.flatnonzero(x_base)
         assert support.size >= 2
-        mat = np.hstack([inst.a, inst.a[:, support]])
+        mat = np.hstack([base.smooth.mat, base.smooth.mat[:, support]])
         problem = CompositeProblem.from_quadratic(
-            QuadraticSmooth(mat, inst.y, half=True), inst.lam
+            QuadraticSmooth(mat, base.smooth.vec, half=True), base.reg.lam
         )
         ref = reference_solution(problem)
         x_star, f_star = ref
@@ -655,20 +652,19 @@ class TestReferenceSolution:
         # noiseless data and lam = 1e-10: f* is 2e-10 and the rounding of M'r
         # (about 1e-14 in the gap) is far above 1e-10 f*, so the gap certifies
         # against the rounding floor, within a few segments
-        inst = gen_lasso(n=15, m=40, noise=0.0, lam=1e-10, seed=3)
-        problem = lasso_problem(inst)
+        problem = gen_lasso(n=15, m=40, noise=0.0, lam=1e-10, seed=3)
         segments = counted(monkeypatch, solvers, "run_accelerated")
         ref = reference_solution(problem)
         x_star, f_star = ref
         assert len(segments) <= 4
-        floor = gap_rounding_floor(inst.a, inst.y, x_star, True)
+        floor = gap_rounding_floor(problem.smooth.mat, problem.smooth.vec, x_star, True)
         assert floor <= 1e-11
         assert ref.gap <= REF_RTOL * f_star + floor
         assert independent_gap(problem, x_star, f_star) <= REF_RTOL * f_star + floor
         assert problem.gap_rounding(x_star) == pytest.approx(floor, rel=1e-12)
 
     def test_exhausted_budget_returns_last_point_and_its_gap(self):
-        problem = lasso_problem(gen_lasso(n=500, m=100, seed=3))
+        problem = gen_lasso(n=500, m=100, seed=3)
         ref = reference_solution(problem, max_iters=25)
         x_last, f_last = ref
         assert f_last == problem.f_value(x_last)
