@@ -223,14 +223,14 @@ def _build_solver_config(cfg, default_iters, grad_spec, prox_spec):
 
 def _bound_overrides(cfg, grad_spec, prox_spec):
     """The ``BoundParams.from_trace`` overrides of a run: the noise spec's
-    delta (``certify`` measures a quantized run's), the prox spec's eps0, the
-    target-gap mean of eps2 (no other prox kind has a stationary series) and
-    ``[bounds] gamma``, which a run command checks before it solves."""
+    ``bound`` (``certify`` measures a quantized run's delta), the prox spec's
+    eps0, the target-gap mean of eps2 (no other prox kind has a stationary
+    series) and ``[bounds] gamma``, which a run command checks before it solves."""
     gamma = _get(cfg, "bounds", "gamma")
     if not gamma > 0:
         raise ConfigError(f"[bounds] gamma must be positive, got {gamma}")
     gap = prox_spec.mode == "target_gap"
-    return dict(delta=grad_spec.delta if isinstance(grad_spec, GradientErrorSpec) else 0.0,
+    return dict(delta=grad_spec.bound if isinstance(grad_spec, GradientErrorSpec) else 0.0,
                 eps0=prox_spec.eps0, gamma=gamma,
                 eps2_mean=float(truncated_gaussian_mean(0.0, prox_spec.eps0)) if gap else None)
 

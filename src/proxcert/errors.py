@@ -5,7 +5,7 @@ injected noise satisfies ``|eps1_j| <= delta`` componentwise; under the
 relative model ``|eps1_j| <= delta * |grad_j|`` (noise proportional to the
 gradient magnitude).  Proximal errors are expressed as a suboptimality gap
 ``eps2`` of the prox subproblem, with the residual vector
-``r = returned point - exact prox``.
+``r = returned point - exact prox``, both measured by :func:`prox_errors`.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ class GradientErrorSpec:
     mode: "random" draws truncated-Gaussian multipliers for every step;
         "deterministic" walks a preset schedule of vectors or magnitudes.
     delta: machine precision (componentwise bound).
-    lo/hi: optional truncation override for the random mode; defaults to the
-        symmetric interval [-delta, delta].  Asymmetric intervals deliberately
-        break the zero-mean assumption (used as a biased control).
+    lo/hi: optional truncation override for the random mode (lo < hi), each
+        defaulting to its side of [-delta, delta].  Asymmetric intervals
+        deliberately break the zero-mean assumption (a biased control).
     """
 
     model: str = "absolute"
@@ -206,13 +206,22 @@ class GradientErrorSpec:
             raise ValueError("delta must be nonnegative")
         if self.mode == "deterministic" and self.schedule is None:
             raise ValueError("deterministic mode needs a schedule")
+        lo, hi = self.interval
+        if (self.lo, self.hi) != (None, None) and not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+
+    @property
+    def interval(self):
+        """``(lo, hi)`` of the random mode's multipliers."""
+        return (-self.delta if self.lo is None else self.lo,
+                self.delta if self.hi is None else self.hi)
 
     @property
     def bound(self):
-        """The delta the errors meet: ``delta``, or for a deterministic spec
-        the larger of ``delta`` and the schedule's largest |entry|."""
+        """The delta the errors meet: the larger of ``delta`` and the largest
+        |entry| of the interval (random) or of the schedule (deterministic)."""
         if self.mode == "random":
-            return self.delta
+            return max(self.delta, *map(abs, self.interval))
         return max([self.delta] + [float(np.max(np.abs(e))) for e in self.schedule])
 
 
@@ -268,27 +277,27 @@ def _gradient_multipliers(spec, n, steps, seed_seq):
         rows = _schedule(spec.schedule, steps, "gradient error")
         as_row = lambda e: as_vector(np.full(n, e) if np.ndim(e) == 0 else e, n, "scheduled eps1")
         return np.array([as_row(e) for e in rows])
-    lo = -spec.delta if spec.lo is None else spec.lo
-    hi = spec.delta if spec.hi is None else spec.hi
-    if lo == hi:
+    lo, hi = spec.interval
+    if lo == hi:  # delta = 0: no error
         return None
     # one (T, n) draw consumes the stream exactly as T draws of n would
     return sample_truncated_gaussian(lo, hi, (steps, n), np.random.default_rng(seed_seq))
 
 
 def _prox_targets_and_directions(spec, n, steps, seed_seq):
-    rng = np.random.default_rng(seed_seq)
+    # one stream each, so that the first T steps do not depend on the run's length
+    target_rng, direction_rng, sign_rng = map(np.random.default_rng, seed_seq.spawn(3))
     if spec.schedule is not None:
         targets = np.array(_schedule(spec.schedule, steps, "prox error"), dtype=float)
     elif spec.eps0 > 0:
-        targets = sample_truncated_gaussian(0.0, spec.eps0, steps, rng)
+        targets = sample_truncated_gaussian(0.0, spec.eps0, steps, target_rng)
     else:
         return None, None
     if spec.direction == "fixed":
         return targets, np.broadcast_to(np.ones(n) / np.sqrt(n), (steps, n))
-    directions = rng.standard_normal((steps, n))
+    directions = direction_rng.standard_normal((steps, n))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    directions[rng.random(steps) < 0.5] *= -1.0  # exact sign symmetry
+    directions[sign_rng.random(steps) < 0.5] *= -1.0  # exact sign symmetry
     return targets, directions
 
 
@@ -296,7 +305,8 @@ def draw_tape(grad_spec, prox_spec, n, steps, seed):
     """The :class:`ErrorTape` of a ``steps``-step run, drawn before its first step.
 
     ``SeedSequence(seed)`` spawns two streams: the first feeds the gradient
-    multipliers, the second the prox-gap targets and then the directions.
+    multipliers; the second spawns one each for the prox-gap targets, the
+    directions and their signs, so step k's errors do not depend on T.
     Quantized gradients and inner-solver proxes depend on the iterate, so
     they stay off the tape.  A schedule shorter than ``steps`` is rejected.
     A run with neither kind gets the empty tape without seeding anything.
@@ -326,15 +336,43 @@ def _gap_along(h, s, x_exact, direction, t, d_dot_xw, d_dot_d):
     return h.value_delta(x_exact, direction, t) + quad
 
 
+def _row_dots(a, b):
+    """``float(a_k @ b_k)`` of each row pair of ``(T, n)`` arrays, to the bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def ray_constants(directions):
     """``(|d|, d'd)`` of each row of ``directions`` ``(T, n)``: the part of
-    :func:`ray_solve` that depends only on the direction.  ``d'd`` is a
-    stacked product, which gives ``float(d @ d)`` of each row to the bit."""
-    return np.abs(directions), np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0]
+    :func:`ray_solve` that depends only on the direction."""
+    return np.abs(directions), _row_dots(directions, directions)
+
+
+def prox_errors(h, s, ws, points):
+    """``(eps2, res)`` of ``points`` ``(T, n)`` as inexact proxes of ``s h``
+    at the rows of ``ws``: ``res`` is each point minus the exact prox, and
+    ``eps2`` the point's prox-subproblem gap, by one stacked exact prox and
+    one stacked :func:`_gap_along` along ``res``.  A point that is its exact
+    prox gets +0.0 for both."""
+    exact = h.prox(s, ws)
+    res = points - exact
+    return _gap_along(h, s, exact, res, 1.0, _row_dots(res, exact - ws), _row_dots(res, res)), res
+
+
+def check_gap_window(eps2, targets):
+    """Raise :class:`OracleError` for the first step k whose gap ``eps2[k]``
+    lies outside ``[0.9, 1] * targets[k]``, named when there is more than
+    one step."""
+    bad = np.flatnonzero(~((0.9 * targets <= eps2) & (eps2 <= targets)))
+    if bad.size:
+        k = bad[0]
+        where = f" at step {k}" if len(eps2) > 1 else ""
+        raise OracleError(
+            f"approx_prox gap {eps2[k]:.6g} outside [0.9, 1] x target {targets[k]:.6g}{where}"
+        )
 
 
 def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
-    """The point of :func:`approx_prox`, before its gap check.
+    """The point of :func:`approx_prox`, written into ``out``.
 
     The point lies on the ray ``x + t*d`` from the exact prox ``x`` along
     the unit vector ``d`` (``abs_d``, ``d_dot_d``: its
@@ -346,10 +384,8 @@ def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
     sorting the kinks and summing phi up to each one finds the segment that
     reaches it (the sort-and-scan of the l1-ball projection, Duchi et al.,
     ICML 2008); otherwise the first segment does.  One quadratic on that
-    segment gives t.  Writes the exact prox into the array ``x`` and the
-    point into ``out`` and returns ``(t, d'(x - w))``: with ``x``, what
-    :func:`checked_gaps` needs.  The residual is ``t*d``; a zero target
-    leaves ``x`` itself in ``out``, with t = 0 and a +0.0 residual.
+    segment gives t.  The array ``x`` receives the exact prox; a zero
+    target leaves it in ``out`` as it is.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -358,7 +394,7 @@ def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
     h.prox(s, w, out=x)
     if target_eps2 == 0.0:
         np.copyto(out, x)
-        return 0.0, 0.0
+        return
     # ``out`` serves as scratch until the point is written
     d_dot_xw = float(d.dot(np.subtract(x, w, out=out)))
     curv = d_dot_d / s
@@ -391,35 +427,6 @@ def ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d, x, out):
     root = math.sqrt(root) if root >= 0.0 else math.nan
     t = left + 2.0 * rest / np.float64(p + root)
     np.add(x, np.multiply(d, t, out=out), out=out)
-    return t, d_dot_xw
-
-
-def checked_gaps(h, s, rays, directions, d_dot_d, targets):
-    """The realized gaps of :func:`ray_solve` steps 0, 1, ... at stepsize ``s``.
-
-    ``rays`` is ``(x, t, d_dot_xw)``, stacked over the steps solved: the
-    exact prox points ``(k, n)`` and the returns of :func:`ray_solve`.
-    Step j was solved along ``directions[j]`` (with ``d_dot_d[j]``) for
-    ``targets[j]``; these may run past the last step.
-    One stacked :func:`_gap_along` call evaluates every gap, a zero
-    target's as +0.0.  A gap outside ``[0.9, 1] * target`` raises
-    :class:`OracleError` for the first such step, named when there is more
-    than one.
-    """
-    x, t, d_dot_xw = map(np.asarray, rays)
-    k = len(t)
-    d, d_dot_d, targets = (np.asarray(a)[:k] for a in (directions, d_dot_d, targets))
-    live = targets != 0.0
-    gaps = np.zeros(k)
-    gaps[live] = _gap_along(h, s, x[live], d[live], t[live], d_dot_xw[live], d_dot_d[live])
-    bad = np.flatnonzero(~((0.9 * targets <= gaps) & (gaps <= targets)))
-    if bad.size:
-        i = bad[0]
-        where = f" at step {i}" if k > 1 else ""
-        raise OracleError(
-            f"approx_prox gap {gaps[i]:.6g} outside [0.9, 1] x target {targets[i]:.6g}{where}"
-        )
-    return gaps
 
 
 # ray_solve divides x_j / d_j at every j, crossing or not: a direction with
@@ -429,17 +436,17 @@ def approx_prox(h, s, w, target_eps2, direction):
     """A point in the eps2-suboptimal prox set of ``s*h`` at ``w``.
 
     Returns ``(x, realized_gap, residual)``: the point of :func:`ray_solve`
-    along the unit vector ``direction``, whose gap :func:`checked_gaps`
-    evaluates exactly; outside ``[0.9, 1.0] * target_eps2`` it raises
-    :class:`OracleError`.
+    along the unit vector ``direction`` and its :func:`prox_errors`; a gap
+    outside ``[0.9, 1.0] * target_eps2`` raises :class:`OracleError`.
     """
     w = np.asarray(w, dtype=float)
     d = np.asarray(direction, dtype=float)
     abs_d, d_dot_d = ray_constants(d[None])
-    x, point = np.empty_like(w), np.empty_like(w)
-    t, d_dot_xw = ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0], x, point)
-    gap = checked_gaps(h, s, ([x], [t], [d_dot_xw]), d[None], d_dot_d, [target_eps2])[0]
-    return point, gap, t * d if target_eps2 else np.zeros_like(w)
+    point = np.empty_like(w)
+    ray_solve(h, s, w, target_eps2, d, abs_d[0], d_dot_d[0], np.empty_like(w), point)
+    gaps, res = prox_errors(h, s, w[None], point[None])
+    check_gap_window(gaps, np.array([target_eps2]))
+    return point, gaps[0], res[0]
 
 
 def inner_solver_prox(h, s, w, tol):
@@ -448,8 +455,9 @@ def inner_solver_prox(h, s, w, tol):
     The subproblem smooth part is ``||z - w||^2 / (2s)`` (gradient Lipschitz
     constant 1/s); a half stepsize ``s/2`` is used on purpose so termination
     at tolerance ``tol`` (or after 2000 steps) leaves a genuine residual
-    rather than landing on the exact prox in one step.  Returns
-    ``(z, realized_gap, residual)``.
+    rather than landing on the exact prox in one step.  The loop stops on
+    ``h(z) + ||z - w||^2/(2s) - g_min``, a form that cancels; it returns z,
+    whose gap and residual :func:`prox_errors` measures.
     """
     if s <= 0:
         raise ValueError("prox stepsize must be positive")
@@ -464,8 +472,7 @@ def inner_solver_prox(h, s, w, tol):
             break
         z = h.prox(step, z - step * (z - w) / s)
         gap = h.value(z) + float((z - w) @ (z - w)) / (2.0 * s) - g_min
-    gap = max(gap, 0.0)
-    return z, gap, z - x_exact
+    return z
 
 
 _FMT_RE = re.compile(r"^([su])(\d+)\.(\d+)$")

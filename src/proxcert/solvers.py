@@ -19,9 +19,10 @@ from .errors import (
     FixedPointFormat,
     GradientErrorSpec,
     ProxErrorSpec,
-    checked_gaps,
+    check_gap_window,
     draw_tape,
     inner_solver_prox,
+    prox_errors,
     quantize_quadratic,
     quantized_gradient,
     ray_constants,
@@ -124,45 +125,22 @@ def _gradient_oracle(problem, gspec, kappa, max_iters):
     return step, lambda probes: rows[: len(probes)]
 
 
-def _prox_oracle(problem, pspec, tape, s, max_iters):
-    """``(step, finish)`` of the run's prox-error kind at the run's step ``s``:
-    ``step(k, w, out)`` writes step k's inexact prox of ``s h`` at ``w`` into
-    ``out``, and ``finish(done)`` returns the ``(eps2, res)`` rows of the
-    ``done`` steps taken."""
-    reg, n = problem.reg, problem.n
+def _prox_oracle(problem, pspec, tape, s):
+    """``prox(k, w, out)``, which writes step k's prox of ``s h`` at ``w``, of
+    the run's prox-error kind, into ``out``."""
+    reg = problem.reg
     if tape.targets is not None:
         directions = tape.directions
         abs_d, d_dot_d = ray_constants(directions)
         targets, d_dot_ds = tape.targets.tolist(), d_dot_d.tolist()
-        exact_xs = np.empty((max_iters, n))  # the x of each step, checked by finish
-        ts, d_dot_xws = [], []  # and its t and d'(x - w)
+        x = np.empty(problem.n)  # the exact prox, scratch of every step
 
-        def step(k, w, out):
-            t, d_dot_xw = ray_solve(
-                reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], exact_xs[k], out
-            )
-            ts.append(t)
-            d_dot_xws.append(d_dot_xw)
-
-        def finish(_):
-            # every realized gap in one call; the first one outside its
-            # window is the run's error, also when a later step raised
-            done = len(ts)
-            rays = (exact_xs[:done], ts, d_dot_xws)
-            gaps = checked_gaps(reg, s, rays, directions, d_dot_d, targets) if done else []
-            res = np.asarray(ts)[:, None] * directions[:done]
-            res[np.asarray(targets[:done]) == 0.0] = 0.0  # +0.0, not t*d = -0.0
-            return np.asarray(gaps), res
-        return step, finish
+        def prox(k, w, out):
+            ray_solve(reg, s, w, targets[k], directions[k], abs_d[k], d_dot_ds[k], x, out)
+        return prox
     if pspec is not None and pspec.mode == "inner_solver":
-        ress, gaps = np.empty((max_iters, n)), []
-
-        def step(k, w, out):
-            out[:], gap, ress[k] = inner_solver_prox(reg, s, w, pspec.eps0)
-            gaps.append(gap)
-        return step, lambda done: (np.asarray(gaps), ress[: len(gaps)])
-    return (lambda k, w, out: reg.prox(s, w, out=out),
-            lambda done: (np.zeros(done), np.zeros((done, n))))
+        return lambda k, w, out: np.copyto(out, inner_solver_prox(reg, s, w, pspec.eps0))
+    return lambda k, w, out: reg.prox(s, w, out=out)
 
 
 def _stepsize(problem, config):
@@ -176,48 +154,52 @@ def _stepsize(problem, config):
 # overflow during divergence is an expected, reported outcome
 @np.errstate(over="ignore", invalid="ignore")
 def _run(problem, config, x0, accelerated):
-    n, max_iters = problem.n, config.max_iters
+    n, max_iters, pspec = problem.n, config.max_iters, config.prox_error
     x0 = as_vector(x0, n, "x0")
-    tape = draw_tape(config.grad_error, config.prox_error, n, max_iters, config.seed)
+    tape = draw_tape(config.grad_error, pspec, n, max_iters, config.seed)
     s = _stepsize(problem, config)
     gradient, eps1 = _gradient_oracle(problem, config.grad_error, tape.kappa, max_iters)
-    prox, finish = _prox_oracle(problem, config.prox_error, tape, s, max_iters)
+    prox = _prox_oracle(problem, pspec, tape, s)
 
-    # step k writes row k + 1 of xs (and row k of ys) in place
-    xs = np.empty((max_iters + 1, n))
+    # step k writes, in place, row k + 1 of xs and row k of ws (its prox input) and of ys
+    xs, ws = np.empty((max_iters + 1, n)), np.empty((max_iters, n))
     xs[0] = x0
     if accelerated:
         ys = np.empty((max_iters, n))
         ys[0] = x0
-    w, zero = np.empty(n), np.zeros(n)
+    zero = np.zeros(n)
     betas = np.zeros(max_iters)
     status, stop = "iteration-cap", 0
-    try:
-        # chunks of 1024 steps, then doubling, each with its alphas: an early stop pays no more
-        while status == "iteration-cap" and stop < max_iters:
-            start, stop = stop, min(max_iters, max(1024, 2 * stop))
-            alphas = alpha_series(stop - 1)
-            if accelerated:
-                betas[1:stop] = (alphas[:-1] - 1.0) / alphas[1:]
-            for k in range(start, stop):
-                x = y = xs[k]
-                x_next = xs[k + 1]
-                if accelerated and k > 0:
-                    y = ys[k]
-                    np.subtract(x, xs[k - 1], out=y)
-                    np.add(x, np.multiply(y, betas[k], out=y), out=y)
-                noisy = gradient(k, y)
-                np.subtract(y, np.multiply(noisy, s, out=w), out=w)
-                prox(k, w, x_next)
-                # x'0 is NaN exactly when an entry of x is inf or NaN
-                if math.isnan(x_next.dot(zero)):
-                    status = "non-finite-iterate"
-                    break
-    finally:
-        # steps 0..k were taken (step k raised, when one did)
-        done = k + 1
-        eps2, res = finish(done)
+    # chunks of 1024 steps, then doubling, each with its alphas: an early stop pays no more
+    while status == "iteration-cap" and stop < max_iters:
+        start, stop = stop, min(max_iters, max(1024, 2 * stop))
+        alphas = alpha_series(stop - 1)
+        if accelerated:
+            betas[1:stop] = (alphas[:-1] - 1.0) / alphas[1:]
+        for k in range(start, stop):
+            x = y = xs[k]
+            x_next, w = xs[k + 1], ws[k]
+            if accelerated and k > 0:
+                y = ys[k]
+                np.subtract(x, xs[k - 1], out=y)
+                np.add(x, np.multiply(y, betas[k], out=y), out=y)
+            noisy = gradient(k, y)
+            np.subtract(y, np.multiply(noisy, s, out=w), out=w)
+            prox(k, w, x_next)
+            # x'0 is NaN exactly when an entry of x is inf or NaN
+            if math.isnan(x_next.dot(zero)):
+                status = "non-finite-iterate"
+                break
+    done = k + 1
     xs = xs[: done + 1]
+    if pspec is None or pspec.mode == "exact":
+        eps2, res = np.zeros(done), np.zeros((done, n))
+    else:
+        # every step's errors at its stored point; the first gap outside
+        # its window is the run's error
+        eps2, res = prox_errors(problem.reg, s, ws[:done], xs[1:])
+        if tape.targets is not None:
+            check_gap_window(eps2, tape.targets[:done])
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
         fvals[-1] = np.nan

@@ -174,9 +174,9 @@ def l1_ray_point(lam, s, w, target, d):
 
     Every kink t_j = -x_j / d_j (x_j d_j < 0) is sorted and the gap phi is
     summed up to each one, with no shortcut for the first segment, and the
-    gap at the point is evaluated in expanded form.  The arithmetic is
-    written out term by term so that a faster solve must match it to the
-    bit.  Returns ``(point, gap, residual)``.
+    gap at the point, along its residual r = point - x, is evaluated in
+    expanded form.  The arithmetic is written out term by term so that a
+    faster solve must match it to the bit.  Returns ``(point, gap, residual)``.
     """
     x = np.sign(w) * np.maximum(np.abs(w) - s * lam, 0.0)
     xw, dd = float(d @ (x - w)), float(d @ d)
@@ -194,15 +194,16 @@ def l1_ray_point(lam, s, w, target, d):
     i = int(np.searchsorted(phis, aim)) - 1
     rest, p = aim - phis[i], slopes[i]
     t = lefts[i] + 2.0 * rest / (p + np.sqrt(p * p + 2.0 * curv * rest))
-    step = t * d
-    moved = x + step
+    point = x + t * d
+    r = point - x
+    moved = x + r
     l1_change = np.where(
         x == 0.0,
-        np.abs(step),
-        np.where(np.sign(moved) == np.sign(x), np.sign(x) * step, np.abs(moved) - np.abs(x)),
+        np.abs(r),
+        np.where(np.sign(moved) == np.sign(x), np.sign(x) * r, np.abs(moved) - np.abs(x)),
     )
-    gap = lam * float(l1_change.sum()) + (2.0 * t * xw + t * t * dd) / (2.0 * s)
-    return x + step, gap, step
+    gap = lam * float(l1_change.sum()) + (2.0 * float(r @ (x - w)) + float(r @ r)) / (2.0 * s)
+    return point, gap, r
 
 
 def _fmt(x):
@@ -362,14 +363,16 @@ def _reference_ray_solve(h, s, w, target_eps2, d, abs_d, d_dot_d):
 def reference_run(problem, config, x0, accelerated):
     """``solvers._run`` as a list-based loop: every row appended as it is
     made, ``isfinite`` tested at each step, the gradient, prox and ray solve
-    written out here, the stacks formed from the lists at the end.  Returns
+    written out here, the stacks formed from the lists at the end, where
+    ``prox_errors`` measures an inexact prox at the stored points.  Returns
     the same ``RunTrace``, or raises the same error, to the bit."""
     from proxcert.errors import (
         FixedPointFormat,
         GradientErrorSpec,
-        checked_gaps,
+        check_gap_window,
         draw_tape,
         inner_solver_prox,
+        prox_errors,
         ray_constants,
     )
     from proxcert.problems import as_vector
@@ -388,60 +391,56 @@ def reference_run(problem, config, x0, accelerated):
     s = 1.0 / (problem.lipschitz * (1.0 + (gspec.bound if relative else 0.0)))
     if tape.targets is not None:
         abs_d, d_dot_d = ray_constants(tape.directions)
-    rays = []
-    xs, ys = [x0], []
-    steps, betas, alphas, eps2s, eps1s, ress = [], [], [], [], [], []
+    xs, ys, ws = [x0], [], []
+    steps, betas, alphas, eps1s = [], [], [], []
     zero = np.zeros(problem.n)
     status = "iteration-cap"
     x_prev, x, alpha_k = x0, x0, 1.0
-    try:
-        for k in range(config.max_iters):
-            beta_k, y = 0.0, x
-            if k > 0:
-                # FISTA: alpha_k^2 - alpha_k = alpha_{k-1}^2
-                alpha_prev = alpha_k
-                alpha_k = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
-                if accelerated:
-                    beta_k = (alpha_prev - 1.0) / alpha_k
-                    y = x + beta_k * (x - x_prev)
-            if quantized:
-                noisy = eps1 = reference_quantized_gradient(gspec, mat_q, vec_q, quad.half, y)
-            elif tape.kappa is not None:
-                g = _reference_grad(problem, y)
-                eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
-                noisy = g + eps1
-            else:
-                noisy, eps1 = _reference_grad(problem, y), zero
-            w = y - s * noisy
-            if tape.targets is not None:
-                x_next, r, ray = _reference_ray_solve(
-                    problem.reg, s, w, tape.targets[k], tape.directions[k], abs_d[k], d_dot_d[k]
-                )
-                rays.append(ray)
-                gap = None
-            elif inner:
-                x_next, gap, r = inner_solver_prox(problem.reg, s, w, pspec.eps0)
-            else:
-                lam_s = s * problem.reg.lam
-                x_next, gap, r = np.sign(w) * np.maximum(np.abs(w) - lam_s, 0.0), 0.0, zero
+    for k in range(config.max_iters):
+        beta_k, y = 0.0, x
+        if k > 0:
+            # FISTA: alpha_k^2 - alpha_k = alpha_{k-1}^2
+            alpha_prev = alpha_k
+            alpha_k = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
             if accelerated:
-                ys.append(y)
-            steps.append(s)
-            betas.append(beta_k)
-            alphas.append(alpha_k)
-            eps1s.append(eps1)
-            eps2s.append(gap)
-            ress.append(r)
-            xs.append(x_next)
-            if not np.isfinite(x_next).all():
-                status = "non-finite-iterate"
-                break
-            x_prev, x = x, x_next
-    finally:
-        if rays:
-            stacked = tuple(zip(*rays))
-            eps2s = checked_gaps(problem.reg, s, stacked, tape.directions, d_dot_d, tape.targets)
+                beta_k = (alpha_prev - 1.0) / alpha_k
+                y = x + beta_k * (x - x_prev)
+        if quantized:
+            noisy = eps1 = reference_quantized_gradient(gspec, mat_q, vec_q, quad.half, y)
+        elif tape.kappa is not None:
+            g = _reference_grad(problem, y)
+            eps1 = tape.kappa[k] * g if relative else tape.kappa[k]
+            noisy = g + eps1
+        else:
+            noisy, eps1 = _reference_grad(problem, y), zero
+        w = y - s * noisy
+        if tape.targets is not None:
+            x_next, _, _ = _reference_ray_solve(
+                problem.reg, s, w, tape.targets[k], tape.directions[k], abs_d[k], d_dot_d[k]
+            )
+        elif inner:
+            x_next = inner_solver_prox(problem.reg, s, w, pspec.eps0)
+        else:
+            x_next = np.sign(w) * np.maximum(np.abs(w) - s * problem.reg.lam, 0.0)
+        if accelerated:
+            ys.append(y)
+        steps.append(s)
+        betas.append(beta_k)
+        alphas.append(alpha_k)
+        eps1s.append(eps1)
+        ws.append(w)
+        xs.append(x_next)
+        if not np.isfinite(x_next).all():
+            status = "non-finite-iterate"
+            break
+        x_prev, x = x, x_next
     xs = np.asarray(xs)
+    if pspec is None or pspec.mode == "exact":
+        eps2s, ress = np.zeros(len(steps)), np.zeros((len(steps), problem.n))
+    else:
+        eps2s, ress = prox_errors(problem.reg, s, np.asarray(ws), xs[1:])
+        if tape.targets is not None:
+            check_gap_window(eps2s, tape.targets[: len(steps)])
     ys = np.asarray(ys) if accelerated else None
     fvals = problem.f_values(xs)
     if status == "non-finite-iterate":
@@ -457,7 +456,7 @@ def reference_run(problem, config, x0, accelerated):
         alphas=np.asarray(alphas),
         fvals=fvals,
         eps1=eps1s,
-        eps2=np.asarray(eps2s),
-        res=np.asarray(ress),
+        eps2=eps2s,
+        res=ress,
         status=status,
     )

@@ -175,6 +175,15 @@ class TestSolve:
         else:
             assert not trace.eps2.any() and not trace.res.any()
 
+    def test_inner_solver_rows_meet_the_residual_lemma(self, tmp_path):
+        out = tmp_path / "inner"
+        assert run_cli(["solve", "--solver-tol", "1e-8", "--strict", "--out", str(out)]) == 0
+        # the last row, the final state, has no step
+        rows = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)[:-1]
+        assert np.all(rows["eps2"] >= 0.0)
+        lemma = np.sqrt(2.0 * rows["step"] * rows["eps2"]) * (1.0 + 1e-9)
+        assert np.all(rows["res_norm"] <= lemma)
+
     def test_problem_file_input(self, tmp_path):
         from proxcert import CompositeProblem, QuadraticSmooth
 

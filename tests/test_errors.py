@@ -20,13 +20,21 @@ from proxcert import (
 from proxcert.errors import (
     _ndtr,
     _ndtri,
+    _gap_along,
     draw_tape,
     inner_solver_prox,
+    prox_errors,
     quantize_quadratic,
+    ray_constants,
     truncated_gaussian_mean,
 )
 
-from oracles import l1_ray_point, reference_quantize, reference_quantized_gradient
+from oracles import (
+    _reference_ray_solve,
+    l1_ray_point,
+    reference_quantize,
+    reference_quantized_gradient,
+)
 
 
 class TestTruncatedGaussian:
@@ -209,6 +217,17 @@ class TestGradientInjection:
         assert bound(0.0, [0.25, -0.5]) == 0.5
         assert bound(0.1, [[0.25, -0.5], [0.0, 0.125]]) == 0.5
         assert bound(2.0, [0.5] * 3) == 2.0
+        # a random spec meets the larger of delta and its interval's |ends|,
+        # and a relative one takes its step from that
+        wide = GradientErrorSpec(model="relative", delta=1e-3, lo=-0.5, hi=0.5)
+        assert wide.interval == (-0.5, 0.5) and wide.bound == 0.5
+        problem = CompositeProblem.from_quadratic(QuadraticSmooth(np.eye(2), np.ones(2)), 0.1)
+        trace = run_basic(problem, SolverConfig(max_iters=1, grad_error=wide), np.zeros(2))
+        assert trace.steps[0] * problem.lipschitz == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert GradientErrorSpec(delta=0.2, lo=0.0).interval == (0.0, 0.2)
+        for lo, hi in ((0.5, 0.5), (0.5, 0.25), (0.0, None)):
+            with pytest.raises(ValueError, match="lo < hi"):
+                GradientErrorSpec(delta=0.0, lo=lo, hi=hi)
 
     def test_multipliers_equal_per_step_draws(self):
         # one (T, n) draw from the run's first spawned stream reproduces the
@@ -460,12 +479,18 @@ class TestApproxProx:
 
     def test_ray_solve_lands_on_its_aim(self):
         # the gap along the ray is piecewise quadratic and solved exactly, so
-        # it lands on 0.95 * target, not merely somewhere in [0.9, 1] * target
+        # the ray's own gap at its t lands on 0.95 * target, not merely
+        # somewhere in [0.9, 1] * target; the stored point, rounded, is
+        # measured inside that window
         worst, most_kinks, zero_dirs = 0.0, 0, 0
         for h, s, w, target, d in ray_cases():
             zero_dirs += bool(np.any(d == 0.0))
             x, gap, _ = approx_prox(h, s, w, target, d)
-            worst = max(worst, abs(gap - 0.95 * target) / (0.95 * target))
+            assert 0.9 * target <= gap <= target
+            abs_d, d_dot_d = ray_constants(d[None])
+            x_ray, t, d_dot_xw = _reference_ray_solve(h, s, w, target, d, abs_d[0], d_dot_d[0])[2]
+            ray_gap = _gap_along(h, s, x_ray, d, t, d_dot_xw, d_dot_d[0])
+            worst = max(worst, abs(ray_gap - 0.95 * target) / (0.95 * target))
             x_exact = h.prox(s, w)
             crossed = (np.sign(x_exact) * d < 0) & (np.sign(x) != np.sign(x_exact))
             most_kinks = max(most_kinks, int(crossed.sum()))
@@ -513,14 +538,16 @@ class TestInnerSolverProx:
         h = L1Term(0.6)
         s, tol = 0.4, 1e-6
         w = rng.standard_normal(5) * 2
-        z, gap, r = inner_solver_prox(h, s, w, tol)
+        z = inner_solver_prox(h, s, w, tol)
+        gap, r = (a[0] for a in prox_errors(h, s, w[None], z[None]))
         assert 0.0 <= gap <= tol
         assert np.linalg.norm(r) <= np.sqrt(2 * s * gap) + 1e-10
 
     def test_leaves_genuine_residual(self, rng):
         h = L1Term(0.6)
         w = rng.standard_normal(5) * 2
-        _, gap, r = inner_solver_prox(h, 0.4, w, 1e-6)
+        z = inner_solver_prox(h, 0.4, w, 1e-6)
+        _, r = prox_errors(h, 0.4, w[None], z[None])
         assert np.linalg.norm(r) > 0.0
 
 

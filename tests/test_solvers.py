@@ -270,17 +270,17 @@ class TestDeferredGapCheck:
             assert np.all(trace.res[1::3] == 0.0) and not np.signbit(trace.res[1::3]).any()
 
     def test_out_of_window_run_names_the_first_step(self, small_lasso):
-        # the diverging stepsize-1000 LASSO (L declared 1e-3): step 4 is the
-        # first whose point misses the window; fixed directions keep the
-        # tape's rows the same at every run length
+        # the diverging stepsize-1000 LASSO (L declared 1e-3): step 2 is the
+        # first whose stored point misses the window (gap 1.026e-5); fixed
+        # directions keep the tape's rows the same at every run length
         pspec = ProxErrorSpec(mode="target_gap", schedule=[1e-5] * 50, direction="fixed")
         config = lambda iters: SolverConfig(max_iters=iters, prox_error=pspec)
         problem = dataclasses.replace(small_lasso, lipschitz=1e-3)
-        with pytest.raises(OracleError, match=r"^approx_prox gap .* at step 4$"):
+        with pytest.raises(OracleError, match=r"^approx_prox gap .* at step 2$"):
             run_basic(problem, config(50), np.zeros(small_lasso.n))
-        with pytest.raises(OracleError, match=r"at step 4$"):
-            run_basic(problem, config(5), np.zeros(small_lasso.n))
-        trace = run_basic(problem, config(4), np.zeros(small_lasso.n))
+        with pytest.raises(OracleError, match=r"at step 2$"):
+            run_basic(problem, config(3), np.zeros(small_lasso.n))
+        trace = run_basic(problem, config(2), np.zeros(small_lasso.n))
         assert np.all((0.9e-5 <= trace.eps2) & (trace.eps2 <= 1e-5))
 
 
@@ -342,8 +342,9 @@ class TestHotPathBudget:
         )
         trace = run_basic(small_lasso, cfg, np.zeros(small_lasso.n))
         assert trace.num_steps == 300
-        # no gap evaluation per step: one stacked call checks all 300 rows
-        assert (len(f_values), len(gap_evals), len(proxes)) == (0, 1, 300)
+        # no gap evaluation per step: one stacked call, after one stacked
+        # exact prox, measures all 300 rows
+        assert (len(f_values), len(gap_evals), len(proxes)) == (0, 1, 301)
         assert gap_evals[0][2].shape == (300, small_lasso.n)
 
     @pytest.mark.parametrize("variant", ["basic", "accelerated"])
@@ -382,8 +383,9 @@ class TestHotPathBudget:
         "variant, prox", [("basic", "exact"), ("accelerated", "exact"), ("basic", "target_gap")]
     )
     def test_constant_step_run(self, small_lasso, monkeypatch, variant, prox):
-        # a constant step needs no g value in the loop: one prox per step, and
-        # f at the iterates is formed once, after it
+        # a constant step needs no g value in the loop: one prox per step
+        # (and one stacked exact prox after it, for prox errors), and f at
+        # the iterates is formed once, after it
         values = counted(monkeypatch, QuadraticSmooth, "value")
         stacked = counted(monkeypatch, QuadraticSmooth, "values")
         proxes = counted(monkeypatch, L1Term, "prox")
@@ -396,7 +398,7 @@ class TestHotPathBudget:
             small_lasso, cfg, np.zeros(small_lasso.n)
         )
         assert trace.num_steps == 100
-        assert (len(values), len(stacked), len(proxes)) == (0, 1, 100)
+        assert (len(values), len(stacked), len(proxes)) == (0, 1, 100 + (prox == "target_gap"))
 
 
 REFERENCE_PROBLEMS = {
@@ -486,6 +488,58 @@ class TestReferenceLoop:
                 continue
             assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
             assert got.tobytes() == ref.tobytes(), name
+
+
+class TestPrefixConsistency:
+    """A seeded run's first T steps do not depend on its length: every error
+    kind draws step k's errors from streams that a longer run extends."""
+
+    @pytest.mark.parametrize("case", sorted(
+        c for c in REFERENCE_CASES if not c.startswith("diverging") and c != "past_first_chunk"
+    ))
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_runs_of_t_and_2t_agree_on_t_steps(self, small_lasso, case, variant):
+        steps = 30
+        cfg = lambda iters: SolverConfig(
+            variant=variant, seed=3, **{**REFERENCE_CASES[case], "max_iters": iters}
+        )
+        short, long = (solvers.run(small_lasso, cfg(iters), np.zeros(small_lasso.n))
+                       for iters in (steps, 2 * steps))
+        assert long.num_steps == 2 * steps
+        for name in ("xs", "ys", "steps", "betas", "alphas", "fvals", "eps1", "eps2", "res"):
+            got, ref = getattr(short, name), getattr(long, name)
+            if ref is None:
+                assert got is None, name
+                continue
+            assert got.tobytes() == ref[: len(got)].tobytes(), name
+
+
+class TestInnerSolverLemma:
+    """Every inner-solver step meets the residual lemma ||r|| <= sqrt(2 s eps2)
+    (Schmidt, Le Roux & Bach, 2011) at the point it stored."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return {
+            "lasso20x50": gen_lasso(n=20, m=50, seed=7),
+            "lasso100x500": gen_lasso(n=100, m=500, seed=0),
+            "mpc10": mpc_to_lasso(spacecraft_mpc(n_p=10, x0=0.5 * np.ones(7))),
+        }
+
+    @pytest.mark.parametrize("problem_name", ["lasso20x50", "lasso100x500", "mpc10"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("variant", ["basic", "accelerated"])
+    def test_every_step_meets_the_lemma(self, problems, problem_name, tol, variant):
+        problem = problems[problem_name]
+        for seed in range(5):
+            cfg = SolverConfig(
+                variant=variant, seed=seed, grad_error=NOISE,
+                prox_error=ProxErrorSpec(mode="inner_solver", eps0=tol),
+            )
+            trace = solvers.run(problem, cfg, np.zeros(problem.n))
+            assert np.all(trace.eps2 >= 0.0)
+            lemma = np.sqrt(2.0 * trace.steps * trace.eps2) * (1.0 + 1e-9)
+            assert np.all(trace.res_norms() <= lemma), seed
 
 
 class TestErgodicAverage:
